@@ -61,25 +61,6 @@ class SchemaConfig:
             raise ConfigError(f"unknown feature columns: {unknown}")
 
 
-@dataclass(frozen=True)
-class LobSnapshot:
-    timestamp: int  # nanoseconds
-    bids: tuple[tuple[float, int], ...]  # 10 x (price, size), best first
-    asks: tuple[tuple[float, int], ...]
-
-    def validate(self) -> None:
-        bid_px = [p for p, _ in self.bids]
-        ask_px = [p for p, _ in self.asks]
-        if any(b2 >= b1 for b1, b2 in zip(bid_px, bid_px[1:])):
-            raise DataError("bid prices not strictly decreasing")
-        if any(a2 <= a1 for a1, a2 in zip(ask_px, ask_px[1:])):
-            raise DataError("ask prices not strictly increasing")
-        if ask_px[0] <= bid_px[0]:
-            raise DataError("crossed book: best ask <= best bid")
-        if any(s <= 0 for _, s in self.bids + self.asks):
-            raise DataError("non-positive size")
-
-
 @dataclass
 class Dataset:
     features: np.ndarray  # (N, d) float64
@@ -173,29 +154,21 @@ def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
             writer.writerow([int(ts)] + [repr(float(v)) for v in row])
 
 
-def load_labels(path, dataset: Dataset, by_timestamp: bool = False) -> Dataset:
-    """Attach labeled-anomaly row indices (or timestamps, with the flag) to a dataset."""
-    raw = []
+def load_labels(path, dataset: Dataset) -> Dataset:
+    """Attach labeled-anomaly row indices to a dataset."""
+    idx = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                raw.append(int(line))
+                idx.append(int(line))
             except ValueError:
                 raise DataError(f"{path}: line {line_no}: expected an integer") from None
-    if by_timestamp:
-        ts_to_row = {int(t): i for i, t in enumerate(dataset.timestamps)}
-        try:
-            idx = [ts_to_row[t] for t in raw]
-        except KeyError as exc:
-            raise DataError(f"{path}: timestamp {exc.args[0]} not in dataset") from None
-    else:
-        idx = raw
-        bad = [i for i in idx if i < 0 or i >= dataset.n_rows]
-        if bad:
-            raise DataError(f"{path}: label index out of range: {bad[:5]}")
+    bad = [i for i in idx if i < 0 or i >= dataset.n_rows]
+    if bad:
+        raise DataError(f"{path}: label index out of range: {bad[:5]}")
     uniq = np.unique(np.array(idx, dtype=np.int64))
     if uniq.size < len(idx):
         log.warning("%s: %d duplicate label indices dropped", path, len(idx) - uniq.size)

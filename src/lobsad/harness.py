@@ -96,88 +96,69 @@ def _check_divergence(losses: list[float], phase: str) -> None:
                 f"{_DIVERGENCE_WINDOW} epochs (epoch {len(losses)})")
 
 
-def pretrain(model: MlpModel, train_features: np.ndarray, cfg: TrainConfig,
-             rng: np.random.Generator) -> tuple[MlpModel, list[float]]:
-    """Autoencoder phase: minimize mean squared reconstruction error."""
-    n = train_features.shape[0]
+def _train(model: MlpModel, n: int, epochs: int, max_batch: int,
+           cfg: TrainConfig, rng: np.random.Generator, phase: str,
+           step) -> tuple[MlpModel, list[float]]:
+    """Shuffled minibatch epochs over n rows. `step(trainer, rows)` fills the
+    trainer's gradient for the batch `rows` and returns its loss."""
+    trainer = nnet._FusedTrainer(model, max_batch)
     losses: list[float] = []
-    if cfg.pretrain_epochs == 0:
-        return model, losses
-    if model.input_dim != model.output_dim:
-        raise ConfigError(
-            f"autoencoder needs input dim == output dim, got "
-            f"{model.input_dim} vs {model.output_dim}")
-    trainer = nnet._FusedTrainer(model, cfg.batch_size)
-    for _ in range(cfg.pretrain_epochs):
+    for _ in range(epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
-            batch = train_features[perm[lo:lo + cfg.batch_size]]
-            epoch_loss += trainer.grad_ae(batch)
+            epoch_loss += step(trainer, perm[lo:lo + cfg.batch_size])
             trainer.adam_apply(cfg.lr, cfg.weight_decay)
             n_batches += 1
         losses.append(epoch_loss / n_batches)
-        _check_divergence(losses, "pretrain")
+        _check_divergence(losses, phase)
     return trainer.snapshot(), losses
+
+
+def pretrain(model: MlpModel, train_features: np.ndarray, cfg: TrainConfig,
+             rng: np.random.Generator) -> tuple[MlpModel, list[float]]:
+    """Autoencoder phase: minimize mean squared reconstruction error."""
+    if cfg.pretrain_epochs == 0:
+        return model, []
+    objectives.check_autoencoder(model)
+
+    def step(trainer, rows):
+        batch = train_features[rows]
+        return objectives.loss_and_grads(trainer.model, batch, batch,
+                                         work=trainer)[0]
+    return _train(model, train_features.shape[0], cfg.pretrain_epochs,
+                  cfg.batch_size, cfg, rng, "pretrain", step)
 
 
 def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
                labeled: LabeledBatch, cfg: TrainConfig, mode: str,
                rng: np.random.Generator) -> tuple[MlpModel, list[float]]:
-    """Hypersphere phase. mode="svdd" ignores labels entirely; mode="sad" mixes
-    oversampled labeled rows into every batch (when any exist). With an empty
+    """Hypersphere phase. mode="svdd" ignores labels entirely; mode="sad"
+    appends oversampled labeled rows to every batch (when any exist), so one
+    forward and one backward cover both terms of the loss. With an empty
     labeled batch the two modes consume identical randomness and produce
     identical trajectories."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     n = unlabeled.shape[0]
     m = len(labeled) if mode == "sad" else 0
-    hyper = cfg.sad_hyper()
-    if m:
-        m_b = max(cfg.min_labeled_per_batch,
-                  math.ceil(cfg.batch_size * m / (n + m)))
-    losses: list[float] = []
+    m_b = max(cfg.min_labeled_per_batch,
+              math.ceil(cfg.batch_size * m / (n + m))) if m else 0
     if cfg.main_epochs == 0:
-        return model, losses
-    trainer = nnet._FusedTrainer(model, cfg.batch_size)
-    if m:
-        trainer.ensure_aux(m_b)
-    center = sphere.center
-    for _ in range(cfg.main_epochs):
-        perm = rng.permutation(n)
-        epoch_loss, n_batches = 0.0, 0
-        for lo in range(0, n, cfg.batch_size):
-            batch = unlabeled[perm[lo:lo + cfg.batch_size]]
-            if m:
-                pick = rng.integers(0, m, size=m_b)
-                total = batch.shape[0] + m_b
-                loss = trainer.grad_center(batch, center, total)
-                # labeled term of the semi-supervised loss, same arithmetic
-                # as the standalone objective
-                x_l = labeled.features[pick]
-                out_l = trainer.forward_aux(x_l)
-                diff_l = out_l - center
-                d2 = np.sum(diff_l * diff_l, axis=1) + hyper.eps
-                y = labeled.labels[pick]
-                loss += float(hyper.eta / total * np.sum(d2 ** y))
-                coeff = (hyper.eta / total) * y * d2 ** (y - 1.0)
-                trainer.backward_aux_add(x_l, 2.0 * coeff[:, None] * diff_l)
-            else:
-                loss = trainer.grad_center(batch, center, batch.shape[0])
-            trainer.adam_apply(cfg.lr, cfg.weight_decay)
-            epoch_loss += loss
-            n_batches += 1
-        losses.append(epoch_loss / n_batches)
-        _check_divergence(losses, f"main[{mode}]")
-    return trainer.snapshot(), losses
+        return model, []
+    pool = np.concatenate([unlabeled, labeled.features]) if m else unlabeled
+    hyper = cfg.sad_hyper()
 
-
-def _forward_outputs(model: MlpModel, features: np.ndarray,
-                     chunk: int = 8192) -> np.ndarray:
-    out = np.empty((features.shape[0], model.output_dim))
-    for lo in range(0, features.shape[0], chunk):
-        out[lo:lo + chunk], _ = nnet.forward(model, features[lo:lo + chunk])
-    return out
+    def step(trainer, rows):
+        y = None
+        if m:
+            pick = rng.integers(0, m, size=m_b)
+            rows = np.concatenate([rows, n + pick])
+            y = labeled.labels[pick]
+        return objectives.loss_and_grads(trainer.model, pool[rows], sphere.center,
+                                         y, hyper, trainer)[0]
+    return _train(model, n, cfg.main_epochs, cfg.batch_size + m_b, cfg, rng,
+                  f"main[{mode}]", step)
 
 
 @dataclass
@@ -247,9 +228,9 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
 
         if data_mod.fit_hook is not None:
             data_mod.fit_hook("pca", train_rows)
-        basis = evalx.pca_fit(_forward_outputs(model, feats[train_rows]), k=2)
+        basis = evalx.pca_fit(objectives.embed(model, feats[train_rows]), k=2)
         for split, rows in (("train", train_rows), ("test", test_rows)):
-            proj = evalx.pca_project(basis, _forward_outputs(model, feats[rows]))
+            proj = evalx.pca_project(basis, objectives.embed(model, feats[rows]))
             is_labeled = np.isin(rows, labeled_global)
             projections[(mode, split)] = (proj, is_labeled)
 

@@ -1,15 +1,18 @@
 """Minimal dense feed-forward network with exact reverse-mode gradients and Adam.
 
-Everything is float64 and immutable between steps: `forward`, `backward` and
-`adam_step` never mutate their inputs, they return fresh arrays. This keeps
-training bit-reproducible for a fixed seed in single-threaded mode.
+Everything is float64. There is one forward pass (`_forward`), one backward
+pass (`_backward`) and one Adam update (`_adam_update`). The public
+`forward`, `backward` and `adam_step` run them on fresh arrays and never
+mutate their inputs; the training loops run them on the preallocated buffers
+of a `_FusedTrainer`. Either way the arithmetic is the same, so training is
+bit-reproducible for a fixed seed in single-threaded mode.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,19 +67,6 @@ class Gradients:
     """Per-layer (dW, db) pairs, shape-congruent with the model."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __add__(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            tuple(
-                (gw1 + gw2, gb1 + gb2)
-                for (gw1, gb1), (gw2, gb2) in zip(self.layers, other.layers)
-            )
-        )
-
-    def is_finite(self) -> bool:
-        return all(
-            np.isfinite(gw).all() and np.isfinite(gb).all() for gw, gb in self.layers
-        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,8 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS, bias_enabled: bool = True) -> M
     return MlpModel(layers=tuple(layers), layer_dims=dims, bias_enabled=bias_enabled)
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """`batch` as float64 after checking its shape and finiteness."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise ShapeError(
@@ -147,16 +138,61 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape
         )
     if not np.isfinite(batch).all():
         raise DataError("non-finite values in forward input")
+    return batch
+
+
+def _buf(work, key: str, i: int, rows: int):
+    return None if work is None else work.buf[key][i][:rows]
+
+
+def _forward(model: MlpModel, x: np.ndarray,
+             work: "_FusedTrainer | None" = None) -> tuple[np.ndarray, ForwardTape]:
+    """The forward pass. With `work`, every intermediate is written into its
+    buffers; without, each is a fresh array."""
+    b = x.shape[0]
     inputs, preacts = [], []
-    h = batch
-    for lp in model.layers:
+    h = x
+    for i, lp in enumerate(model.layers):
         inputs.append(h)
-        z = h @ lp.weights.T
+        z = np.dot(h, lp.weights.T, out=_buf(work, "z", i, b))
         if model.bias_enabled:
-            z = z + lp.bias
+            np.add(z, lp.bias, out=z)
         preacts.append(z)
-        h = np.maximum(z, 0.0) if lp.activation == "relu" else z
+        if lp.activation == "relu":
+            h = np.maximum(z, 0.0, out=_buf(work, "h", i, b))
+        else:
+            h = z
     return h, ForwardTape(inputs=tuple(inputs), preacts=tuple(preacts))
+
+
+def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray,
+              work: "_FusedTrainer | None" = None) -> Gradients:
+    """The backward pass. With `work`, the gradients land in `work.grads`
+    (views of its flat vector `work.g`) and every intermediate in its buffers."""
+    b = grad_outputs.shape[0]
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
+    delta = grad_outputs
+    for i in range(len(model.layers) - 1, -1, -1):
+        lp = model.layers[i]
+        if lp.activation == "relu":
+            mask = np.greater(tape.preacts[i], 0.0, out=_buf(work, "mask", i, b))
+            dz = np.multiply(delta, mask, out=_buf(work, "dz", i, b))
+        else:
+            dz = delta
+        gw, gb = (None, None) if work is None else work.grads.layers[i]
+        gw = np.dot(dz.T, tape.inputs[i], out=gw)
+        if model.bias_enabled:
+            gb = np.sum(dz, axis=0, out=gb)
+        elif gb is None:
+            gb = np.zeros_like(lp.bias)  # the trainer's zero-filled g stays 0
+        grads[i] = (gw, gb)
+        if i > 0:
+            delta = np.dot(dz, lp.weights, out=_buf(work, "delta", i - 1, b))
+    return Gradients(layers=tuple(grads))
+
+
+def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+    return _forward(model, _as_batch(model, batch))
 
 
 def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
@@ -166,42 +202,52 @@ def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gr
         raise ShapeError(
             f"grad_outputs {grad_outputs.shape} != outputs {tape.preacts[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
-    delta = grad_outputs
-    for i in range(len(model.layers) - 1, -1, -1):
-        lp = model.layers[i]
-        dz = delta * (tape.preacts[i] > 0.0) if lp.activation == "relu" else delta
-        gw = dz.T @ tape.inputs[i]
-        gb = dz.sum(axis=0) if model.bias_enabled else np.zeros_like(lp.bias)
-        grads[i] = (gw, gb)
-        if i > 0:
-            delta = dz @ lp.weights
-    return Gradients(layers=tuple(grads))
+    return _backward(model, tape, grad_outputs)
+
+
+def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
+                 weight_decay: float = 0.0, scratch=None) -> None:
+    """One Adam update of the flat parameters `p`, in place on `p` and `st`.
+
+    L2 decay is added to `g` (in place) on weights only, not biases.
+    `scratch` is a pair of arrays shaped like `p`, allocated when omitted.
+    """
+    if lr < 0:
+        raise ConfigError(f"lr must be >= 0, got {lr}")
+    if not np.isfinite(g).all():
+        raise DivergenceError("non-finite gradients in adam_step")
+    s1, s2 = scratch if scratch is not None else (np.empty_like(p), np.empty_like(p))
+    st.t += 1
+    if weight_decay:
+        np.multiply(st.decay_mask, p, out=s1)
+        s1 *= weight_decay
+        g += s1
+    np.multiply(st.m, st.beta1, out=st.m)
+    np.multiply(g, 1.0 - st.beta1, out=s1)
+    st.m += s1
+    np.multiply(st.v, st.beta2, out=st.v)
+    np.multiply(g, 1.0 - st.beta2, out=s1)
+    s1 *= g
+    st.v += s1
+    np.divide(st.m, 1.0 - st.beta1 ** st.t, out=s1)
+    np.divide(st.v, 1.0 - st.beta2 ** st.t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += st.eps
+    s1 /= s2
+    s1 *= lr
+    p -= s1
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState, lr: float,
               weight_decay: float = 0.0) -> tuple[MlpModel, AdamState]:
-    """One Adam update. L2 decay is added to the weight gradients only, not biases."""
-    if lr < 0:
-        raise ConfigError(f"lr must be >= 0, got {lr}")
-    g = flatten_grads(grads)
-    if not np.isfinite(g).all():
-        raise DivergenceError("non-finite gradients in adam_step")
-    t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    """One `_adam_update` on copies of the parameters and the moments."""
     p = get_flat_params(model)
-    if weight_decay:
-        g = g + weight_decay * (state.decay_mask * p)
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * g * g
-    update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-    new_model = set_flat_params(model, p - lr * update)
-    new_state = AdamState(m=m, v=v, decay_mask=state.decay_mask, t=t,
-                          beta1=b1, beta2=b2, eps=eps)
-    return new_model, new_state
+    new_state = replace(state, m=state.m.copy(), v=state.v.copy())
+    _adam_update(p, flatten_grads(grads), new_state, lr, weight_decay)
+    return _view(model, p), new_state
 
 
-# --- flat parameter views, used by finite-difference tests -------------------
+# --- flat parameter vectors and views ----------------------------------------
 
 def get_flat_params(model: MlpModel) -> np.ndarray:
     parts = []
@@ -211,20 +257,25 @@ def get_flat_params(model: MlpModel) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != model.n_params():
-        raise ShapeError(f"flat size {flat.size} != n_params {model.n_params()}")
+def _view(model: MlpModel, flat: np.ndarray) -> MlpModel:
+    """A model shaped like `model` whose arrays are views into `flat`."""
     layers, off = [], 0
     for lp in model.layers:
         nw, nb = lp.weights.size, lp.bias.size
-        w = flat[off:off + nw].reshape(lp.weights.shape).copy()
+        w = flat[off:off + nw].reshape(lp.weights.shape)
         off += nw
-        b = flat[off:off + nb].copy()
+        layers.append(LayerParams(weights=w, bias=flat[off:off + nb],
+                                  activation=lp.activation))
         off += nb
-        layers.append(LayerParams(weights=w, bias=b, activation=lp.activation))
     return MlpModel(layers=tuple(layers), layer_dims=model.layer_dims,
                     bias_enabled=model.bias_enabled)
+
+
+def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
+    flat = np.array(flat, dtype=np.float64)  # a copy: the model owns its data
+    if flat.size != model.n_params():
+        raise ShapeError(f"flat size {flat.size} != n_params {model.n_params()}")
+    return _view(model, flat)
 
 
 def flatten_grads(grads: Gradients) -> np.ndarray:
@@ -236,185 +287,35 @@ def flatten_grads(grads: Gradients) -> np.ndarray:
 
 
 class _FusedTrainer:
-    """Training-loop fast path: preallocated buffers and in-place Adam.
+    """State of a training loop: the flat parameter and gradient vectors, the
+    Adam moments, and per-layer buffers for batches of up to `max_batch` rows.
 
-    Mirrors the arithmetic of `forward`, `backward` and `adam_step`
-    operation-for-operation (every elementwise expression and gemm uses the
-    same operands in the same order), so trajectories are bit-identical to the
-    public composition -- the harness tests assert this. It only avoids the
-    per-step allocation and dataclass rebuilding, which otherwise dominate the
-    epoch time at small batch sizes. Not part of the public API.
+    It runs the same `_forward`, `_backward` and `_adam_update` as the public
+    functions, passing in its buffers, so a step allocates no per-layer
+    arrays and rebuilds no model. Not part of the public API.
     """
 
     def __init__(self, model: MlpModel, max_batch: int):
         model.validate()
-        self.template = model
-        self.bias_enabled = model.bias_enabled
-        n = model.n_params()
         self.p = get_flat_params(model)
-        self.g = np.empty(n)
-        self._s1 = np.empty(n)
-        self._s2 = np.empty(n)
+        self.g = np.zeros(self.p.size)
+        self.model = _view(model, self.p)
+        self.grads = Gradients(tuple(
+            (lp.weights, lp.bias) for lp in _view(model, self.g).layers))
         self.state = adam_init(model)
-        self.acts = [lp.activation for lp in model.layers]
-        self.w_views, self.b_views = [], []
-        self.gw_views, self.gb_views = [], []
-        off = 0
-        for lp in model.layers:
-            nw, nb = lp.weights.size, lp.bias.size
-            self.w_views.append(self.p[off:off + nw].reshape(lp.weights.shape))
-            self.gw_views.append(self.g[off:off + nw].reshape(lp.weights.shape))
-            off += nw
-            self.b_views.append(self.p[off:off + nb])
-            self.gb_views.append(self.g[off:off + nb])
-            off += nb
+        self._scratch = (np.empty(self.p.size), np.empty(self.p.size))
         hidden = model.layer_dims[1:]
-        self._z = [np.empty((max_batch, d)) for d in hidden]
-        self._h = [np.empty((max_batch, d)) for d in hidden]
-        self._mask = [np.empty((max_batch, d), dtype=bool) for d in hidden]
-        self._dz = [np.empty((max_batch, d)) for d in hidden]
-        self._delta = [np.empty((max_batch, d)) for d in hidden]
-        d_out = model.layer_dims[-1]
-        self._diff = np.empty((max_batch, d_out))
-        self._sq = np.empty((max_batch, d_out))
-        self._gradout = np.empty((max_batch, d_out))
-        self._aux = None  # lazy buffers for the auxiliary (labeled) pass
-
-    def model_view(self) -> MlpModel:
-        """Current parameters as a model whose arrays alias the flat vector."""
-        layers = tuple(
-            LayerParams(weights=w, bias=b, activation=a)
-            for w, b, a in zip(self.w_views, self.b_views, self.acts))
-        return MlpModel(layers=layers, layer_dims=self.template.layer_dims,
-                        bias_enabled=self.bias_enabled)
+        self.buf = {key: [np.empty((max_batch, d), dtype=bool if key == "mask" else None)
+                          for d in hidden]
+                    for key in ("z", "h", "mask", "dz", "delta")}
 
     def snapshot(self) -> MlpModel:
         """Detached copy of the current parameters."""
-        return set_flat_params(self.template, self.p)
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        b = x.shape[0]
-        h = x
-        for i, act in enumerate(self.acts):
-            z = self._z[i][:b]
-            np.dot(h, self.w_views[i].T, out=z)
-            if self.bias_enabled:
-                np.add(z, self.b_views[i], out=z)
-            h = np.maximum(z, 0.0, out=self._h[i][:b]) if act == "relu" else z
-        return h
-
-    def _backward(self, x: np.ndarray, b: int) -> None:
-        delta = self._gradout[:b]
-        for i in range(len(self.acts) - 1, -1, -1):
-            if self.acts[i] == "relu":
-                mask = np.greater(self._z[i][:b], 0.0, out=self._mask[i][:b])
-                dz = np.multiply(delta, mask, out=self._dz[i][:b])
-            else:
-                dz = delta
-            inp = x if i == 0 else self._h[i - 1][:b]
-            np.dot(dz.T, inp, out=self.gw_views[i])
-            if self.bias_enabled:
-                np.sum(dz, axis=0, out=self.gb_views[i])
-            else:
-                self.gb_views[i][:] = 0.0
-            if i > 0:
-                delta = np.dot(dz, self.w_views[i], out=self._delta[i - 1][:b])
-
-    def grad_center(self, x: np.ndarray, center: np.ndarray, denom: int) -> float:
-        """Fill self.g with grads of sum ||phi(x)-c||^2 / denom; return the loss."""
-        b = x.shape[0]
-        out = self._forward(x)
-        diff = np.subtract(out, center, out=self._diff[:b])
-        np.multiply(diff, diff, out=self._sq[:b])
-        loss = float(np.sum(self._sq[:b]) / denom)
-        np.multiply(diff, 2.0 / denom, out=self._gradout[:b])
-        self._backward(x, b)
-        return loss
-
-    def grad_ae(self, x: np.ndarray) -> float:
-        """Fill self.g with grads of (1/b) sum ||phi(x)-x||^2; return the loss."""
-        b = x.shape[0]
-        out = self._forward(x)
-        diff = np.subtract(out, x, out=self._diff[:b])
-        np.multiply(diff, diff, out=self._sq[:b])
-        loss = float(np.sum(self._sq[:b]) / b)
-        np.multiply(diff, 2.0 / b, out=self._gradout[:b])
-        self._backward(x, b)
-        return loss
-
-    def ensure_aux(self, max_batch: int) -> None:
-        """Allocate buffers for a second forward/backward whose gradients are
-        accumulated into self.g (used for the labeled term of the SAD loss)."""
-        if self._aux is not None and self._aux["max_batch"] >= max_batch:
-            return
-        hidden = self.template.layer_dims[1:]
-        self._aux = {
-            "max_batch": max_batch,
-            "z": [np.empty((max_batch, d)) for d in hidden],
-            "h": [np.empty((max_batch, d)) for d in hidden],
-            "mask": [np.empty((max_batch, d), dtype=bool) for d in hidden],
-            "dz": [np.empty((max_batch, d)) for d in hidden],
-            "delta": [np.empty((max_batch, d)) for d in hidden],
-            "gw": [np.empty_like(w) for w in self.gw_views],
-            "gb": [np.empty_like(b) for b in self.gb_views],
-        }
-
-    def forward_aux(self, x: np.ndarray) -> np.ndarray:
-        b = x.shape[0]
-        a = self._aux
-        h = x
-        for i, act in enumerate(self.acts):
-            z = a["z"][i][:b]
-            np.dot(h, self.w_views[i].T, out=z)
-            if self.bias_enabled:
-                np.add(z, self.b_views[i], out=z)
-            h = np.maximum(z, 0.0, out=a["h"][i][:b]) if act == "relu" else z
-        return h
-
-    def backward_aux_add(self, x: np.ndarray, grad_outputs: np.ndarray) -> None:
-        """Accumulate the auxiliary pass's gradients into self.g."""
-        b = x.shape[0]
-        a = self._aux
-        delta = grad_outputs
-        for i in range(len(self.acts) - 1, -1, -1):
-            if self.acts[i] == "relu":
-                mask = np.greater(a["z"][i][:b], 0.0, out=a["mask"][i][:b])
-                dz = np.multiply(delta, mask, out=a["dz"][i][:b])
-            else:
-                dz = delta
-            inp = x if i == 0 else a["h"][i - 1][:b]
-            np.dot(dz.T, inp, out=a["gw"][i])
-            self.gw_views[i] += a["gw"][i]
-            if self.bias_enabled:
-                np.sum(dz, axis=0, out=a["gb"][i])
-                self.gb_views[i] += a["gb"][i]
-            if i > 0:
-                delta = np.dot(dz, self.w_views[i], out=a["delta"][i - 1][:b])
+        return set_flat_params(self.model, self.p)
 
     def adam_apply(self, lr: float, weight_decay: float = 0.0) -> None:
-        """In-place mirror of `adam_step` on the accumulated self.g."""
-        if not np.isfinite(self.g).all():
-            raise DivergenceError("non-finite gradients in adam_step")
-        st = self.state
-        st.t += 1
-        if weight_decay:
-            np.multiply(st.decay_mask, self.p, out=self._s1)
-            self._s1 *= weight_decay
-            self.g += self._s1
-        np.multiply(st.m, st.beta1, out=st.m)
-        np.multiply(self.g, 1.0 - st.beta1, out=self._s1)
-        st.m += self._s1
-        np.multiply(st.v, st.beta2, out=st.v)
-        np.multiply(self.g, 1.0 - st.beta2, out=self._s1)
-        self._s1 *= self.g
-        st.v += self._s1
-        np.divide(st.m, 1.0 - st.beta1 ** st.t, out=self._s1)
-        np.divide(st.v, 1.0 - st.beta2 ** st.t, out=self._s2)
-        np.sqrt(self._s2, out=self._s2)
-        self._s2 += st.eps
-        self._s1 /= self._s2
-        self._s1 *= lr
-        self.p -= self._s1
+        """One Adam update from the gradient in self.g."""
+        _adam_update(self.p, self.g, self.state, lr, weight_decay, self._scratch)
 
 
 # --- checkpoints -------------------------------------------------------------

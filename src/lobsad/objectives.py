@@ -5,11 +5,14 @@ network outputs to a fixed center), its semi-supervised extension that adds an
 inverted-distance term for labeled anomalies, and the Euclidean distance score
 used at inference. Plus the autoencoder pretraining loss and the center
 initializer. The center is always a fixed constant with respect to gradients.
+
+All three losses are one loss head (`loss_head`) between one forward and one
+backward pass (`loss_and_grads`); the training loops run the same sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,52 +72,58 @@ class LabeledBatch:
         return LabeledBatch(np.zeros((0, dim)), np.zeros(0))
 
 
-def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, Gradients]:
-    """Mean squared reconstruction error, (1/B) sum ||phi(x) - x||^2."""
+def check_autoencoder(model: MlpModel) -> None:
+    """Reject a model that cannot reconstruct its own input."""
     if model.input_dim != model.output_dim:
         raise ConfigError(
             f"autoencoder needs input dim == output dim, got "
             f"{model.input_dim} vs {model.output_dim}"
         )
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    out, tape = nnet.forward(model, batch)
-    diff = out - batch
-    n = batch.shape[0]
-    loss = float(np.sum(diff * diff) / n)
-    grads = nnet.backward(model, tape, (2.0 / n) * diff)
-    return loss, grads
 
 
-def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> Hypersphere:
-    """Center = mean network output over all rows, computed in one streaming pass.
+def loss_head(out: np.ndarray, target: np.ndarray, y: np.ndarray | None = None,
+              hyper: SadHyper | None = None) -> tuple[float, np.ndarray]:
+    """Loss and its gradient w.r.t. the outputs of a batch [unlabeled; labeled].
 
-    Coordinates within `nudge` of zero are pushed out to +-nudge so the sphere
-    cannot trivially collapse onto the origin of a dead-ReLU output.
+    `target` is the center c for the hypersphere losses and the input x for
+    the autoencoder. The last len(y) rows are labeled. Over n + m rows,
+
+        (1/(n+m)) sum_i d_i^2 + (eta/(n+m)) sum_j (d_j^2 + eps)^(y_j),
+
+    with d = ||phi(x) - t||, and row i's gradient is 2 w_i (phi(x_i) - t_i)
+    with w_i = 1/(n+m) unlabeled and (eta/(n+m)) y (d^2 + eps)^(y-1) labeled.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = features.shape[0]
-    if n == 0:
-        raise DataError("cannot initialize center from an empty dataset")
-    acc = np.zeros(model.output_dim)
-    for lo in range(0, n, _CHUNK):
-        out, _ = nnet.forward(model, features[lo:lo + _CHUNK])
-        acc += out.sum(axis=0)
-    c = acc / n
-    small = np.abs(c) < nudge
-    c[small] = np.where(c[small] >= 0, nudge, -nudge)
-    return Hypersphere(center=c)
+    total = out.shape[0]
+    m = 0 if y is None else y.size
+    if target.shape[-1] != out.shape[1]:
+        raise ShapeError(f"output dim {out.shape[1]} != target dim {target.shape[-1]}")
+    diff = out - target
+    sq = diff * diff
+    loss = float(np.sum(sq[:total - m]) / total)
+    w = np.full(total, 1.0 / total)
+    if m:
+        d2 = np.sum(sq[total - m:], axis=1) + hyper.eps
+        loss += float(hyper.eta / total * np.sum(d2 ** y))
+        w[total - m:] = (hyper.eta / total) * y * d2 ** (y - 1.0)
+    return loss, (2.0 * w)[:, None] * diff
 
 
-def _center_loss(model: MlpModel, batch: np.ndarray, center: np.ndarray,
-                 denom: int) -> tuple[float, Gradients]:
-    """sum ||phi(x)-c||^2 / denom with exact gradients; shared by both objectives."""
-    out, tape = nnet.forward(model, batch)
-    if out.shape[1] != center.shape[0]:
-        raise ShapeError(f"output dim {out.shape[1]} != center dim {center.shape[0]}")
-    diff = out - center
-    loss = float(np.sum(diff * diff) / denom)
-    grads = nnet.backward(model, tape, (2.0 / denom) * diff)
-    return loss, grads
+def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,
+                   y: np.ndarray | None = None, hyper: SadHyper | None = None,
+                   work: "nnet._FusedTrainer | None" = None) -> tuple[float, Gradients]:
+    """forward -> loss head -> backward: the one sequence behind every loss
+    and every training step. `batch` is not validated here; with `work`, the
+    passes run in its buffers and the gradients land in `work.g`."""
+    out, tape = nnet._forward(model, batch, work)
+    loss, grad_out = loss_head(out, target, y, hyper)
+    return loss, nnet._backward(model, tape, grad_out, work)
+
+
+def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, Gradients]:
+    """Mean squared reconstruction error, (1/B) sum ||phi(x) - x||^2."""
+    check_autoencoder(model)
+    batch = nnet._as_batch(model, np.atleast_2d(batch))
+    return loss_and_grads(model, batch, batch)
 
 
 def svdd_loss(model: MlpModel, batch: np.ndarray,
@@ -123,7 +132,7 @@ def svdd_loss(model: MlpModel, batch: np.ndarray,
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise DataError("svdd_loss needs a nonempty batch")
-    return _center_loss(model, batch, sphere.center, batch.shape[0])
+    return loss_and_grads(model, nnet._as_batch(model, batch), sphere.center)
 
 
 def sad_loss(model: MlpModel, unlabeled: np.ndarray, labeled: LabeledBatch,
@@ -137,39 +146,47 @@ def sad_loss(model: MlpModel, unlabeled: np.ndarray, labeled: LabeledBatch,
     distance and pushes the representation away from c. With m = 0 this is
     bit-for-bit the one-class loss on the same batch.
     """
-    unlabeled = np.atleast_2d(np.asarray(unlabeled, dtype=np.float64))
-    n_b, m = unlabeled.shape[0], len(labeled)
-    if n_b + m == 0:
+    unlabeled = nnet._as_batch(model, np.atleast_2d(unlabeled))
+    if unlabeled.shape[0] + len(labeled) == 0:
         raise DataError("sad_loss needs at least one sample")
-    total = n_b + m
-    if n_b:
-        loss, grads = _center_loss(model, unlabeled, sphere.center, total)
-    else:
-        loss, grads = 0.0, Gradients(tuple(
-            (np.zeros_like(lp.weights), np.zeros_like(lp.bias))
-            for lp in model.layers))
-    if m == 0:
-        return loss, grads
+    batch = np.concatenate([unlabeled, nnet._as_batch(model, labeled.features)])
+    return loss_and_grads(model, batch, sphere.center, labeled.labels, hyper)
 
-    out_l, tape_l = nnet.forward(model, labeled.features)
-    diff_l = out_l - sphere.center
-    d2 = np.sum(diff_l * diff_l, axis=1) + hyper.eps
-    y = labeled.labels
-    terms = d2 ** y
-    loss_l = float(hyper.eta / total * np.sum(terms))
-    # d/d(d2) of d2**y is y * d2**(y-1); chain through d2 = ||phi - c||^2
-    coeff = (hyper.eta / total) * y * d2 ** (y - 1.0)
-    grads_l = nnet.backward(model, tape_l, 2.0 * coeff[:, None] * diff_l)
-    return loss + loss_l, grads + grads_l
+
+def embed(model: MlpModel, points: np.ndarray, per_chunk=None) -> np.ndarray:
+    """Network outputs of every row, computed _CHUNK rows at a time. With
+    `per_chunk`, its results on each chunk's outputs, concatenated."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    per_chunk = per_chunk or (lambda out: out)
+    # an empty input still makes one (empty) chunk, so the result has its shape
+    return np.concatenate([
+        per_chunk(nnet.forward(model, points[lo:lo + _CHUNK])[0])
+        for lo in range(0, max(points.shape[0], 1), _CHUNK)])
+
+
+def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> Hypersphere:
+    """Center = mean network output over all rows, summed chunk by chunk.
+
+    Coordinates within `nudge` of zero are pushed out to +-nudge so the sphere
+    cannot trivially collapse onto the origin of a dead-ReLU output.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n = features.shape[0]
+    if n == 0:
+        raise DataError("cannot initialize center from an empty dataset")
+    # a sum of per-chunk sums, not one sum over all rows: this summation order
+    # reproduces the centers (and so the trained models) of earlier versions
+    sums = embed(model, features, lambda out: out.sum(axis=0, keepdims=True))
+    c = sums.sum(axis=0) / n
+    small = np.abs(c) < nudge
+    c[small] = np.where(c[small] >= 0, nudge, -nudge)
+    return Hypersphere(center=c)
 
 
 def anomaly_score(model: MlpModel, points: np.ndarray,
                   sphere: Hypersphere) -> np.ndarray:
     """s(x) = ||phi(x) - c||, the Euclidean (not squared) distance to the center."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    scores = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], _CHUNK):
-        out, _ = nnet.forward(model, points[lo:lo + _CHUNK])
+    def distance(out):
         diff = out - sphere.center
-        scores[lo:lo + out.shape[0]] = np.sqrt(np.sum(diff * diff, axis=1))
-    return scores
+        return np.sqrt(np.sum(diff * diff, axis=1))
+    return embed(model, points, distance)

@@ -100,14 +100,6 @@ class TestLabels:
         assert np.array_equal(out.labeled_idx, [1, 4])
         assert any("duplicate" in r.message for r in caplog.records)
 
-    def test_by_timestamp(self, tmp_path):
-        ts, book = small_book(4)
-        ds = data.Dataset(book[:, :20], ts, np.array([], dtype=np.int64))
-        path = tmp_path / "labels.txt"
-        path.write_text(f"{int(ts[2])}\n")
-        out = data.load_labels(path, ds, by_timestamp=True)
-        assert np.array_equal(out.labeled_idx, [2])
-
 
 class TestNormalizer:
     def test_standardized_passthrough(self, rng):

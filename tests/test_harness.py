@@ -80,6 +80,30 @@ class TestPretrain:
         assert np.array_equal(nnet.get_flat_params(a), nnet.get_flat_params(b))
 
 
+    def test_epochs_match_hand_loop(self, rng):
+        # 2 epochs x 3 batches (32, 32, 6 rows)
+        model = nnet.mlp_init(6, (20, 16, 20))
+        x = rng.normal(size=(70, 20))
+        cfg = tiny_cfg(pretrain_epochs=2, batch_size=32, lr=1e-2)
+        trained, losses = harness.pretrain(model, x, cfg, np.random.default_rng(4))
+
+        hand_rng = np.random.default_rng(4)
+        expected, state, hand_losses = model, nnet.adam_init(model), []
+        for _ in range(cfg.pretrain_epochs):
+            perm = hand_rng.permutation(70)
+            batch_losses = []
+            for lo in range(0, 70, cfg.batch_size):
+                loss, grads = objectives.ae_loss(expected, x[perm[lo:lo + 32]])
+                expected, state = nnet.adam_step(expected, grads, state, cfg.lr,
+                                                 cfg.weight_decay)
+                batch_losses.append(loss)
+            hand_losses.append(sum(batch_losses) / len(batch_losses))
+        assert state.t == 6
+        assert losses == hand_losses
+        assert np.array_equal(nnet.get_flat_params(trained),
+                              nnet.get_flat_params(expected))
+
+
 class TestTrainMain:
     def test_sad_without_labels_equals_svdd(self, rng):
         model = nnet.mlp_init(3, (20, 16, 20))
@@ -103,6 +127,36 @@ class TestTrainMain:
         _, grads = objectives.svdd_loss(model, x[perm], sphere)
         expected, _ = nnet.adam_step(model, grads, nnet.adam_init(model),
                                      cfg.lr, cfg.weight_decay)
+        assert np.array_equal(nnet.get_flat_params(trained),
+                              nnet.get_flat_params(expected))
+
+    def test_sad_epochs_match_hand_loop(self, rng):
+        # 2 epochs x 3 batches (32, 32, 6 unlabeled rows + 2 labeled each)
+        model = nnet.mlp_init(5, (20, 16, 20))
+        x = rng.normal(size=(70, 20))
+        sphere = Hypersphere(rng.normal(size=20))
+        labeled = LabeledBatch(rng.normal(loc=2.0, size=(4, 20)),
+                               np.array([-1.0, 1.0, -1.0, -1.0]))
+        cfg = tiny_cfg(main_epochs=2, batch_size=32, lr=1e-2)
+        trained, losses = harness.train_main(model, sphere, x, labeled, cfg,
+                                             "sad", np.random.default_rng(8))
+
+        hand_rng, m_b = np.random.default_rng(8), 2  # m_b = ceil(32 * 4 / 74)
+        expected, state, hand_losses = model, nnet.adam_init(model), []
+        for _ in range(cfg.main_epochs):
+            perm = hand_rng.permutation(70)
+            batch_losses = []
+            for lo in range(0, 70, cfg.batch_size):
+                pick = hand_rng.integers(0, 4, size=m_b)
+                lb = LabeledBatch(labeled.features[pick], labeled.labels[pick])
+                loss, grads = objectives.sad_loss(expected, x[perm[lo:lo + 32]], lb,
+                                                  sphere, cfg.sad_hyper())
+                expected, state = nnet.adam_step(expected, grads, state, cfg.lr,
+                                                 cfg.weight_decay)
+                batch_losses.append(loss)
+            hand_losses.append(sum(batch_losses) / len(batch_losses))
+        assert state.t == 6
+        assert losses == hand_losses
         assert np.array_equal(nnet.get_flat_params(trained),
                               nnet.get_flat_params(expected))
 

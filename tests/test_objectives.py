@@ -10,7 +10,7 @@ from conftest import (
     sample_safe_model_batch,
 )
 from lobsad import nnet, objectives
-from lobsad.errors import ConfigError, DataError
+from lobsad.errors import ConfigError, DataError, ShapeError
 from lobsad.objectives import Hypersphere, LabeledBatch, SadHyper
 
 
@@ -153,6 +153,17 @@ class TestSadLoss:
             lambda m: objectives.sad_loss(m, unlabeled, labeled, sphere, hyper)[0],
             model)
         assert relative_error(nnet.flatten_grads(grads), fd) < 1e-5
+
+    def test_shape_mismatch_rejected(self):
+        model = nnet.mlp_init(0, (3, 4, 2))
+        sphere, hyper = Hypersphere(np.zeros(2)), SadHyper()
+        labeled = LabeledBatch(np.ones((2, 3)), -np.ones(2))
+        with pytest.raises(ShapeError):
+            objectives.sad_loss(model, np.zeros(0), labeled, sphere, hyper)
+        with pytest.raises(ShapeError):
+            objectives.sad_loss(model, np.ones((2, 3)),
+                                LabeledBatch(np.ones((2, 4)), -np.ones(2)),
+                                sphere, hyper)
 
     def test_bad_label_rejected(self):
         with pytest.raises(DataError):
