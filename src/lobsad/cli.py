@@ -21,7 +21,6 @@ Set SAD_LOG=DEBUG|INFO|... to control logging.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -112,23 +111,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _save_trial(res: harness.TrialResult, out_dir: str) -> None:
+def _score_line(row: int, score: float) -> str:
+    return f"{row},{score!r}"
+
+
+def _save_trial(res: harness.TrialResult, out_dir: str,
+                schema: data_mod.SchemaConfig) -> None:
     t = res.report.trial
     for mode, model in res.models.items():
         extra = {"center": res.sphere.center,
                  "norm_mean": res.normalizer.mean,
-                 "norm_std": res.normalizer.std}
+                 "norm_std": res.normalizer.std,
+                 # checkpoint extras are float arrays: the feature columns go
+                 # in as their indices into BOOK_COLUMNS
+                 "feature_columns": [data_mod.BOOK_COLUMNS.index(c)
+                                     for c in schema.feature_columns]}
         nnet.save_checkpoint(
             model, os.path.join(out_dir, f"trial{t}_fold{res.report.fold}_{mode}.ckpt"),
             seed=res.report.config.get("seed"), extra=extra)
     for (mode, split), scores in res.scores.items():
         rows = res.train_rows if split == "train" else res.test_rows
-        path = os.path.join(out_dir, f"trial{t}_scores_{mode}_{split}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "score"])
-            for r, s in zip(rows, scores):
-                writer.writerow([int(r), repr(float(s))])
+        data_mod.write_csv(os.path.join(out_dir, f"trial{t}_scores_{mode}_{split}.csv"),
+                           ("row", "score"), _score_line, rows, scores)
 
 
 def cmd_run(args) -> int:
@@ -165,7 +169,7 @@ def cmd_run(args) -> int:
 
     def on_trial(res):
         done.append(res)
-        _save_trial(res, args.out)
+        _save_trial(res, args.out, synth.schema)
         log.info("trial %d done in %.1fs", res.report.trial, res.report.runtime_s)
 
     try:
@@ -179,6 +183,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _checkpoint_schema(path, extra: dict) -> data_mod.SchemaConfig:
+    """The feature columns a trial checkpoint was trained on; the default view
+    for a checkpoint written before they were stored."""
+    if "feature_columns" not in extra:
+        return data_mod.SchemaConfig()
+    idx = extra["feature_columns"]
+    if idx.ndim != 1 or not np.isin(idx, np.arange(len(data_mod.BOOK_COLUMNS))).all():
+        raise ConfigError(f"{path}: feature_columns are not book column indices")
+    return data_mod.SchemaConfig(
+        tuple(data_mod.BOOK_COLUMNS[i] for i in idx.astype(np.int64)))
+
+
 def cmd_score(args) -> int:
     model, meta = nnet.load_checkpoint(args.checkpoint)
     extra = meta["extra"]
@@ -186,7 +202,7 @@ def cmd_score(args) -> int:
         if key not in extra:
             raise ConfigError(f"{args.checkpoint}: checkpoint lacks '{key}'; "
                               "score needs a trial checkpoint")
-    dataset = data_mod.load_lob_csv(args.data)
+    dataset = data_mod.load_lob_csv(args.data, _checkpoint_schema(args.checkpoint, extra))
     if dataset.features.shape[1] != model.input_dim:
         raise ConfigError(
             f"dimension mismatch: model expects {model.input_dim} features, "
@@ -196,11 +212,8 @@ def cmd_score(args) -> int:
     feats = data_mod.apply_normalizer(norm, dataset.features)
     sphere = objectives.Hypersphere(center=extra["center"])
     scores = objectives.anomaly_score(model, feats, sphere)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "score"])
-        for i, s in enumerate(scores):
-            writer.writerow([i, repr(float(s))])
+    data_mod.write_csv(args.out, ("row", "score"), _score_line,
+                       np.arange(scores.size), scores)
     return 0
 
 

@@ -46,6 +46,10 @@ DEFAULT_FEATURES = tuple(
 
 ARCHETYPES = ("spoof", "layering", "flash")
 
+_CSV_BLOCK_ROWS = 2048  # rows per write in write_csv
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 # Test-visible hook: called as hook(kind, row_indices) whenever statistics are
 # fitted, so leakage checks can observe exactly which rows reach the fitter.
 fit_hook = None
@@ -110,32 +114,91 @@ def _validate_book_row(row: np.ndarray, row_no: int) -> None:
         raise DataError(f"row {row_no}: non-positive size")
 
 
+def _first_bad_row(book: np.ndarray) -> int | None:
+    """0-based index of the first row `_validate_book_row` rejects, or None.
+
+    One boolean mask per check, over the whole (N, 40) table."""
+    bid_px = book[:, 0:N_LEVELS]
+    bid_sz = book[:, N_LEVELS:2 * N_LEVELS]
+    ask_px = book[:, 2 * N_LEVELS:3 * N_LEVELS]
+    ask_sz = book[:, 3 * N_LEVELS:4 * N_LEVELS]
+    bad = ~np.isfinite(book).all(axis=1)
+    bad |= (np.diff(bid_px, axis=1) >= 0).any(axis=1)
+    bad |= (np.diff(ask_px, axis=1) <= 0).any(axis=1)
+    bad |= ask_px[:, 0] <= bid_px[:, 0]
+    bad |= (bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1)
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, book) of the data lines from `start` on, parsed by numpy.
+
+    Returns None when this parse cannot vouch for the file: a cell numpy
+    rejects (quoted, empty, short row, `#` line, a timestamp outside int64) or
+    a line it skipped (blank). The row-wise parser then decides."""
+    fh.seek(start)
+    n_lines = sum(1 for _ in fh)
+    if n_lines == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, len(BOOK_COLUMNS)))
+    opts = {"delimiter": ",", "comments": None}
+    try:
+        fh.seek(start)
+        book = np.loadtxt(fh, dtype=np.float64, ndmin=2,
+                          usecols=[col_of[c] for c in BOOK_COLUMNS], **opts)
+        # nanosecond stamps near 1.7e18 are not exact in float64
+        fh.seek(start)
+        ts = np.loadtxt(fh, dtype=np.int64, ndmin=1, usecols=col_of["ts"], **opts)
+    except ValueError:
+        return None
+    if book.shape[0] != n_lines:
+        return None
+    return ts, book
+
+
+def _parse_rows(path, fh, col_of: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise reference parser over the data lines at the handle's position:
+    the first bad row raises, with its 1-based number."""
+    ts_list, book_rows = [], []
+    for row_no, raw in enumerate(csv.reader(fh), start=1):
+        try:
+            ts = int(raw[col_of["ts"]])
+            vals = np.array([float(raw[col_of[c]]) for c in BOOK_COLUMNS])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: row {row_no}: unparsable cell ({exc})") from None
+        if not _INT64_MIN <= ts <= _INT64_MAX:
+            raise DataError(f"{path}: row {row_no}: timestamp {ts} outside int64")
+        _validate_book_row(vals, row_no)
+        ts_list.append(ts)
+        book_rows.append(vals)
+    book = np.array(book_rows).reshape(len(book_rows), len(BOOK_COLUMNS))
+    return np.array(ts_list, dtype=np.int64), book
+
+
 def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
-    """Parse a LOB CSV into a Dataset; bad rows raise with their 1-based row number."""
+    """Parse a LOB CSV into a Dataset; bad rows raise with their 1-based row number.
+
+    numpy parses and validates the whole table; a file it cannot vouch for
+    goes through the row-wise parser, which gives the same result or error."""
     schema = schema or SchemaConfig()
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        line = fh.readline()
+        if not line:
+            raise SchemaError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([line]))]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
         col_of = {c: header.index(c) for c in CSV_COLUMNS}
-        ts_list, book_rows = [], []
-        for row_no, raw in enumerate(reader, start=1):
-            try:
-                ts = int(raw[col_of["ts"]])
-                vals = np.array([float(raw[col_of[c]]) for c in BOOK_COLUMNS])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: unparsable cell ({exc})") from None
-            _validate_book_row(vals, row_no)
-            ts_list.append(ts)
-            book_rows.append(vals)
-    book = np.array(book_rows).reshape(len(book_rows), len(BOOK_COLUMNS))
-    ts = np.array(ts_list, dtype=np.int64)
+        start = fh.tell()
+        parsed = _parse_columns(fh, start, col_of)
+        if parsed is None:
+            fh.seek(start)
+            parsed = _parse_rows(path, fh, col_of)
+    ts, book = parsed
+    bad = _first_bad_row(book)
+    if bad is not None:
+        _validate_book_row(book[bad], bad + 1)
     feat_cols = [BOOK_COLUMNS.index(c) for c in schema.feature_columns]
     ds = Dataset(features=book[:, feat_cols], timestamps=ts,
                  labeled_idx=np.array([], dtype=np.int64))
@@ -143,15 +206,28 @@ def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
     return ds
 
 
+def write_csv(path, header, line, *columns) -> None:
+    """Write `header`, then `line(*cells)` for each row of the row-aligned
+    `columns`, whose cells arrive as Python scalars (a row of a 2-D column as
+    a list). Lines end in `\\r\\n`, as `csv.writer` ends them; callers format
+    floats with `repr`, which reads back bit for bit.
+
+    Rows are converted and written a block at a time: converting whole
+    columns at once spreads their Python objects over the allocator's arenas
+    and raises the peak RSS of `lobsad run` at 60k rows by about 7%."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            blocks = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
+            fh.write("\r\n".join([line(*cells) for cells in zip(*blocks)]) + "\r\n")
+
+
 def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
     """Write a full (N, 40) book table plus timestamps in the canonical layout."""
     if book.shape[1] != len(BOOK_COLUMNS):
         raise DataError(f"book must have {len(BOOK_COLUMNS)} columns, got {book.shape[1]}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for ts, row in zip(timestamps, book):
-            writer.writerow([int(ts)] + [repr(float(v)) for v in row])
+    write_csv(path, CSV_COLUMNS, lambda t, row: f"{t},{','.join(map(repr, row))}",
+              np.asarray(timestamps, dtype=np.int64), np.asarray(book, dtype=np.float64))
 
 
 def load_labels(path, dataset: Dataset) -> Dataset:

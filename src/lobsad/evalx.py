@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_csv
 from .errors import DataError, ShapeError
 
 # Metrics emitted to results.csv; normalized rank lives in results.json only.
@@ -46,22 +47,24 @@ def ratio_test(ss: ScoreSet) -> float:
         raise DataError("ratio test needs at least one labeled and one unlabeled row")
     mask = np.zeros(n, dtype=bool)
     mask[ss.labeled_idx] = True
-    return float(ss.scores[mask].mean() / ss.scores[~mask].mean())
+    unlabeled_mean = ss.scores[~mask].mean()
+    if unlabeled_mean == 0:
+        raise DataError("ratio test is undefined: every unlabeled score is 0")
+    return float(ss.scores[mask].mean() / unlabeled_mean)
 
 
 def fractional_ranks_desc(scores: np.ndarray) -> np.ndarray:
     """1-based descending ranks with average ranks on ties."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(scores.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # tie runs are [starts[k], ends[k]) in sorted order; each row of a run gets
+    # the mean of the 1-based positions starts[k] + 1 .. ends[k]
+    cuts = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [scores.size]))
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 
@@ -177,11 +180,9 @@ def export_report(reports: list[TrialReport], scatters: dict | None,
 
     for (trial, model, split), (proj, is_labeled) in (scatters or {}).items():
         path = os.path.join(out_dir, f"trial{trial}_scatter_{model}_{split}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pc1", "pc2", "is_labeled"])
-            for (p1, p2), lab in zip(proj, is_labeled):
-                writer.writerow([repr(float(p1)), repr(float(p2)), int(lab)])
+        write_csv(path, ("pc1", "pc2", "is_labeled"),
+                  lambda p, lab: f"{p[0]!r},{p[1]!r},{int(lab)}",
+                  np.asarray(proj, dtype=np.float64), is_labeled)
         written.append(path)
         if svg:
             svg_path = os.path.join(out_dir, f"trial{trial}_scatter_{model}_{split}.svg")

@@ -101,6 +101,7 @@ class TestCriterion2Degeneration:
 
 
 class TestCriterion3Directional:
+    @pytest.mark.slow
     def test_sad_beats_svdd_on_test(self, desk_run):
         results, elapsed = desk_run
         wins = 0
@@ -124,6 +125,7 @@ class TestCriterion3Directional:
 
 
 class TestCriterion4SanityFloor:
+    @pytest.mark.slow
     def test_ratio_above_one_everywhere(self, desk_run):
         results, _ = desk_run
         worst = min(r.report.metrics[mode][f"ratio_{split}"]
@@ -199,6 +201,7 @@ class TestCriterion6FoldProperties:
 
 
 class TestCriterion7Pca:
+    @pytest.mark.slow
     def test_pca_properties_and_scatter(self, desk_run, tmp_path):
         rng = np.random.default_rng(21)
         ortho_ok = var_ok = True

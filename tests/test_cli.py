@@ -163,6 +163,53 @@ class TestScore:
         assert "10" in err and "20" in err
 
 
+    def test_stored_schema_rescores_bit_for_bit(self, tmp_path):
+        ask_side = ([f"ask_px_{i}" for i in range(1, 11)]
+                    + [f"ask_sz_{i}" for i in range(1, 11)])
+        cfg = write_config(tmp_path / "ask.json", TINY_TRAIN,
+                           dict(TINY_SYNTH, schema=ask_side, spoof_side="ask"))
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        code, out = run_experiment_cli(tmp_path, cfg, gen)
+        assert code == 0
+        score_path = tmp_path / "scores.csv"
+        assert cli.main(["score", "--checkpoint", str(out / "trial1_fold0_sad.ckpt"),
+                         "--data", str(gen / "lob.csv"),
+                         "--out", str(score_path)]) == 0
+        scored = dict(list(csv.reader(open(score_path)))[1:])
+        stored = {}
+        for split in ("train", "test"):
+            path = out / f"trial1_scores_sad_{split}.csv"
+            stored.update(list(csv.reader(open(path)))[1:])
+        assert len(stored) == len(scored) == 400
+        assert scored == stored
+
+    def test_bad_stored_feature_columns_exit_2(self, tmp_path, generated, capsys):
+        model = nnet.mlp_init(0, (2, 3, 2))
+        ckpt = tmp_path / "bad.ckpt"
+        nnet.save_checkpoint(model, ckpt, extra={
+            "center": np.zeros(2), "norm_mean": np.zeros(2), "norm_std": np.ones(2),
+            "feature_columns": [0, 40]})
+        code = cli.main(["score", "--checkpoint", str(ckpt),
+                         "--data", str(generated / "lob.csv"),
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "feature_columns" in capsys.readouterr().err
+
+    def test_timestamp_outside_int64_exit_2(self, tmp_path, generated, capsys):
+        code, out = run_experiment_cli(tmp_path, write_config(
+            tmp_path / "c.json", TINY_TRAIN, TINY_SYNTH), generated,
+            ("--mode", "svdd-only"))
+        lines = (generated / "lob.csv").read_text().splitlines()
+        lines[5] = "99999999999999999999" + lines[5][lines[5].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["score", "--checkpoint", str(out / "trial1_fold0_svdd.ckpt"),
+                         "--data", str(bad), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "row 5: timestamp" in capsys.readouterr().err
+
+
 class TestReport:
     def test_regenerates_identical_csv(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)

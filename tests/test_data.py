@@ -1,4 +1,9 @@
+import csv
+import io
 import logging
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,3 +234,201 @@ class TestGroundTruthSidecar:
         assert np.array_equal(loaded.rows, result.ground_truth.rows)
         assert loaded.archetypes == result.ground_truth.archetypes
         assert np.array_equal(loaded.labeled, result.ground_truth.labeled)
+
+
+# --- loader oracle: the numpy parse against the row-wise reference -------------
+
+VALIDATION_DEFECTS = {
+    "nonfinite": "non-finite value",
+    "bid_order": "bid prices not strictly decreasing",
+    "ask_order": "ask prices not strictly increasing",
+    "crossed": "crossed book",
+    "size": "non-positive size",
+}
+PARSE_DEFECTS = ("unparsable", "blank", "comment", "short", "ts_overflow")
+
+
+def random_table(rng, n):
+    """(ts, book) of `n` well-formed rows with full-precision prices and
+    nanosecond stamps up to 2**62."""
+    mid = rng.uniform(50.0, 5000.0, size=(n, 1))
+    bid_px = mid - np.cumsum(rng.uniform(0.001, 1.0, size=(n, 10)), axis=1)
+    ask_px = mid + np.cumsum(rng.uniform(0.001, 1.0, size=(n, 10)), axis=1)
+    sizes = np.where(rng.random((n, 20)) < 0.5,
+                     rng.integers(1, 10**6, size=(n, 20)).astype(float),
+                     rng.uniform(0.5, 1e4, size=(n, 20)))
+    book = np.hstack([bid_px, sizes[:, :10], ask_px, sizes[:, 10:]])
+    ts = int(rng.integers(0, 2**62)) + np.cumsum(rng.integers(0, 10**7, size=n))
+    return ts.astype(np.int64), book
+
+
+def inject(rng, book, row, kind):
+    """Make book row `row` fail the named validation check."""
+    k = int(rng.integers(1, 10))
+    if kind == "nonfinite":
+        book[row, rng.integers(0, 40)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "bid_order":
+        book[row, k] = book[row, k - 1]
+    elif kind == "ask_order":
+        book[row, 20 + k] = book[row, 20 + k - 1]
+    elif kind == "crossed":
+        book[row, 0:10] += book[row, 20] - book[row, 0] + rng.choice([0.0, 0.5])
+    else:
+        book[row, rng.choice([10, 30]) + k] = rng.choice([0.0, -1.0])
+
+
+def lob_lines(ts, book, columns, fmt):
+    """CSV lines (no line endings) of the table, with columns in `columns` order."""
+    cells = {"ts": [str(t) for t in ts.tolist()], "note": ["x"] * len(ts)}
+    for j, name in enumerate(data.BOOK_COLUMNS):
+        cells[name] = [fmt(v) for v in book[:, j].tolist()]
+    return [",".join(columns)] + [",".join(cells[c][i] for c in columns)
+                                  for i in range(len(ts))]
+
+
+@st.composite
+def lob_files(draw, defects=(None,)):
+    """(lines, newline, schema, defect kind, defect row) of a random LOB CSV:
+    shuffled header, an optional extra text column, LF or CRLF."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    columns = draw(st.permutations(data.CSV_COLUMNS + ["note"]
+                                   if draw(st.booleans()) else data.CSV_COLUMNS))
+    fmt = draw(st.sampled_from([repr, "{:.17e}".format]))
+    features = draw(st.lists(st.sampled_from(data.BOOK_COLUMNS), min_size=1,
+                             max_size=6, unique=True))
+    kind = draw(st.sampled_from(defects))
+    row = draw(st.integers(0, n - 1))
+    ts, book = random_table(rng, n)
+    if kind in VALIDATION_DEFECTS:
+        inject(rng, book, row, kind)
+    lines = lob_lines(ts, book, columns, fmt)
+    cells = lines[row + 1].split(",")
+    needed = [columns.index(c) for c in data.CSV_COLUMNS]  # not the "note" column
+    if kind == "unparsable":
+        cells[rng.choice(needed)] = str(rng.choice(["oops", "", "1.5.2"]))
+    elif kind == "short":
+        del cells[rng.integers(0, max(needed) + 1):]
+    elif kind == "ts_overflow":
+        cells[columns.index("ts")] = "99999999999999999999"
+    lines[row + 1] = ",".join(cells)
+    if kind in ("blank", "comment"):
+        lines.insert(row + 1, "" if kind == "blank" else "# note")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return lines, newline, data.SchemaConfig(tuple(features)), kind, row
+
+
+def write_lines(path, lines, newline):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+
+
+def load_outcome(path, schema):
+    try:
+        return data.load_lob_csv(path, schema)
+    except DataError as exc:
+        return str(exc)
+
+
+def load_both(path, schema):
+    """(outcome of load_lob_csv, outcome of the row-wise reference alone, whether
+    load_lob_csv fell back to the row-wise parser); an outcome is a Dataset or
+    a DataError message."""
+    fell_back = []
+    reference = data._parse_rows
+
+    def spy(*args):
+        fell_back.append(True)
+        return reference(*args)
+    with mock.patch.object(data, "_parse_rows", spy):
+        fast = load_outcome(path, schema)
+    with mock.patch.object(data, "_parse_columns", lambda *args: None):
+        ref = load_outcome(path, schema)
+    return fast, ref, bool(fell_back)
+
+
+def assert_same_dataset(a, b):
+    assert a.features.dtype == b.features.dtype == np.float64
+    assert a.features.shape == b.features.shape
+    assert np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+    assert a.timestamps.dtype == b.timestamps.dtype == np.int64
+    assert np.array_equal(a.timestamps, b.timestamps)
+    assert np.array_equal(a.labeled_idx, b.labeled_idx)
+
+
+class TestLoaderOracle:
+    @given(case=lob_files())
+    @settings(max_examples=60, deadline=None)
+    def test_well_formed_matches_reference(self, case):
+        lines, newline, schema, _, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines, newline)
+            fast, ref, fell_back = load_both(path, schema)
+        assert not fell_back
+        assert_same_dataset(fast, ref)
+
+    @given(case=lob_files(tuple(VALIDATION_DEFECTS)))
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_book_same_error(self, case):
+        lines, newline, schema, kind, row = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines, newline)
+            fast, ref, fell_back = load_both(path, schema)
+        assert not fell_back  # the whole-table checks found it
+        assert fast == ref
+        assert fast.startswith(f"row {row + 1}: {VALIDATION_DEFECTS[kind]}")
+
+    @given(case=lob_files(PARSE_DEFECTS))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_lines_same_error(self, case):
+        lines, newline, schema, kind, row = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines, newline)
+            fast, ref, fell_back = load_both(path, schema)
+        assert fell_back
+        assert fast == ref
+        detail = ("timestamp 99999999999999999999 outside int64"
+                  if kind == "ts_overflow" else "unparsable cell")
+        assert fast.startswith(f"{path}: row {row + 1}: {detail}")
+
+    @given(case=lob_files())
+    @settings(max_examples=20, deadline=None)
+    def test_quoted_cells_accepted(self, case):
+        lines, newline, schema, _, _ = case
+        quoted = [lines[0]] + [",".join(f'"{c}"' for c in line.split(","))
+                               for line in lines[1:]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, quoted, newline)
+            fast, ref, fell_back = load_both(path, schema)
+            write_lines(path, lines, newline)
+            plain = data.load_lob_csv(path, schema)
+        assert fell_back
+        assert_same_dataset(fast, ref)
+        assert_same_dataset(fast, plain)
+
+    def test_timestamp_outside_int64_names_row(self, tmp_path):
+        ts, book = small_book(3)
+        path = tmp_path / "lob.csv"
+        data.write_lob_csv(path, ts, book)
+        lines = path.read_text().splitlines()
+        lines[3] = "99999999999999999999" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="row 3: timestamp 99999999999999999999"):
+            data.load_lob_csv(path)
+
+    def test_write_matches_csv_writer(self, tmp_path):
+        # more rows than one write block, so block boundaries are covered
+        cfg = data.SynthConfig(n_rows=5000, anomaly_rate=0.02, n_labeled=2, seed=8)
+        result = data.generate_synthetic(cfg)
+        path = tmp_path / "lob.csv"
+        data.write_lob_csv(path, result.timestamps, result.book)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(data.CSV_COLUMNS)
+        for t, row in zip(result.timestamps, result.book):
+            writer.writerow([int(t)] + [repr(float(v)) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

@@ -22,6 +22,22 @@ def brute_force_ranks(scores):
     return ranks
 
 
+def loop_ranks(scores):
+    """Reference for fractional_ranks_desc: a Python loop over the tie runs."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    return ranks
+
+
 class TestRatioTest:
     def test_direct_arithmetic(self):
         ss = ScoreSet(np.array([1.0, 2.0, 3.0, 2.0, 4.0]), np.array([3, 4]))
@@ -45,6 +61,12 @@ class TestRatioTest:
             evalx.ratio_test(ScoreSet(np.array([1.0, 2.0]), np.array([], dtype=int)))
         with pytest.raises(DataError):
             evalx.ratio_test(ScoreSet(np.array([1.0, 2.0]), np.array([0, 1])))
+
+    def test_zero_unlabeled_scores_not_applicable(self):
+        ss = ScoreSet(np.array([1.0, 0.0, 0.0]), np.array([0]))
+        with pytest.raises(DataError, match="every unlabeled score is 0"):
+            evalx.ratio_test(ss)
+        assert evalx.metrics_for(ss)["ratio_train"] is None
 
     @given(alpha=st.floats(min_value=1e-6, max_value=1e6),
            seed=st.integers(0, 2**31 - 1))
@@ -78,6 +100,14 @@ class TestRankTest:
         oracle = brute_force_ranks(scores)[labeled].mean()
         assert mean_rank == pytest.approx(oracle, abs=1e-12)
         assert norm == pytest.approx(oracle / 1000, abs=1e-12)
+
+    @given(scores=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf]),
+                           max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_bit_identical_under_heavy_ties(self, scores):
+        ranks = evalx.fractional_ranks_desc(np.array(scores))
+        assert ranks.tobytes() == loop_ranks(scores).tobytes()
+        assert ranks.tobytes() == brute_force_ranks(scores).tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
