@@ -10,7 +10,8 @@ Subcommands:
     lobsad score --checkpoint ckpt --data lob.csv --out scores.csv
         Anomaly score for every row of a CSV using a trial checkpoint.
     lobsad report --results results.json --out DIR
-        Regenerate results.csv (and optional SVGs are written at run time).
+        Regenerate results.csv (and optional SVGs are written at run time);
+        for a run of both models, print SVDD vs SAD on the test split.
 
 Exit codes: 0 success, 1 runtime/divergence failure, 2 usage or config error.
 Config files are versioned JSON; unknown keys are rejected. Flags override
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evalx, harness, nnet, objectives
-from .errors import ConfigError, DivergenceError, LobSadError
+from .errors import ConfigError, DataError, DivergenceError, LobSadError
 
 log = logging.getLogger("lobsad.cli")
 
@@ -147,6 +148,10 @@ def cmd_run(args) -> int:
     gt_rows = None
     if args.ground_truth:
         gt_rows = data_mod.load_ground_truth(args.ground_truth).rows
+        beyond = np.flatnonzero(gt_rows >= dataset.n_rows)
+        if beyond.size:
+            raise DataError(f"{args.ground_truth}: row {beyond[0] + 1}: row index "
+                            f"{gt_rows[beyond[0]]} >= {dataset.n_rows} data rows")
 
     manifest = {"config": _config_snapshot(train, synth),
                 "data": os.path.abspath(args.data),
@@ -210,6 +215,7 @@ def cmd_score(args) -> int:
     norm = data_mod.Normalizer(mean=extra["norm_mean"], std=extra["norm_std"],
                                degenerate=np.zeros(model.input_dim, dtype=bool))
     feats = data_mod.apply_normalizer(norm, dataset.features)
+    del dataset  # scoring holds every row's output, so drop the raw features first
     sphere = objectives.Hypersphere(center=extra["center"])
     scores = objectives.anomaly_score(model, feats, sphere)
     data_mod.write_csv(args.out, ("row", "score"), _score_line,
@@ -226,7 +232,37 @@ def cmd_report(args) -> int:
                           f"column {exc.colno}") from None
     reports = [evalx.TrialReport(**d) for d in docs]
     evalx.export_report(reports, None, args.out)
+    if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):
+        _print_comparison(reports)
     return 0
+
+
+def _print_comparison(reports: list[evalx.TrialReport]) -> None:
+    """SVDD vs SAD on the test split: ratio and mean rank per trial, their
+    means, and the trials SAD wins (ratio >= SVDD's and rank <= SVDD's)."""
+    def test(metrics: dict) -> tuple:
+        return metrics.get("ratio_test"), metrics.get("rank_test")
+
+    def mean(values) -> float | None:  # over the trials that have the metric
+        known = [v for v in values if v is not None]
+        return float(np.mean(known)) if known else None
+
+    def side(mode: str, ratio, rank) -> str:
+        ratio = "NA" if ratio is None else f"{ratio:6.2f}"
+        rank = "NA" if rank is None else f"{rank:7.1f}"
+        return f"{mode}: ratio={ratio} rank={rank}"
+
+    wins = 0
+    for rep in reports:
+        svdd, sad = test(rep.metrics["svdd"]), test(rep.metrics["sad"])
+        win = None not in svdd + sad and sad[0] >= svdd[0] and sad[1] <= svdd[1]
+        wins += win
+        print(f"trial {rep.trial} ({rep.runtime_s:5.0f}s)  {side('svdd', *svdd)}   "
+              f"{side('sad', *sad)}   sad_wins={win}")
+    means = {mode: [mean(col) for col in zip(*(test(r.metrics[mode]) for r in reports))]
+             for mode in ("svdd", "sad")}
+    print(f"means  {side('svdd', *means['svdd'])}   {side('sad', *means['sad'])}")
+    print(f"sad wins {wins}/{len(reports)} trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", required=True)
     score.set_defaults(func=cmd_score)
 
-    rep = sub.add_parser("report", help="regenerate results.csv from results.json")
+    rep = sub.add_parser("report", help="regenerate results.csv from results.json "
+                         "and compare SVDD with SAD")
     rep.add_argument("--results", required=True)
     rep.add_argument("--out", required=True)
     rep.set_defaults(func=cmd_report)

@@ -70,7 +70,6 @@ class Dataset:
     features: np.ndarray  # (N, d) float64
     timestamps: np.ndarray  # (N,) int64, nondecreasing
     labeled_idx: np.ndarray  # row indices of labeled anomalies (y = -1)
-    provenance: str = "real_csv"  # or "synthetic"
 
     @property
     def n_rows(self) -> int:
@@ -93,7 +92,6 @@ class Normalizer:
     mean: np.ndarray  # (d,)
     std: np.ndarray  # (d,), > 0 everywhere (degenerate features forced to 1)
     degenerate: np.ndarray  # bool flags for features whose std was forced
-    fitted_on: str = ""  # fold id / provenance marker
 
 
 def _validate_book_row(row: np.ndarray, row_no: int) -> None:
@@ -249,11 +247,10 @@ def load_labels(path, dataset: Dataset) -> Dataset:
     if uniq.size < len(idx):
         log.warning("%s: %d duplicate label indices dropped", path, len(idx) - uniq.size)
     return Dataset(features=dataset.features, timestamps=dataset.timestamps,
-                   labeled_idx=uniq, provenance=dataset.provenance)
+                   labeled_idx=uniq)
 
 
-def fit_normalizer(features: np.ndarray, rows: np.ndarray,
-                   fitted_on: str = "") -> Normalizer:
+def fit_normalizer(features: np.ndarray, rows: np.ndarray) -> Normalizer:
     """Per-feature z-score statistics over `rows` only (never test rows)."""
     rows = np.asarray(rows)
     if rows.size == 0:
@@ -267,7 +264,7 @@ def fit_normalizer(features: np.ndarray, rows: np.ndarray,
     if degenerate.any():
         log.warning("constant features %s: std forced to 1", np.nonzero(degenerate)[0])
     std = np.where(degenerate, 1.0, std)
-    return Normalizer(mean=mean, std=std, degenerate=degenerate, fitted_on=fitted_on)
+    return Normalizer(mean=mean, std=std, degenerate=degenerate)
 
 
 def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
@@ -411,7 +408,7 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
 
     feat_cols = [BOOK_COLUMNS.index(c) for c in cfg.schema.feature_columns]
     ds = Dataset(features=book[:, feat_cols], timestamps=ts,
-                 labeled_idx=labeled_rows.astype(np.int64), provenance="synthetic")
+                 labeled_idx=labeled_rows.astype(np.int64))
     ds.validate()
     gt = GroundTruth(rows=gt_rows, archetypes=gt_arch, labeled=labeled_mask)
     return SynthResult(dataset=ds, timestamps=ts, book=book, ground_truth=gt)
@@ -432,15 +429,28 @@ def write_ground_truth(path, gt: GroundTruth) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
+    """Read a `row_index,archetype,labeled` sidecar. A malformed row raises a
+    DataError naming its 1-based data row; the caller checks the row indices
+    against the data's length."""
     rows, archs, labeled = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty ground-truth file")
         if header[:3] != ["row_index", "archetype", "labeled"]:
             raise SchemaError(f"{path}: unexpected ground-truth header {header}")
-        for raw in reader:
-            rows.append(int(raw[0]))
-            archs.append(raw[1])
-            labeled.append(bool(int(raw[2])))
+        for row_no, raw in enumerate(reader, start=1):
+            try:
+                row, arch, lab = raw[:3]
+                row, lab = int(row), int(lab)
+                if not (0 <= row <= _INT64_MAX and lab in (0, 1)):
+                    raise ValueError
+            except ValueError:
+                raise DataError(f"{path}: row {row_no}: expected a row index >= 0, "
+                                f"an archetype and a 0/1 labeled flag, got {raw}") from None
+            rows.append(row)
+            archs.append(arch)
+            labeled.append(bool(lab))
     return GroundTruth(rows=np.array(rows, dtype=np.int64), archetypes=archs,
                        labeled=np.array(labeled, dtype=bool))

@@ -184,8 +184,7 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
     train_rows = np.concatenate(
         [np.arange(a, b) for i, (a, b) in enumerate(plan.ranges) if i != fold])
 
-    norm = data_mod.fit_normalizer(dataset.features, train_rows,
-                                   fitted_on=f"repeat{repeat}_fold{fold}")
+    norm = data_mod.fit_normalizer(dataset.features, train_rows)
     feats = data_mod.apply_normalizer(norm, dataset.features)
 
     labeled_global = dataset.labeled_idx
@@ -212,27 +211,28 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
         models[mode] = model
         main_losses[mode] = losses
 
+        # one embedding per split: scores, metrics and the PCA scatter all
+        # come from it, and the PCA basis is fitted on the train split only
         mode_metrics = {}
         for split, rows in (("train", train_rows), ("test", test_rows)):
-            s = objectives.anomaly_score(model, feats[rows], sphere)
+            out = objectives.embed(model, feats[rows])
+            s = objectives.distance(out, sphere)
             scores[(mode, split)] = s
-            lab_pos = np.nonzero(np.isin(rows, labeled_global))[0]
-            ss = evalx.ScoreSet(s, lab_pos, split=split, model=mode)
+            is_labeled = np.isin(rows, labeled_global)
+            ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split, model=mode)
             mode_metrics.update(evalx.metrics_for(ss))
             if ground_truth_rows is not None:
                 gt_pos = np.nonzero(np.isin(rows, ground_truth_rows))[0]
                 gt_ss = evalx.ScoreSet(s, gt_pos, split=split, model=mode)
                 mode_metrics.update(
                     {f"gt_{k}": v for k, v in evalx.metrics_for(gt_ss).items()})
+            if split == "train":
+                if data_mod.fit_hook is not None:
+                    data_mod.fit_hook("pca", train_rows)
+                basis = evalx.pca_fit(out, k=2)
+            projections[(mode, split)] = (evalx.pca_project(basis, out), is_labeled)
+            del out  # the next split's forward passes set peak memory: free these first
         metrics[mode] = mode_metrics
-
-        if data_mod.fit_hook is not None:
-            data_mod.fit_hook("pca", train_rows)
-        basis = evalx.pca_fit(objectives.embed(model, feats[train_rows]), k=2)
-        for split, rows in (("train", train_rows), ("test", test_rows)):
-            proj = evalx.pca_project(basis, objectives.embed(model, feats[rows]))
-            is_labeled = np.isin(rows, labeled_global)
-            projections[(mode, split)] = (proj, is_labeled)
 
     report = evalx.TrialReport(
         trial=trial_no, fold=fold, repeat=repeat, metrics=metrics,

@@ -22,6 +22,9 @@ DEFAULT_DIMS = (20, 100, 100, 100, 20)
 
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class LayerParams:
@@ -34,7 +37,6 @@ class LayerParams:
 class MlpModel:
     layers: tuple[LayerParams, ...]
     layer_dims: tuple[int, ...]
-    bias_enabled: bool = True
 
     @property
     def input_dim(self) -> int:
@@ -89,24 +91,19 @@ class AdamState:
     v: np.ndarray  # second moments, flat
     decay_mask: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(model: MlpModel, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(model: MlpModel) -> AdamState:
     n = model.n_params()
     mask_parts = []
     for lp in model.layers:
         mask_parts.append(np.ones(lp.weights.size))
         mask_parts.append(np.zeros(lp.bias.size))
     return AdamState(m=np.zeros(n), v=np.zeros(n),
-                     decay_mask=np.concatenate(mask_parts),
-                     t=0, beta1=beta1, beta2=beta2, eps=eps)
+                     decay_mask=np.concatenate(mask_parts), t=0)
 
 
-def mlp_init(seed: int, layer_dims=DEFAULT_DIMS, bias_enabled: bool = True) -> MlpModel:
+def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
     """Seeded uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)); zero biases.
 
     ReLU on every layer except the last, which is linear.
@@ -126,7 +123,7 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS, bias_enabled: bool = True) -> M
         b = np.zeros(fan_out)
         act = "linear" if i == n_layers - 1 else "relu"
         layers.append(LayerParams(weights=w, bias=b, activation=act))
-    return MlpModel(layers=tuple(layers), layer_dims=dims, bias_enabled=bias_enabled)
+    return MlpModel(layers=tuple(layers), layer_dims=dims)
 
 
 def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -155,8 +152,7 @@ def _forward(model: MlpModel, x: np.ndarray,
     for i, lp in enumerate(model.layers):
         inputs.append(h)
         z = np.dot(h, lp.weights.T, out=_buf(work, "z", i, b))
-        if model.bias_enabled:
-            np.add(z, lp.bias, out=z)
+        np.add(z, lp.bias, out=z)
         preacts.append(z)
         if lp.activation == "relu":
             h = np.maximum(z, 0.0, out=_buf(work, "h", i, b))
@@ -180,12 +176,7 @@ def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray,
         else:
             dz = delta
         gw, gb = (None, None) if work is None else work.grads.layers[i]
-        gw = np.dot(dz.T, tape.inputs[i], out=gw)
-        if model.bias_enabled:
-            gb = np.sum(dz, axis=0, out=gb)
-        elif gb is None:
-            gb = np.zeros_like(lp.bias)  # the trainer's zero-filled g stays 0
-        grads[i] = (gw, gb)
+        grads[i] = (np.dot(dz.T, tape.inputs[i], out=gw), np.sum(dz, axis=0, out=gb))
         if i > 0:
             delta = np.dot(dz, lp.weights, out=_buf(work, "delta", i - 1, b))
     return Gradients(layers=tuple(grads))
@@ -222,17 +213,17 @@ def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
         np.multiply(st.decay_mask, p, out=s1)
         s1 *= weight_decay
         g += s1
-    np.multiply(st.m, st.beta1, out=st.m)
-    np.multiply(g, 1.0 - st.beta1, out=s1)
+    np.multiply(st.m, ADAM_BETA1, out=st.m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
     st.m += s1
-    np.multiply(st.v, st.beta2, out=st.v)
-    np.multiply(g, 1.0 - st.beta2, out=s1)
+    np.multiply(st.v, ADAM_BETA2, out=st.v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
     s1 *= g
     st.v += s1
-    np.divide(st.m, 1.0 - st.beta1 ** st.t, out=s1)
-    np.divide(st.v, 1.0 - st.beta2 ** st.t, out=s2)
+    np.divide(st.m, 1.0 - ADAM_BETA1 ** st.t, out=s1)
+    np.divide(st.v, 1.0 - ADAM_BETA2 ** st.t, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += st.eps
+    s2 += ADAM_EPS
     s1 /= s2
     s1 *= lr
     p -= s1
@@ -267,8 +258,7 @@ def _view(model: MlpModel, flat: np.ndarray) -> MlpModel:
         layers.append(LayerParams(weights=w, bias=flat[off:off + nb],
                                   activation=lp.activation))
         off += nb
-    return MlpModel(layers=tuple(layers), layer_dims=model.layer_dims,
-                    bias_enabled=model.bias_enabled)
+    return MlpModel(layers=tuple(layers), layer_dims=model.layer_dims)
 
 
 def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
@@ -341,7 +331,7 @@ def save_checkpoint(model: MlpModel, path, seed: int | None = None,
     doc = {
         "version": CHECKPOINT_VERSION,
         "layer_dims": list(model.layer_dims),
-        "bias_enabled": model.bias_enabled,
+        "bias_enabled": True,  # read back only to refuse bias-free checkpoints
         "seed": seed,
         "layers": [
             {"weights": _encode(lp.weights), "bias": _encode(lp.bias),
@@ -360,13 +350,15 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')!r}")
+    if doc.get("bias_enabled") is not True:
+        raise ConfigError(f"{path}: only checkpoints with biases are supported, "
+                          f"got bias_enabled={doc.get('bias_enabled')!r}")
     layers = tuple(
         LayerParams(weights=_decode(l["weights"]), bias=_decode(l["bias"]),
                     activation=l["activation"])
         for l in doc["layers"]
     )
-    model = MlpModel(layers=layers, layer_dims=tuple(doc["layer_dims"]),
-                     bias_enabled=doc["bias_enabled"])
+    model = MlpModel(layers=layers, layer_dims=tuple(doc["layer_dims"]))
     model.validate()
     meta = {"seed": doc.get("seed"),
             "extra": {k: _decode(v) for k, v in doc.get("extra", {}).items()}}

@@ -153,15 +153,12 @@ def sad_loss(model: MlpModel, unlabeled: np.ndarray, labeled: LabeledBatch,
     return loss_and_grads(model, batch, sphere.center, labeled.labels, hyper)
 
 
-def embed(model: MlpModel, points: np.ndarray, per_chunk=None) -> np.ndarray:
-    """Network outputs of every row, computed _CHUNK rows at a time. With
-    `per_chunk`, its results on each chunk's outputs, concatenated."""
+def embed(model: MlpModel, points: np.ndarray) -> np.ndarray:
+    """Network outputs of every row, computed _CHUNK rows at a time."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    per_chunk = per_chunk or (lambda out: out)
     # an empty input still makes one (empty) chunk, so the result has its shape
-    return np.concatenate([
-        per_chunk(nnet.forward(model, points[lo:lo + _CHUNK])[0])
-        for lo in range(0, max(points.shape[0], 1), _CHUNK)])
+    return np.concatenate([nnet.forward(model, points[lo:lo + _CHUNK])[0]
+                           for lo in range(0, max(points.shape[0], 1), _CHUNK)])
 
 
 def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> Hypersphere:
@@ -174,19 +171,25 @@ def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> H
     n = features.shape[0]
     if n == 0:
         raise DataError("cannot initialize center from an empty dataset")
+    out = embed(model, features)
     # a sum of per-chunk sums, not one sum over all rows: this summation order
     # reproduces the centers (and so the trained models) of earlier versions
-    sums = embed(model, features, lambda out: out.sum(axis=0, keepdims=True))
+    sums = np.stack([out[lo:lo + _CHUNK].sum(axis=0) for lo in range(0, n, _CHUNK)])
     c = sums.sum(axis=0) / n
     small = np.abs(c) < nudge
     c[small] = np.where(c[small] >= 0, nudge, -nudge)
     return Hypersphere(center=c)
 
 
+def distance(out: np.ndarray, sphere: Hypersphere) -> np.ndarray:
+    """||out - c|| per row of network outputs: the Euclidean (not squared)
+    distance to the center."""
+    diff = out - sphere.center
+    diff *= diff
+    return np.sqrt(np.sum(diff, axis=1))
+
+
 def anomaly_score(model: MlpModel, points: np.ndarray,
                   sphere: Hypersphere) -> np.ndarray:
-    """s(x) = ||phi(x) - c||, the Euclidean (not squared) distance to the center."""
-    def distance(out):
-        diff = out - sphere.center
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    return embed(model, points, distance)
+    """s(x) = ||phi(x) - c||, the distance of each row's output to the center."""
+    return distance(embed(model, points), sphere)

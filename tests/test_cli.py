@@ -117,6 +117,24 @@ class TestRun:
             blobs.append((out / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ("row_index,archetype,labeled\n7,spoof,1\nx,spoof,1\n", "row 2"),
+        ("row_index,archetype,labeled\n7,spoof\n", "row 1"),
+        ("row_index,archetype,labeled\n7,spoof,yes\n", "row 1"),
+        ("row_index,archetype,labeled\n-3,flash,0\n", "row 1"),
+        ("", "empty ground-truth file"),
+        ("row_index,archetype,labeled\n7,spoof,1\n400,flash,0\n",
+         "row 2: row index 400 >= 400 data rows"),
+    ])
+    def test_bad_ground_truth_exit_2(self, tmp_path, tiny_config, generated,
+                                     capsys, sidecar, message):
+        gt = tmp_path / "gt.csv"
+        gt.write_text(sidecar)
+        code, _ = run_experiment_cli(tmp_path, tiny_config, generated,
+                                     ("--ground-truth", str(gt)))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestScore:
     def test_self_consistency_with_stored_scores(self, tmp_path, tiny_config,
@@ -220,6 +238,33 @@ class TestReport:
         assert code == 0
         assert (rep_out / "results.csv").read_bytes() == \
             (out / "results.csv").read_bytes()
+
+    def test_prints_svdd_vs_sad(self, tmp_path, tiny_config, generated, capsys):
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated)
+        assert code == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(out / "results.json"),
+                         "--out", str(tmp_path / "rep")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        test = [(d["metrics"]["svdd"]["ratio_test"], d["metrics"]["svdd"]["rank_test"],
+                 d["metrics"]["sad"]["ratio_test"], d["metrics"]["sad"]["rank_test"])
+                for d in json.load(open(out / "results.json"))]
+        # a fold without labeled test rows has no metrics; it is no SAD win
+        assert any(None in t for t in test) and any(None not in t for t in test)
+        wins = sum(None not in t and t[2] >= t[0] and t[3] <= t[1] for t in test)
+        mean_sad_rank = np.mean([t[3] for t in test if t[3] is not None])
+        assert [l.split()[:2] for l in lines[:6]] == [["trial", str(t)] for t in range(1, 7)]
+        assert lines[6].startswith("means") and lines[6].endswith(f"rank={mean_sad_rank:7.1f}")
+        assert lines[7] == f"sad wins {wins}/6 trials"
+
+    def test_one_model_prints_nothing(self, tmp_path, tiny_config, generated, capsys):
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--mode", "svdd-only"))
+        assert code == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(out / "results.json"),
+                         "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestUsage:

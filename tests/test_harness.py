@@ -233,7 +233,7 @@ class TestRunExperiment:
         result = data.generate_synthetic(cfg)
         ds = result.dataset
         ds = data.Dataset(ds.features, ds.timestamps,
-                          labeled_idx=np.array([5, 20, 40]), provenance="synthetic")
+                          labeled_idx=np.array([5, 20, 40]))
         results = harness.run_experiment(ds, tiny_cfg(main_epochs=2,
                                                       pretrain_epochs=1),
                                          n_repeats=1)
@@ -248,6 +248,29 @@ class TestRunExperiment:
         seq = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1)
         par = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1, jobs=2)
         assert [r.report.metrics for r in seq] == [r.report.metrics for r in par]
+
+    def test_trial_embeds_each_split_once(self, tiny_synth, monkeypatch):
+        # train rows once for the center, then each split once per model:
+        # 400 + 2 x (400 + 200) rows through the network
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, layer_dims=(20, 8, 20))
+        plan = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
+        rows, forward = [], nnet.forward
+
+        def counting_forward(model, batch):
+            rows.append(batch.shape[0])
+            return forward(model, batch)
+        monkeypatch.setattr(nnet, "forward", counting_forward)
+        res = harness.run_trial(tiny_synth.dataset, cfg, 0, 0, plan)
+        assert sum(rows) == 1600
+        monkeypatch.undo()
+        # `lobsad score` relies on the stored scores being anomaly_score's
+        feats = data.apply_normalizer(res.normalizer, tiny_synth.dataset.features)
+        for (mode, split), scores in res.scores.items():
+            split_rows = res.train_rows if split == "train" else res.test_rows
+            expected = objectives.anomaly_score(res.models[mode], feats[split_rows],
+                                                res.sphere)
+            assert np.array_equal(scores, expected)
+        assert len(res.scores) == 4
 
     def test_ground_truth_metrics_added(self, tiny_synth):
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)

@@ -202,7 +202,7 @@ class TestAdam:
                            g[off + nw:off + nw + nb]))
             off += nw + nb
         grads = nnet.Gradients(tuple(layers))
-        lr, eps = 0.01, state.eps
+        lr, eps = 0.01, nnet.ADAM_EPS
         new, _ = nnet.adam_step(model, grads, state, lr=lr, weight_decay=0.0)
         expected = nnet.get_flat_params(model) - lr * g / (np.abs(g) + eps)
         assert np.allclose(nnet.get_flat_params(new), expected, atol=1e-12)
@@ -267,4 +267,18 @@ class TestCheckpoint:
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
+            nnet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("flag", [False, None])
+    def test_bias_free_checkpoint_rejected(self, tmp_path, flag):
+        # the network always has biases; a checkpoint claiming otherwise (or
+        # saying nothing) cannot be run as written, so it is refused
+        path = tmp_path / "m.ckpt"
+        nnet.save_checkpoint(nnet.mlp_init(0, (2, 2)), path)
+        import json
+        doc = json.loads(path.read_text())
+        assert doc["bias_enabled"] is True
+        doc["bias_enabled"] = flag
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="bias_enabled"):
             nnet.load_checkpoint(path)
