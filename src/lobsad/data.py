@@ -134,9 +134,13 @@ def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray
 
     Returns None when this parse cannot vouch for the file: a cell numpy
     rejects (quoted, empty, short row, `#` line, a timestamp outside int64) or
-    a line it skipped (blank). The row-wise parser then decides."""
+    a line it skipped (blank) before the last data line. The row-wise parser
+    then decides. Blank lines after the last data line are not rows."""
     fh.seek(start)
-    n_lines = sum(1 for _ in fh)
+    n_lines = 0
+    for line_no, line in enumerate(fh, start=1):
+        if line.strip("\r\n"):
+            n_lines = line_no
     if n_lines == 0:
         return np.empty(0, dtype=np.int64), np.empty((0, len(BOOK_COLUMNS)))
     opts = {"delimiter": ",", "comments": None}
@@ -156,9 +160,15 @@ def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray
 
 def _parse_rows(path, fh, col_of: dict) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise reference parser over the data lines at the handle's position:
-    the first bad row raises, with its 1-based number."""
-    ts_list, book_rows = [], []
+    the first bad row raises, with its 1-based number. Blank lines after the
+    last data line are not rows; one before it is a bad row."""
+    ts_list, book_rows, blank = [], [], None
     for row_no, raw in enumerate(csv.reader(fh), start=1):
+        if not raw:
+            blank = blank or row_no
+            continue
+        if blank:  # a data line follows a blank one: the blank one fails
+            row_no, raw = blank, []
         try:
             ts = int(raw[col_of["ts"]])
             vals = np.array([float(raw[col_of[c]]) for c in BOOK_COLUMNS])

@@ -73,10 +73,12 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        self.sad_hyper()  # checks eta and dist_eps before any work starts
 
     def sad_hyper(self) -> SadHyper:
-        return SadHyper(eta=self.eta, eps=self.dist_eps,
-                        weight_decay=self.weight_decay)
+        return SadHyper(eta=self.eta, eps=self.dist_eps)
 
 
 def paper_scale(cfg: TrainConfig) -> TrainConfig:
@@ -96,19 +98,19 @@ def _check_divergence(losses: list[float], phase: str) -> None:
                 f"{_DIVERGENCE_WINDOW} epochs (epoch {len(losses)})")
 
 
-def _train(model: MlpModel, n: int, epochs: int, max_batch: int,
-           cfg: TrainConfig, rng: np.random.Generator, phase: str,
-           step) -> tuple[MlpModel, list[float]]:
-    """Shuffled minibatch epochs over n rows. `step(trainer, rows)` fills the
-    trainer's gradient for the batch `rows` and returns its loss."""
-    trainer = nnet._FusedTrainer(model, max_batch)
+def _train(model: MlpModel, n: int, epochs: int, cfg: TrainConfig,
+           rng: np.random.Generator, phase: str, step) -> tuple[MlpModel, list[float]]:
+    """Shuffled minibatch epochs over n rows. `step(model, rows)` returns the
+    loss of the batch `rows` at `model` and its gradients."""
+    trainer = nnet._FusedTrainer(model)
     losses: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
-            epoch_loss += step(trainer, perm[lo:lo + cfg.batch_size])
-            trainer.adam_apply(cfg.lr, cfg.weight_decay)
+            loss, grads = step(trainer.model, perm[lo:lo + cfg.batch_size])
+            trainer.adam_apply(grads, cfg.lr, cfg.weight_decay)
+            epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
         _check_divergence(losses, phase)
@@ -122,12 +124,11 @@ def pretrain(model: MlpModel, train_features: np.ndarray, cfg: TrainConfig,
         return model, []
     objectives.check_autoencoder(model)
 
-    def step(trainer, rows):
+    def step(model, rows):
         batch = train_features[rows]
-        return objectives.loss_and_grads(trainer.model, batch, batch,
-                                         work=trainer)[0]
-    return _train(model, train_features.shape[0], cfg.pretrain_epochs,
-                  cfg.batch_size, cfg, rng, "pretrain", step)
+        return objectives.loss_and_grads(model, batch, batch)
+    return _train(model, train_features.shape[0], cfg.pretrain_epochs, cfg, rng,
+                  "pretrain", step)
 
 
 def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
@@ -149,16 +150,14 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
     pool = np.concatenate([unlabeled, labeled.features]) if m else unlabeled
     hyper = cfg.sad_hyper()
 
-    def step(trainer, rows):
+    def step(model, rows):
         y = None
         if m:
             pick = rng.integers(0, m, size=m_b)
             rows = np.concatenate([rows, n + pick])
             y = labeled.labels[pick]
-        return objectives.loss_and_grads(trainer.model, pool[rows], sphere.center,
-                                         y, hyper, trainer)[0]
-    return _train(model, n, cfg.main_epochs, cfg.batch_size + m_b, cfg, rng,
-                  f"main[{mode}]", step)
+        return objectives.loss_and_grads(model, pool[rows], sphere.center, y, hyper)
+    return _train(model, n, cfg.main_epochs, cfg, rng, f"main[{mode}]", step)
 
 
 @dataclass
@@ -251,18 +250,16 @@ def _trial_worker(args) -> TrialResult:
     return run_trial(dataset, cfg, repeat, fold, plan, modes, gt_rows)
 
 
-def run_experiment(dataset: Dataset, cfg: TrainConfig,
-                   n_repeats: int | None = None, modes=MODES, jobs: int = 1,
+def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 1,
                    ground_truth_rows: np.ndarray | None = None,
                    on_trial=None) -> list[TrialResult]:
     """All repeats x folds. `on_trial(result)` fires as each trial completes so
     callers can flush partial results before a later trial aborts."""
     if dataset.n_rows < cfg.k_folds:
         raise ConfigError("dataset smaller than fold count")
-    n_repeats = cfg.n_repeats if n_repeats is None else n_repeats
     plan = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth_rows)
-             for r in range(n_repeats) for f in range(cfg.k_folds)]
+             for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
     results: list[TrialResult] = []
     if jobs <= 1:
         for task in tasks:

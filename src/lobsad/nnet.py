@@ -1,11 +1,12 @@
 """Minimal dense feed-forward network with exact reverse-mode gradients and Adam.
 
 Everything is float64. There is one forward pass (`_forward`), one backward
-pass (`_backward`) and one Adam update (`_adam_update`). The public
-`forward`, `backward` and `adam_step` run them on fresh arrays and never
-mutate their inputs; the training loops run them on the preallocated buffers
-of a `_FusedTrainer`. Either way the arithmetic is the same, so training is
-bit-reproducible for a fixed seed in single-threaded mode.
+pass (`_backward`) and one Adam update (`_adam_update`). The passes always
+allocate fresh arrays; the public `forward`, `backward` and `adam_step`
+never mutate their inputs. The training loops run the same passes, and
+`_FusedTrainer` keeps their parameters and Adam moments in flat vectors that
+`_adam_update` changes in place. Training is bit-reproducible for a fixed
+seed in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -60,8 +61,17 @@ class MlpModel:
                 )
             if lp.bias.shape != (d_out,):
                 raise ShapeError(f"layer {i}: bias {lp.bias.shape} != ({d_out},)")
+            want = _activation(i, len(self.layers))
+            if lp.activation != want:
+                raise ConfigError(f"layer {i}: activation {lp.activation!r}, "
+                                  f"expected {want!r}")
             if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
                 raise DataError(f"layer {i}: non-finite parameters")
+
+
+def _activation(i: int, n_layers: int) -> str:
+    """ReLU on every layer except the last, which is linear."""
+    return "linear" if i == n_layers - 1 else "relu"
 
 
 @dataclass(frozen=True)
@@ -120,9 +130,8 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
         fan_in, fan_out = dims[i], dims[i + 1]
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-a, a, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        act = "linear" if i == n_layers - 1 else "relu"
-        layers.append(LayerParams(weights=w, bias=b, activation=act))
+        layers.append(LayerParams(weights=w, bias=np.zeros(fan_out),
+                                  activation=_activation(i, n_layers)))
     return MlpModel(layers=tuple(layers), layer_dims=dims)
 
 
@@ -138,47 +147,29 @@ def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _buf(work, key: str, i: int, rows: int):
-    return None if work is None else work.buf[key][i][:rows]
-
-
-def _forward(model: MlpModel, x: np.ndarray,
-             work: "_FusedTrainer | None" = None) -> tuple[np.ndarray, ForwardTape]:
-    """The forward pass. With `work`, every intermediate is written into its
-    buffers; without, each is a fresh array."""
-    b = x.shape[0]
+def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+    """The forward pass, on fresh arrays."""
     inputs, preacts = [], []
     h = x
-    for i, lp in enumerate(model.layers):
+    for lp in model.layers:
         inputs.append(h)
-        z = np.dot(h, lp.weights.T, out=_buf(work, "z", i, b))
-        np.add(z, lp.bias, out=z)
+        z = np.dot(h, lp.weights.T)
+        z += lp.bias
         preacts.append(z)
-        if lp.activation == "relu":
-            h = np.maximum(z, 0.0, out=_buf(work, "h", i, b))
-        else:
-            h = z
+        h = np.maximum(z, 0.0) if lp.activation == "relu" else z
     return h, ForwardTape(inputs=tuple(inputs), preacts=tuple(preacts))
 
 
-def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray,
-              work: "_FusedTrainer | None" = None) -> Gradients:
-    """The backward pass. With `work`, the gradients land in `work.grads`
-    (views of its flat vector `work.g`) and every intermediate in its buffers."""
-    b = grad_outputs.shape[0]
+def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
+    """The backward pass, on fresh arrays."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     delta = grad_outputs
     for i in range(len(model.layers) - 1, -1, -1):
         lp = model.layers[i]
-        if lp.activation == "relu":
-            mask = np.greater(tape.preacts[i], 0.0, out=_buf(work, "mask", i, b))
-            dz = np.multiply(delta, mask, out=_buf(work, "dz", i, b))
-        else:
-            dz = delta
-        gw, gb = (None, None) if work is None else work.grads.layers[i]
-        grads[i] = (np.dot(dz.T, tape.inputs[i], out=gw), np.sum(dz, axis=0, out=gb))
+        dz = delta * (tape.preacts[i] > 0.0) if lp.activation == "relu" else delta
+        grads[i] = (np.dot(dz.T, tape.inputs[i]), np.sum(dz, axis=0))
         if i > 0:
-            delta = np.dot(dz, lp.weights, out=_buf(work, "delta", i - 1, b))
+            delta = np.dot(dz, lp.weights)
     return Gradients(layers=tuple(grads))
 
 
@@ -277,35 +268,29 @@ def flatten_grads(grads: Gradients) -> np.ndarray:
 
 
 class _FusedTrainer:
-    """State of a training loop: the flat parameter and gradient vectors, the
-    Adam moments, and per-layer buffers for batches of up to `max_batch` rows.
+    """State of a training loop: the flat parameter vector with a model whose
+    arrays view it, the Adam moments, and the update's scratch pair.
 
-    It runs the same `_forward`, `_backward` and `_adam_update` as the public
-    functions, passing in its buffers, so a step allocates no per-layer
-    arrays and rebuilds no model. Not part of the public API.
+    A step runs the same `_forward` and `_backward` as the public functions on
+    `self.model`, then `adam_apply`, which updates the flat vector in place, so
+    no step rebuilds a model. Not part of the public API.
     """
 
-    def __init__(self, model: MlpModel, max_batch: int):
+    def __init__(self, model: MlpModel):
         model.validate()
         self.p = get_flat_params(model)
-        self.g = np.zeros(self.p.size)
         self.model = _view(model, self.p)
-        self.grads = Gradients(tuple(
-            (lp.weights, lp.bias) for lp in _view(model, self.g).layers))
         self.state = adam_init(model)
         self._scratch = (np.empty(self.p.size), np.empty(self.p.size))
-        hidden = model.layer_dims[1:]
-        self.buf = {key: [np.empty((max_batch, d), dtype=bool if key == "mask" else None)
-                          for d in hidden]
-                    for key in ("z", "h", "mask", "dz", "delta")}
 
     def snapshot(self) -> MlpModel:
         """Detached copy of the current parameters."""
         return set_flat_params(self.model, self.p)
 
-    def adam_apply(self, lr: float, weight_decay: float = 0.0) -> None:
-        """One Adam update from the gradient in self.g."""
-        _adam_update(self.p, self.g, self.state, lr, weight_decay, self._scratch)
+    def adam_apply(self, grads: Gradients, lr: float, weight_decay: float = 0.0) -> None:
+        """One Adam update from the gradients of the current parameters."""
+        _adam_update(self.p, flatten_grads(grads), self.state, lr, weight_decay,
+                     self._scratch)
 
 
 # --- checkpoints -------------------------------------------------------------

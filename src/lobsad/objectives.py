@@ -38,15 +38,12 @@ class Hypersphere:
 class SadHyper:
     eta: float = 1.0  # weight of the labeled term
     eps: float = 1e-6  # guard inside the inverted distance
-    weight_decay: float = 1e-6
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ConfigError(f"eta must be > 0, got {self.eta}")
         if not (0 < self.eps <= 1e-3):
             raise ConfigError(f"eps must be in (0, 1e-3], got {self.eps}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -109,14 +106,13 @@ def loss_head(out: np.ndarray, target: np.ndarray, y: np.ndarray | None = None,
 
 
 def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,
-                   y: np.ndarray | None = None, hyper: SadHyper | None = None,
-                   work: "nnet._FusedTrainer | None" = None) -> tuple[float, Gradients]:
+                   y: np.ndarray | None = None,
+                   hyper: SadHyper | None = None) -> tuple[float, Gradients]:
     """forward -> loss head -> backward: the one sequence behind every loss
-    and every training step. `batch` is not validated here; with `work`, the
-    passes run in its buffers and the gradients land in `work.g`."""
-    out, tape = nnet._forward(model, batch, work)
+    and every training step. `batch` is not validated here."""
+    out, tape = nnet._forward(model, batch)
     loss, grad_out = loss_head(out, target, y, hyper)
-    return loss, nnet._backward(model, tape, grad_out, work)
+    return loss, nnet._backward(model, tape, grad_out)
 
 
 def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, Gradients]:

@@ -180,8 +180,8 @@ class TestCriterion6FoldProperties:
             results = harness.run_experiment(
                 synth.dataset,
                 harness.TrainConfig(pretrain_epochs=1, main_epochs=2,
-                                    batch_size=32, layer_dims=(20, 8, 20)),
-                n_repeats=1)
+                                    batch_size=32, layer_dims=(20, 8, 20),
+                                    n_repeats=1))
         finally:
             data.fit_hook = None
         test_sets = [set(r.test_rows.tolist()) for r in results]

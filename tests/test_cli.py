@@ -135,6 +135,20 @@ class TestRun:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("eta", 0, "eta must be > 0"),
+        ("dist_eps", 1e-2, "eps must be in (0, 1e-3]"),
+        ("weight_decay", -1, "weight_decay must be >= 0"),
+    ])
+    def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
+                                                    capsys, key, value, message):
+        cfg = write_config(tmp_path / "c.json", dict(TINY_TRAIN, **{key: value}),
+                           TINY_SYNTH)
+        code, out = run_experiment_cli(tmp_path, cfg, generated)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
 
 class TestScore:
     def test_self_consistency_with_stored_scores(self, tmp_path, tiny_config,
@@ -226,6 +240,24 @@ class TestScore:
                          "--data", str(bad), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert "row 5: timestamp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layer, activation", [(0, "tanh"), (0, "linear"),
+                                                   (1, "relu")])
+    def test_wrong_activation_exit_2(self, tmp_path, generated, capsys,
+                                     layer, activation):
+        # the forward pass knows only ReLU hidden layers and a linear output
+        ckpt = tmp_path / "act.ckpt"
+        nnet.save_checkpoint(nnet.mlp_init(0, (20, 12, 20)), ckpt, extra={
+            "center": np.ones(20), "norm_mean": np.zeros(20),
+            "norm_std": np.ones(20)})
+        doc = json.loads(ckpt.read_text())
+        doc["layers"][layer]["activation"] = activation
+        ckpt.write_text(json.dumps(doc))
+        code = cli.main(["score", "--checkpoint", str(ckpt),
+                         "--data", str(generated / "lob.csv"),
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert f"layer {layer}: activation '{activation}'" in capsys.readouterr().err
 
 
 class TestReport:

@@ -410,6 +410,20 @@ class TestLoaderOracle:
         assert_same_dataset(fast, ref)
         assert_same_dataset(fast, plain)
 
+    @given(case=lob_files(), n_blank=st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_trailing_blank_lines_ignored(self, case, n_blank):
+        lines, newline, schema, _, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines + [""] * n_blank, newline)
+            fast, ref, fell_back = load_both(path, schema)
+            write_lines(path, lines, newline)
+            plain = data.load_lob_csv(path, schema)
+        assert not fell_back
+        assert_same_dataset(fast, ref)
+        assert_same_dataset(fast, plain)
+
     def test_timestamp_outside_int64_names_row(self, tmp_path):
         ts, book = small_book(3)
         path = tmp_path / "lob.csv"

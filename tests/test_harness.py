@@ -16,6 +16,14 @@ def tiny_cfg(**kw):
     return TrainConfig(**base)
 
 
+# one hidden layer, and the default three, whose backward chains ReLU masks
+HAND_LOOP_DIMS = [(20, 16, 20), nnet.DEFAULT_DIMS]
+
+
+def dims_id(dims):
+    return "-".join(map(str, dims))
+
+
 @pytest.fixture(scope="module")
 def tiny_synth():
     cfg = data.SynthConfig(n_rows=600, anomaly_rate=0.03, n_labeled=9, seed=7)
@@ -80,11 +88,12 @@ class TestPretrain:
         assert np.array_equal(nnet.get_flat_params(a), nnet.get_flat_params(b))
 
 
-    def test_epochs_match_hand_loop(self, rng):
+    @pytest.mark.parametrize("dims", HAND_LOOP_DIMS, ids=dims_id)
+    def test_epochs_match_hand_loop(self, rng, dims):
         # 2 epochs x 3 batches (32, 32, 6 rows)
-        model = nnet.mlp_init(6, (20, 16, 20))
+        model = nnet.mlp_init(6, dims)
         x = rng.normal(size=(70, 20))
-        cfg = tiny_cfg(pretrain_epochs=2, batch_size=32, lr=1e-2)
+        cfg = tiny_cfg(pretrain_epochs=2, batch_size=32, lr=1e-2, layer_dims=dims)
         trained, losses = harness.pretrain(model, x, cfg, np.random.default_rng(4))
 
         hand_rng = np.random.default_rng(4)
@@ -130,14 +139,15 @@ class TestTrainMain:
         assert np.array_equal(nnet.get_flat_params(trained),
                               nnet.get_flat_params(expected))
 
-    def test_sad_epochs_match_hand_loop(self, rng):
+    @pytest.mark.parametrize("dims", HAND_LOOP_DIMS, ids=dims_id)
+    def test_sad_epochs_match_hand_loop(self, rng, dims):
         # 2 epochs x 3 batches (32, 32, 6 unlabeled rows + 2 labeled each)
-        model = nnet.mlp_init(5, (20, 16, 20))
+        model = nnet.mlp_init(5, dims)
         x = rng.normal(size=(70, 20))
         sphere = Hypersphere(rng.normal(size=20))
         labeled = LabeledBatch(rng.normal(loc=2.0, size=(4, 20)),
                                np.array([-1.0, 1.0, -1.0, -1.0]))
-        cfg = tiny_cfg(main_epochs=2, batch_size=32, lr=1e-2)
+        cfg = tiny_cfg(main_epochs=2, batch_size=32, lr=1e-2, layer_dims=dims)
         trained, losses = harness.train_main(model, sphere, x, labeled, cfg,
                                              "sad", np.random.default_rng(8))
 
@@ -205,17 +215,17 @@ class TestRunExperiment:
                     assert lab.shape == rows.shape
 
     def test_deterministic_reports(self, tiny_synth):
-        cfg = tiny_cfg()
-        a = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1)
-        b = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1)
+        cfg = tiny_cfg(n_repeats=1)
+        a = harness.run_experiment(tiny_synth.dataset, cfg)
+        b = harness.run_experiment(tiny_synth.dataset, cfg)
         assert [r.report.metrics for r in a] == [r.report.metrics for r in b]
 
     def test_no_leakage_into_fitting(self, tiny_synth):
         accesses = []
         data.fit_hook = lambda kind, rows: accesses.append((kind, np.array(rows)))
         try:
-            results = harness.run_experiment(tiny_synth.dataset, tiny_cfg(),
-                                             n_repeats=1)
+            results = harness.run_experiment(tiny_synth.dataset,
+                                             tiny_cfg(n_repeats=1))
         finally:
             data.fit_hook = None
         assert accesses
@@ -235,8 +245,8 @@ class TestRunExperiment:
         ds = data.Dataset(ds.features, ds.timestamps,
                           labeled_idx=np.array([5, 20, 40]))
         results = harness.run_experiment(ds, tiny_cfg(main_epochs=2,
-                                                      pretrain_epochs=1),
-                                         n_repeats=1)
+                                                      pretrain_epochs=1,
+                                                      n_repeats=1))
         by_fold = {r.report.fold: r.report.metrics for r in results}
         assert by_fold[0]["svdd"]["ratio_test"] is not None
         assert by_fold[1]["svdd"]["ratio_test"] is None
@@ -244,9 +254,9 @@ class TestRunExperiment:
         assert by_fold[1]["svdd"]["ratio_train"] is not None
 
     def test_parallel_matches_sequential(self, tiny_synth):
-        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
-        seq = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1)
-        par = harness.run_experiment(tiny_synth.dataset, cfg, n_repeats=1, jobs=2)
+        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1)
+        seq = harness.run_experiment(tiny_synth.dataset, cfg)
+        par = harness.run_experiment(tiny_synth.dataset, cfg, jobs=2)
         assert [r.report.metrics for r in seq] == [r.report.metrics for r in par]
 
     def test_trial_embeds_each_split_once(self, tiny_synth, monkeypatch):
@@ -273,9 +283,9 @@ class TestRunExperiment:
         assert len(res.scores) == 4
 
     def test_ground_truth_metrics_added(self, tiny_synth):
-        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
+        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1)
         results = harness.run_experiment(
-            tiny_synth.dataset, cfg, n_repeats=1,
+            tiny_synth.dataset, cfg,
             ground_truth_rows=tiny_synth.ground_truth.rows)
         metrics = results[0].report.metrics["svdd"]
         assert "gt_ratio_test" in metrics and "gt_rank_train" in metrics
