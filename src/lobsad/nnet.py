@@ -83,10 +83,13 @@ class Gradients:
 
 @dataclass(frozen=True)
 class ForwardTape:
-    """Per-layer inputs and pre-activations recorded by `forward`."""
+    """What `forward` records for `backward`: each layer's input and the output.
+
+    Hidden layer i's ReLU mask is `inputs[i + 1] > 0`, which equals `z > 0`
+    for its pre-activation z, so no pre-activation is kept."""
 
     inputs: tuple[np.ndarray, ...]  # input to each layer, (B, d_in_layer)
-    preacts: tuple[np.ndarray, ...]  # z = x W^T + b per layer, (B, d_out_layer)
+    output: np.ndarray  # the last layer's output, (B, d_out)
 
 
 @dataclass
@@ -148,28 +151,30 @@ def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """The forward pass, on fresh arrays."""
-    inputs, preacts = [], []
+    """The forward pass: bias and ReLU are applied in place on each fresh
+    `np.dot` result, which becomes the next layer's input."""
+    inputs = []
     h = x
     for lp in model.layers:
         inputs.append(h)
-        z = np.dot(h, lp.weights.T)
-        z += lp.bias
-        preacts.append(z)
-        h = np.maximum(z, 0.0) if lp.activation == "relu" else z
-    return h, ForwardTape(inputs=tuple(inputs), preacts=tuple(preacts))
+        h = np.dot(h, lp.weights.T)
+        h += lp.bias
+        if lp.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+    return h, ForwardTape(inputs=tuple(inputs), output=h)
 
 
 def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
-    """The backward pass, on fresh arrays."""
+    """The backward pass. Each masked delta is a fresh `np.dot` result, masked
+    in place; the last layer is linear, so `grad_outputs` is never written."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
-    delta = grad_outputs
+    dz = grad_outputs
     for i in range(len(model.layers) - 1, -1, -1):
-        lp = model.layers[i]
-        dz = delta * (tape.preacts[i] > 0.0) if lp.activation == "relu" else delta
         grads[i] = (np.dot(dz.T, tape.inputs[i]), np.sum(dz, axis=0))
         if i > 0:
-            delta = np.dot(dz, lp.weights)
+            dz = np.dot(dz, model.layers[i].weights)
+            if model.layers[i - 1].activation == "relu":
+                dz *= tape.inputs[i] > 0.0
     return Gradients(layers=tuple(grads))
 
 
@@ -180,9 +185,9 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape
 def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of sum_b <grad_outputs_b, outputs_b> w.r.t. params."""
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    if grad_outputs.shape != tape.preacts[-1].shape:
+    if grad_outputs.shape != tape.output.shape:
         raise ShapeError(
-            f"grad_outputs {grad_outputs.shape} != outputs {tape.preacts[-1].shape}"
+            f"grad_outputs {grad_outputs.shape} != outputs {tape.output.shape}"
         )
     return _backward(model, tape, grad_outputs)
 

@@ -50,7 +50,11 @@ def sample_safe_model_batch(rng, dims, batch_rows=4, min_preact=1e-4):
         model = nnet.set_flat_params(model, flat)
         batch = rng.normal(size=(batch_rows, dims[0]))
         _, tape = nnet.forward(model, batch)
-        if min(np.abs(z).min() for z in tape.preacts) > min_preact:
+        # the tape keeps layer inputs only: recompute each pre-activation
+        # with the forward pass's own arithmetic
+        preacts = [np.dot(h, lp.weights.T) + lp.bias
+                   for h, lp in zip(tape.inputs, model.layers)]
+        if min(np.abs(z).min() for z in preacts) > min_preact:
             return model, batch
     raise AssertionError("could not sample a kink-safe model/batch")
 

@@ -175,6 +175,43 @@ class TestBackward:
             nnet.backward(model, tape, np.zeros((2, 5)))
 
 
+def reference_forward_backward(model, x, grad_out):
+    """The passes with every pre-activation kept, as the tape once held them:
+    masks come from z > 0, not from the next layer's input."""
+    inputs, preacts, h = [], [], x
+    for lp in model.layers:
+        inputs.append(h)
+        z = np.dot(h, lp.weights.T)
+        z += lp.bias
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if lp.activation == "relu" else z
+    grads, delta = [None] * len(model.layers), grad_out
+    for i in range(len(model.layers) - 1, -1, -1):
+        lp = model.layers[i]
+        dz = delta * (preacts[i] > 0.0) if lp.activation == "relu" else delta
+        grads[i] = (np.dot(dz.T, inputs[i]), np.sum(dz, axis=0))
+        if i > 0:
+            delta = np.dot(dz, lp.weights)
+    return h, grads
+
+
+class TestTapeOracle:
+    @pytest.mark.parametrize("dims", [(5, 7, 7, 3), nnet.DEFAULT_DIMS],
+                             ids=["5-7-7-3", "default"])
+    @pytest.mark.parametrize("rows", [1, 64, 1024])
+    def test_passes_equal_preactivation_reference(self, rng, dims, rows):
+        model = nnet.mlp_init(int(rng.integers(2**31)), dims)
+        x = rng.normal(size=(rows, dims[0]))
+        grad_out = rng.normal(size=(rows, dims[-1]))
+        ref_out, ref_grads = reference_forward_backward(model, x, grad_out)
+        out, tape = nnet.forward(model, x)
+        grads = nnet.backward(model, tape, grad_out)
+        assert np.array_equal(out, ref_out)
+        for (gw, gb), (rw, rb) in zip(grads.layers, ref_grads):
+            assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+        assert len(tape.inputs) == len(model.layers) and tape.output is out
+
+
 class TestAdam:
     def _grads_like(self, model, fill=0.0):
         return nnet.Gradients(tuple(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,21 @@ class TestAnomalyScore:
         s = objectives.anomaly_score(model, rng.normal(size=(30, 3)),
                                      Hypersphere(rng.normal(size=2)))
         assert np.all(s >= 0)
+
+
+class TestEmbedMemory:
+    def test_peak_is_one_chunk_of_activations(self, rng):
+        # the forward tape holds each layer's input once, so embedding one
+        # full chunk peaks at about that chunk's hidden and output arrays
+        model = nnet.mlp_init(0)
+        rows = objectives._CHUNK
+        points = rng.normal(size=(rows, model.input_dim))
+        activations = rows * sum(model.layer_dims[1:]) * 8
+        tracemalloc.start()
+        try:
+            out = objectives.embed(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, model.output_dim)
+        assert peak < 1.25 * activations, peak / activations
