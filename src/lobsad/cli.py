@@ -164,7 +164,8 @@ def cmd_run(args) -> int:
 
     done: list[harness.TrialResult] = []
 
-    def flush():
+    def flush():  # trials finish out of order when jobs > 1
+        done.sort(key=lambda r: r.report.trial)
         reports = [r.report for r in done]
         scatters = {}
         for r in done:
@@ -212,8 +213,7 @@ def cmd_score(args) -> int:
         raise ConfigError(
             f"dimension mismatch: model expects {model.input_dim} features, "
             f"data has {dataset.features.shape[1]}")
-    norm = data_mod.Normalizer(mean=extra["norm_mean"], std=extra["norm_std"],
-                               degenerate=np.zeros(model.input_dim, dtype=bool))
+    norm = data_mod.Normalizer(mean=extra["norm_mean"], std=extra["norm_std"])
     feats = data_mod.apply_normalizer(norm, dataset.features)
     del dataset  # scoring holds every row's output, so drop the raw features first
     sphere = objectives.Hypersphere(center=extra["center"])

@@ -90,8 +90,7 @@ class Dataset:
 @dataclass
 class Normalizer:
     mean: np.ndarray  # (d,)
-    std: np.ndarray  # (d,), > 0 everywhere (degenerate features forced to 1)
-    degenerate: np.ndarray  # bool flags for features whose std was forced
+    std: np.ndarray  # (d,), > 0 everywhere (constant features forced to 1)
 
 
 def _validate_book_row(row: np.ndarray, row_no: int) -> None:
@@ -270,11 +269,10 @@ def fit_normalizer(features: np.ndarray, rows: np.ndarray) -> Normalizer:
     sub = features[rows]
     mean = sub.mean(axis=0)
     std = sub.std(axis=0)
-    degenerate = std <= 0
-    if degenerate.any():
-        log.warning("constant features %s: std forced to 1", np.nonzero(degenerate)[0])
-    std = np.where(degenerate, 1.0, std)
-    return Normalizer(mean=mean, std=std, degenerate=degenerate)
+    constant = std <= 0
+    if constant.any():
+        log.warning("constant features %s: std forced to 1", np.nonzero(constant)[0])
+    return Normalizer(mean=mean, std=np.where(constant, 1.0, std))
 
 
 def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:

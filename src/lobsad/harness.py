@@ -4,15 +4,15 @@ metrics and repeated trials.
 
 Within a trial the two models share the pretrained weights, the center and the
 minibatch order; the objective is the only thing that differs. Everything is
-seeded, so a fixed master seed gives bit-identical results single-threaded.
+seeded: a fixed seed gives bit-identical single-job results per BLAS thread count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,11 +71,15 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        self.sad_hyper()  # checks eta and dist_eps before any work starts
+        if self.k_folds < 2 or self.n_repeats < 1:
+            raise ConfigError(f"k_folds must be >= 2 and n_repeats >= 1, got "
+                              f"{self.k_folds} and {self.n_repeats}")
+        nnet.check_layer_dims(self.layer_dims)  # fail before any work starts
+        self.sad_hyper()
 
     def sad_hyper(self) -> SadHyper:
         return SadHyper(eta=self.eta, eps=self.dist_eps)
@@ -102,14 +106,14 @@ def _train(model: MlpModel, n: int, epochs: int, cfg: TrainConfig,
            rng: np.random.Generator, phase: str, step) -> tuple[MlpModel, list[float]]:
     """Shuffled minibatch epochs over n rows. `step(model, rows)` returns the
     loss of the batch `rows` at `model` and its gradients."""
-    trainer = nnet._FusedTrainer(model)
+    trainer = nnet._FusedTrainer(model, cfg.weight_decay)
     losses: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             loss, grads = step(trainer.model, perm[lo:lo + cfg.batch_size])
-            trainer.adam_apply(grads, cfg.lr, cfg.weight_decay)
+            trainer.adam_apply(grads, cfg.lr)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
@@ -253,27 +257,30 @@ def _trial_worker(args) -> TrialResult:
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 1,
                    ground_truth_rows: np.ndarray | None = None,
                    on_trial=None) -> list[TrialResult]:
-    """All repeats x folds. `on_trial(result)` fires as each trial completes so
-    callers can flush partial results before a later trial aborts."""
-    if dataset.n_rows < cfg.k_folds:
-        raise ConfigError("dataset smaller than fold count")
+    """All repeats x folds. `on_trial(result)` fires as each trial completes,
+    in completion order, so callers can flush partial results before a later
+    trial aborts. With jobs > 1, no trial starts after the first failure."""
     plan = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth_rows)
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
     results: list[TrialResult] = []
     if jobs <= 1:
         for task in tasks:
-            res = _trial_worker(task)
-            results.append(res)
+            results.append(_trial_worker(task))
             if on_trial is not None:
-                on_trial(res)
+                on_trial(results[-1])
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_trial_worker, t) for t in tasks]
-            for fut in futures:
-                res = fut.result()
-                results.append(res)
-                if on_trial is not None:
-                    on_trial(res)
+        # submit to free workers only: a pool runs every trial it has queued
+        queued = tasks[::-1]
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            running = set()
+            while queued or running:
+                while queued and len(running) < jobs:
+                    running.add(ex.submit(_trial_worker, queued.pop()))
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    results.append(fut.result())
+                    if on_trial is not None:
+                        on_trial(results[-1])
     results.sort(key=lambda r: r.report.trial)
     return results

@@ -1,18 +1,25 @@
 """Minimal dense feed-forward network with exact reverse-mode gradients and Adam.
 
 Everything is float64. There is one forward pass (`_forward`), one backward
-pass (`_backward`) and one Adam update (`_adam_update`). The passes always
-allocate fresh arrays; the public `forward`, `backward` and `adam_step`
-never mutate their inputs. The training loops run the same passes, and
-`_FusedTrainer` keeps their parameters and Adam moments in flat vectors that
-`_adam_update` changes in place. Training is bit-reproducible for a fixed
-seed in single-threaded mode.
+pass (`_backward`) and one Adam update (`_adam_update`), which the training
+loops also run, on `_FusedTrainer`'s flat parameter vector. The public
+`forward`, `backward` and `adam_step` never mutate their inputs. The tape keeps
+each layer's input, one array per layer. Hidden layers are ReLU and the last
+is linear, so hidden layer i's mask is `inputs[i + 1] > 0`, which is z > 0.
+
+Adam (Kingma & Ba, ICLR 2015, section 2) keeps m = b1 m + g and v = b2 v + g^2,
+the textbook moments over 1 - b1 and 1 - b2, and folds both bias corrections
+into p -= a_t m / (sqrt(v) + eps_t), with k_t = sqrt((1 - b2^t) / (1 - b2)),
+a_t = lr (1 - b1) / (1 - b1^t) k_t and eps_t = eps k_t. L2 decay adds
+weight_decay * p to g on weights only. Training is bit-reproducible for a
+fixed seed at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +58,7 @@ class MlpModel:
         return sum(lp.weights.size + lp.bias.size for lp in self.layers)
 
     def validate(self) -> None:
-        if len(self.layer_dims) < 2:
-            raise ConfigError("need at least 2 layer dims")
+        check_layer_dims(self.layer_dims)
         for i, lp in enumerate(self.layers):
             d_out, d_in = self.layer_dims[i + 1], self.layer_dims[i]
             if lp.weights.shape != (d_out, d_in):
@@ -83,13 +89,9 @@ class Gradients:
 
 @dataclass(frozen=True)
 class ForwardTape:
-    """What `forward` records for `backward`: each layer's input and the output.
-
-    Hidden layer i's ReLU mask is `inputs[i + 1] > 0`, which equals `z > 0`
-    for its pre-activation z, so no pre-activation is kept."""
+    """Each layer's input, recorded by `forward` for `backward`."""
 
     inputs: tuple[np.ndarray, ...]  # input to each layer, (B, d_in_layer)
-    output: np.ndarray  # the last layer's output, (B, d_out)
 
 
 @dataclass
@@ -100,20 +102,26 @@ class AdamState:
     never touches biases.
     """
 
-    m: np.ndarray  # first moments, flat
-    v: np.ndarray  # second moments, flat
+    m: np.ndarray  # first moment / (1 - beta1), flat
+    v: np.ndarray  # second moment / (1 - beta2), flat
     decay_mask: np.ndarray
     t: int = 0
 
 
 def adam_init(model: MlpModel) -> AdamState:
-    n = model.n_params()
-    mask_parts = []
-    for lp in model.layers:
-        mask_parts.append(np.ones(lp.weights.size))
-        mask_parts.append(np.zeros(lp.bias.size))
-    return AdamState(m=np.zeros(n), v=np.zeros(n),
-                     decay_mask=np.concatenate(mask_parts), t=0)
+    mask = _flatten((np.ones(lp.weights.size), np.zeros(lp.bias.size))
+                    for lp in model.layers)
+    return AdamState(m=np.zeros(mask.size), v=np.zeros(mask.size), decay_mask=mask)
+
+
+def check_layer_dims(layer_dims) -> tuple[int, ...]:
+    """`layer_dims` as ints, refused unless it has >= 2 entries, each >= 1."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2:
+        raise ConfigError(f"layer_dims needs >= 2 entries, got {dims}")
+    if any(d < 1 for d in dims):
+        raise ConfigError(f"layer dims must be >= 1, got {dims}")
+    return dims
 
 
 def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
@@ -121,11 +129,7 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
 
     ReLU on every layer except the last, which is linear.
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ConfigError(f"layer_dims needs >= 2 entries, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"layer dims must be >= 1, got {dims}")
+    dims = check_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     layers = []
     n_layers = len(dims) - 1
@@ -151,8 +155,7 @@ def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """The forward pass: bias and ReLU are applied in place on each fresh
-    `np.dot` result, which becomes the next layer's input."""
+    """The forward pass; bias and ReLU go in place on each fresh `np.dot`."""
     inputs = []
     h = x
     for lp in model.layers:
@@ -161,12 +164,11 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
         h += lp.bias
         if lp.activation == "relu":
             np.maximum(h, 0.0, out=h)
-    return h, ForwardTape(inputs=tuple(inputs), output=h)
+    return h, ForwardTape(inputs=tuple(inputs))
 
 
 def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
-    """The backward pass. Each masked delta is a fresh `np.dot` result, masked
-    in place; the last layer is linear, so `grad_outputs` is never written."""
+    """The backward pass; each mask goes in place on a fresh `np.dot`."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     dz = grad_outputs
     for i in range(len(model.layers) - 1, -1, -1):
@@ -185,44 +187,34 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape
 def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of sum_b <grad_outputs_b, outputs_b> w.r.t. params."""
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    if grad_outputs.shape != tape.output.shape:
-        raise ShapeError(
-            f"grad_outputs {grad_outputs.shape} != outputs {tape.output.shape}"
-        )
+    want = (tape.inputs[0].shape[0], model.output_dim)
+    if grad_outputs.shape != want:
+        raise ShapeError(f"grad_outputs {grad_outputs.shape} != outputs {want}")
     return _backward(model, tape, grad_outputs)
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
-                 weight_decay: float = 0.0, scratch=None) -> None:
+                 decay: np.ndarray | None = None) -> None:
     """One Adam update of the flat parameters `p`, in place on `p` and `st`.
-
-    L2 decay is added to `g` (in place) on weights only, not biases.
-    `scratch` is a pair of arrays shaped like `p`, allocated when omitted.
-    """
+    `decay` is `weight_decay * st.decay_mask`, or None; `g` is used as scratch."""
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradients in adam_step")
-    s1, s2 = scratch if scratch is not None else (np.empty_like(p), np.empty_like(p))
     st.t += 1
-    if weight_decay:
-        np.multiply(st.decay_mask, p, out=s1)
-        s1 *= weight_decay
-        g += s1
-    np.multiply(st.m, ADAM_BETA1, out=st.m)
-    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-    st.m += s1
-    np.multiply(st.v, ADAM_BETA2, out=st.v)
-    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
-    s1 *= g
-    st.v += s1
-    np.divide(st.m, 1.0 - ADAM_BETA1 ** st.t, out=s1)
-    np.divide(st.v, 1.0 - ADAM_BETA2 ** st.t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPS
-    s1 /= s2
-    s1 *= lr
-    p -= s1
+    if decay is not None:
+        g += decay * p
+    st.m *= ADAM_BETA1
+    st.m += g
+    st.v *= ADAM_BETA2
+    np.multiply(g, g, out=g)
+    st.v += g
+    k = math.sqrt((1.0 - ADAM_BETA2 ** st.t) / (1.0 - ADAM_BETA2))
+    np.sqrt(st.v, out=g)
+    g += ADAM_EPS * k
+    np.divide(st.m, g, out=g)
+    g *= lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** st.t) * k
+    p -= g
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState, lr: float,
@@ -230,18 +222,20 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState, lr: float,
     """One `_adam_update` on copies of the parameters and the moments."""
     p = get_flat_params(model)
     new_state = replace(state, m=state.m.copy(), v=state.v.copy())
-    _adam_update(p, flatten_grads(grads), new_state, lr, weight_decay)
+    decay = weight_decay * state.decay_mask if weight_decay else None
+    _adam_update(p, flatten_grads(grads), new_state, lr, decay)
     return _view(model, p), new_state
 
 
 # --- flat parameter vectors and views ----------------------------------------
 
+def _flatten(pairs) -> np.ndarray:
+    """Per-layer (weights, bias)-shaped pairs as one vector in parameter order."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
 def get_flat_params(model: MlpModel) -> np.ndarray:
-    parts = []
-    for lp in model.layers:
-        parts.append(lp.weights.ravel())
-        parts.append(lp.bias.ravel())
-    return np.concatenate(parts)
+    return _flatten((lp.weights, lp.bias) for lp in model.layers)
 
 
 def _view(model: MlpModel, flat: np.ndarray) -> MlpModel:
@@ -265,37 +259,32 @@ def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
 
 
 def flatten_grads(grads: Gradients) -> np.ndarray:
-    parts = []
-    for gw, gb in grads.layers:
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
+    return _flatten(grads.layers)
 
 
 class _FusedTrainer:
     """State of a training loop: the flat parameter vector with a model whose
-    arrays view it, the Adam moments, and the update's scratch pair.
+    arrays view it, the Adam moments, and the weight-decay vector.
 
     A step runs the same `_forward` and `_backward` as the public functions on
     `self.model`, then `adam_apply`, which updates the flat vector in place, so
     no step rebuilds a model. Not part of the public API.
     """
 
-    def __init__(self, model: MlpModel):
+    def __init__(self, model: MlpModel, weight_decay: float = 0.0):
         model.validate()
         self.p = get_flat_params(model)
         self.model = _view(model, self.p)
         self.state = adam_init(model)
-        self._scratch = (np.empty(self.p.size), np.empty(self.p.size))
+        self.decay = weight_decay * self.state.decay_mask if weight_decay else None
 
     def snapshot(self) -> MlpModel:
         """Detached copy of the current parameters."""
         return set_flat_params(self.model, self.p)
 
-    def adam_apply(self, grads: Gradients, lr: float, weight_decay: float = 0.0) -> None:
+    def adam_apply(self, grads: Gradients, lr: float) -> None:
         """One Adam update from the gradients of the current parameters."""
-        _adam_update(self.p, flatten_grads(grads), self.state, lr, weight_decay,
-                     self._scratch)
+        _adam_update(self.p, flatten_grads(grads), self.state, lr, self.decay)
 
 
 # --- checkpoints -------------------------------------------------------------

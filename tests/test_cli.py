@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from lobsad import cli, data, nnet
+from lobsad import cli, data, harness, nnet
+from lobsad.errors import DivergenceError
 
 
 def write_config(path, train=None, synth=None):
@@ -117,6 +119,38 @@ class TestRun:
             blobs.append((out / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_parallel_divergence_fails_fast(self, tmp_path, tiny_config, generated,
+                                            capsys, monkeypatch):
+        # six trials on two workers: trial 1 finishes, trial 2 diverges after
+        # it, and later trials are slow. The workers are forked, so they run
+        # this patched run_trial.
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            trial = repeat * cfg.k_folds + fold + 1
+            (marks / f"{trial}.start").touch()
+            if trial == 2:
+                while not (marks / "1.done").exists():
+                    time.sleep(0.01)
+                time.sleep(0.5)  # lets trial 1's result reach the parent first
+                raise DivergenceError("trial 2 diverged")
+            if trial > 2:
+                time.sleep(2.0)
+            res = real_run_trial(dataset, cfg, repeat, fold, *rest)
+            (marks / f"{trial}.done").touch()
+            return res
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--jobs", "2"))
+        assert code == 1
+        assert "trial 2 diverged" in capsys.readouterr().err
+        # trial 3 took trial 1's worker; no trial started after the failure
+        assert sorted(int(p.stem) for p in marks.glob("*.start")) == [1, 2, 3]
+        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1]
+        assert (out / "trial1_fold0_sad.ckpt").exists()
+
     @pytest.mark.parametrize("sidecar, message", [
         ("row_index,archetype,labeled\n7,spoof,1\nx,spoof,1\n", "row 2"),
         ("row_index,archetype,labeled\n7,spoof\n", "row 1"),
@@ -139,6 +173,13 @@ class TestRun:
         ("eta", 0, "eta must be > 0"),
         ("dist_eps", 1e-2, "eps must be in (0, 1e-3]"),
         ("weight_decay", -1, "weight_decay must be >= 0"),
+        ("n_repeats", 0, "n_repeats >= 1, got 3 and 0"),
+        ("k_folds", 1, "k_folds must be >= 2 and n_repeats >= 1, got 1 and 2"),
+        ("lr", 0, "lr must be finite and > 0"),
+        ("lr", float("nan"), "lr must be finite and > 0"),
+        ("lr", float("inf"), "lr must be finite and > 0"),
+        ("layer_dims", [20], "layer_dims needs >= 2 entries"),
+        ("layer_dims", [20, 0, 20], "layer dims must be >= 1"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):

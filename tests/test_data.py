@@ -115,11 +115,13 @@ class TestNormalizer:
         assert np.allclose(z.mean(axis=0), 0, atol=1e-12)
         assert np.allclose(z.std(axis=0), 1, atol=1e-12)
 
-    def test_constant_feature_zeroed(self, rng):
+    def test_constant_feature_zeroed(self, rng, caplog):
         x = rng.standard_normal((100, 3))
         x[:, 1] = 7.0
-        norm = data.fit_normalizer(x, np.arange(100))
-        assert norm.degenerate[1] and not norm.degenerate[0]
+        with caplog.at_level("WARNING", logger="lobsad.data"):
+            norm = data.fit_normalizer(x, np.arange(100))
+        assert norm.std[1] == 1.0 and norm.std[0] != 1.0
+        assert "constant features [1]: std forced to 1" in caplog.text
         z = data.apply_normalizer(norm, x)
         assert np.all(z[:, 1] == 0.0)
 
