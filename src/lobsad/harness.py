@@ -270,7 +270,8 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
             if on_trial is not None:
                 on_trial(results[-1])
     else:
-        # submit to free workers only: a pool runs every trial it has queued
+        # one trial per free worker, in trial order (popped from the end): a
+        # pool runs every trial it has queued, even after a failure
         queued = tasks[::-1]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             running = set()

@@ -115,13 +115,13 @@ def adam_init(model: MlpModel) -> AdamState:
 
 
 def check_layer_dims(layer_dims) -> tuple[int, ...]:
-    """`layer_dims` as ints, refused unless it has >= 2 entries, each >= 1."""
-    dims = tuple(int(d) for d in layer_dims)
+    """`layer_dims` as ints, refused unless it has >= 2 entries, each an integer >= 1."""
+    dims = tuple(layer_dims)
     if len(dims) < 2:
         raise ConfigError(f"layer_dims needs >= 2 entries, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"layer dims must be >= 1, got {dims}")
-    return dims
+    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        raise ConfigError(f"layer dims must be integers >= 1, got {dims}")
+    return tuple(int(d) for d in dims)
 
 
 def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
@@ -194,7 +194,7 @@ def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gr
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
-                 decay: np.ndarray | None = None) -> None:
+                 decay: np.ndarray | None) -> None:
     """One Adam update of the flat parameters `p`, in place on `p` and `st`.
     `decay` is `weight_decay * st.decay_mask`, or None; `g` is used as scratch."""
     if lr < 0:
@@ -271,7 +271,7 @@ class _FusedTrainer:
     no step rebuilds a model. Not part of the public API.
     """
 
-    def __init__(self, model: MlpModel, weight_decay: float = 0.0):
+    def __init__(self, model: MlpModel, weight_decay: float):
         model.validate()
         self.p = get_flat_params(model)
         self.model = _view(model, self.p)

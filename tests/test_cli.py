@@ -132,9 +132,10 @@ class TestRun:
             trial = repeat * cfg.k_folds + fold + 1
             (marks / f"{trial}.start").touch()
             if trial == 2:
-                while not (marks / "1.done").exists():
+                deadline = time.monotonic() + 60
+                while not (marks / "1.done").exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                time.sleep(0.5)  # lets trial 1's result reach the parent first
+                time.sleep(1.0)  # lets trial 1's result reach the parent first
                 raise DivergenceError("trial 2 diverged")
             if trial > 2:
                 time.sleep(2.0)
@@ -179,7 +180,9 @@ class TestRun:
         ("lr", float("nan"), "lr must be finite and > 0"),
         ("lr", float("inf"), "lr must be finite and > 0"),
         ("layer_dims", [20], "layer_dims needs >= 2 entries"),
-        ("layer_dims", [20, 0, 20], "layer dims must be >= 1"),
+        ("layer_dims", [20, 0, 20], "layer dims must be integers >= 1"),
+        ("layer_dims", [20.7, 12, 20], "layer dims must be integers >= 1"),
+        ("layer_dims", ["a", 20], "layer dims must be integers >= 1"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):

@@ -176,8 +176,8 @@ class TestBackward:
 
 
 def reference_forward_backward(model, x, grad_out):
-    """The passes with every pre-activation kept, as the tape once held them:
-    masks come from z > 0, not from the next layer's input."""
+    """Reference passes that keep every pre-activation z and take each ReLU
+    mask from z > 0 rather than from the next layer's input."""
     inputs, preacts, h = [], [], x
     for lp in model.layers:
         inputs.append(h)
