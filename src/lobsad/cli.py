@@ -10,8 +10,8 @@ Subcommands:
     lobsad score --checkpoint ckpt --data lob.csv --out scores.csv
         Anomaly score for every row of a CSV using a trial checkpoint.
     lobsad report --results results.json --out DIR
-        Regenerate results.csv (and optional SVGs are written at run time);
-        for a run of both models, print SVDD vs SAD on the test split.
+        Regenerate results.csv; for a run of both models, print SVDD vs SAD on
+        the test split, per trial and, after a --ground-truth run, per archetype.
 
 Exit codes: 0 success, 1 runtime/divergence failure, 2 usage or config error.
 Config files are versioned JSON; unknown keys are rejected. Flags override
@@ -145,13 +145,13 @@ def cmd_run(args) -> int:
 
     dataset = data_mod.load_lob_csv(args.data, synth.schema)
     dataset = data_mod.load_labels(args.labels, dataset)
-    gt_rows = None
+    gt = None
     if args.ground_truth:
-        gt_rows = data_mod.load_ground_truth(args.ground_truth).rows
-        beyond = np.flatnonzero(gt_rows >= dataset.n_rows)
+        gt = data_mod.load_ground_truth(args.ground_truth)
+        beyond = np.flatnonzero(gt.rows >= dataset.n_rows)
         if beyond.size:
             raise DataError(f"{args.ground_truth}: row {beyond[0] + 1}: row index "
-                            f"{gt_rows[beyond[0]]} >= {dataset.n_rows} data rows")
+                            f"{gt.rows[beyond[0]]} >= {dataset.n_rows} data rows")
 
     manifest = {"config": _config_snapshot(train, synth),
                 "data": os.path.abspath(args.data),
@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
 
     try:
         harness.run_experiment(dataset, train, modes=modes, jobs=args.jobs,
-                               ground_truth_rows=gt_rows, on_trial=on_trial)
+                               ground_truth=gt, on_trial=on_trial)
     except DivergenceError as exc:
         flush()  # partial results before abort
         print(f"error: {exc}", file=sys.stderr)
@@ -239,9 +239,10 @@ def cmd_report(args) -> int:
 
 def _print_comparison(reports: list[evalx.TrialReport]) -> None:
     """SVDD vs SAD on the test split: ratio and mean rank per trial, their
-    means, and the trials SAD wins (ratio >= SVDD's and rank <= SVDD's)."""
-    def test(metrics: dict) -> tuple:
-        return metrics.get("ratio_test"), metrics.get("rank_test")
+    means, and the trials SAD wins (ratio >= SVDD's and rank <= SVDD's); then,
+    when the run had a ground-truth sidecar, the means per archetype."""
+    def test(metrics: dict, prefix: str = "") -> tuple:
+        return metrics.get(f"{prefix}ratio_test"), metrics.get(f"{prefix}rank_test")
 
     def mean(values) -> float | None:  # over the trials that have the metric
         known = [v for v in values if v is not None]
@@ -259,10 +260,16 @@ def _print_comparison(reports: list[evalx.TrialReport]) -> None:
         wins += win
         print(f"trial {rep.trial} ({rep.runtime_s:5.0f}s)  {side('svdd', *svdd)}   "
               f"{side('sad', *sad)}   sad_wins={win}")
-    means = {mode: [mean(col) for col in zip(*(test(r.metrics[mode]) for r in reports))]
-             for mode in ("svdd", "sad")}
-    print(f"means  {side('svdd', *means['svdd'])}   {side('sad', *means['sad'])}")
+    def means(prefix: str = "") -> str:
+        return "   ".join(side(mode, *map(mean, zip(*(test(r.metrics[mode], prefix)
+                                                    for r in reports))))
+                          for mode in ("svdd", "sad"))
+
+    print(f"means  {means()}")
     print(f"sad wins {wins}/{len(reports)} trials")
+    for name in data_mod.ARCHETYPES:
+        if any(f"gt_{name}_rank_test" in r.metrics["svdd"] for r in reports):
+            print(f"{name:<8} {means(f'gt_{name}_')}")
 
 
 def build_parser() -> argparse.ArgumentParser:

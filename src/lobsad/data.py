@@ -437,9 +437,9 @@ def write_ground_truth(path, gt: GroundTruth) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    """Read a `row_index,archetype,labeled` sidecar. A malformed row raises a
-    DataError naming its 1-based data row; the caller checks the row indices
-    against the data's length."""
+    """Read a `row_index,archetype,labeled` sidecar. A malformed row or an
+    archetype outside ARCHETYPES raises a DataError naming its 1-based data
+    row; the caller checks the row indices against the data's length."""
     rows, archs, labeled = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -452,11 +452,12 @@ def load_ground_truth(path) -> GroundTruth:
             try:
                 row, arch, lab = raw[:3]
                 row, lab = int(row), int(lab)
-                if not (0 <= row <= _INT64_MAX and lab in (0, 1)):
+                if not (0 <= row <= _INT64_MAX and arch in ARCHETYPES and lab in (0, 1)):
                     raise ValueError
             except ValueError:
                 raise DataError(f"{path}: row {row_no}: expected a row index >= 0, "
-                                f"an archetype and a 0/1 labeled flag, got {raw}") from None
+                                f"an archetype in {ARCHETYPES} and a 0/1 labeled "
+                                f"flag, got {raw}") from None
             rows.append(row)
             archs.append(arch)
             labeled.append(bool(lab))

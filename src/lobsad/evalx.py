@@ -82,7 +82,6 @@ class PcaBasis:
     mean: np.ndarray  # (d,)
     components: np.ndarray  # (k, d), rows orthonormal
     explained_variance: np.ndarray  # (k,), nonincreasing
-    rank_deficient: bool = False
 
 
 def pca_fit(outputs: np.ndarray, k: int) -> PcaBasis:
@@ -98,17 +97,14 @@ def pca_fit(outputs: np.ndarray, k: int) -> PcaBasis:
     cov = centered.T @ centered / (n - 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:k]
-    variances = evals[order]
+    variances = np.maximum(evals[order], 0.0)
     components = evecs[:, order].T
-    rank_deficient = bool(np.any(variances <= 1e-12 * max(variances[0], 1.0)))
-    variances = np.maximum(variances, 0.0)
     # sign convention: largest-magnitude coordinate of each component positive
     for row in components:
         j = np.argmax(np.abs(row))
         if row[j] < 0:
             row *= -1.0
-    return PcaBasis(mean=mean, components=components,
-                    explained_variance=variances, rank_deficient=rank_deficient)
+    return PcaBasis(mean=mean, components=components, explained_variance=variances)
 
 
 def pca_project(basis: PcaBasis, outputs: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ class TrialResult:
 
 def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
               plan: FoldPlan, modes=MODES,
-              ground_truth_rows: np.ndarray | None = None) -> TrialResult:
+              ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
     t0 = time.perf_counter()
     lo, hi = plan.ranges[fold]
     test_rows = np.arange(lo, hi)
@@ -200,6 +200,11 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
 
     sad_unlab_rows = train_rows[~np.isin(train_rows, labeled_train)]
     lb = LabeledBatch(feats[labeled_train], -np.ones(labeled_train.size))
+
+    # metric key prefix -> ground-truth rows: all of them, then each archetype's
+    gt_subsets = {} if ground_truth is None else {"gt_": ground_truth.rows} | {
+        f"gt_{name}_": ground_truth.rows[[a == name for a in ground_truth.archetypes]]
+        for name in data_mod.ARCHETYPES}
 
     trial_no = repeat * len(plan.ranges) + fold + 1
     models, scores, projections, main_losses, metrics = {}, {}, {}, {}, {}
@@ -224,11 +229,11 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
             is_labeled = np.isin(rows, labeled_global)
             ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split, model=mode)
             mode_metrics.update(evalx.metrics_for(ss))
-            if ground_truth_rows is not None:
-                gt_pos = np.nonzero(np.isin(rows, ground_truth_rows))[0]
+            for prefix, subset in gt_subsets.items():
+                gt_pos = np.nonzero(np.isin(rows, subset))[0]
                 gt_ss = evalx.ScoreSet(s, gt_pos, split=split, model=mode)
                 mode_metrics.update(
-                    {f"gt_{k}": v for k, v in evalx.metrics_for(gt_ss).items()})
+                    {prefix + k: v for k, v in evalx.metrics_for(gt_ss).items()})
             if split == "train":
                 if data_mod.fit_hook is not None:
                     data_mod.fit_hook("pca", train_rows)
@@ -250,18 +255,19 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
 
 
 def _trial_worker(args) -> TrialResult:
-    dataset, cfg, repeat, fold, plan, modes, gt_rows = args
-    return run_trial(dataset, cfg, repeat, fold, plan, modes, gt_rows)
+    return run_trial(*args)
 
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 1,
-                   ground_truth_rows: np.ndarray | None = None,
+                   ground_truth: data_mod.GroundTruth | None = None,
                    on_trial=None) -> list[TrialResult]:
     """All repeats x folds. `on_trial(result)` fires as each trial completes,
     in completion order, so callers can flush partial results before a later
-    trial aborts. With jobs > 1, no trial starts after the first failure."""
+    trial aborts. With jobs > 1, no trial starts after the first failure; the
+    trials already running finish and reach `on_trial`, then the first error
+    is raised."""
     plan = contiguous_kfold(dataset.n_rows, cfg.k_folds)
-    tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth_rows)
+    tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth)
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
     results: list[TrialResult] = []
     if jobs <= 1:
@@ -272,7 +278,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
     else:
         # one trial per free worker, in trial order (popped from the end): a
         # pool runs every trial it has queued, even after a failure
-        queued = tasks[::-1]
+        queued, error = tasks[::-1], None
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             running = set()
             while queued or running:
@@ -280,8 +286,13 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
                     running.add(ex.submit(_trial_worker, queued.pop()))
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in done:
+                    if fut.exception() is not None:  # start no more; drain the rest
+                        error, queued = error or fut.exception(), []
+                        continue
                     results.append(fut.result())
                     if on_trial is not None:
                         on_trial(results[-1])
+        if error is not None:
+            raise error
     results.sort(key=lambda r: r.report.trial)
     return results

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -149,14 +150,48 @@ class TestRun:
         assert "trial 2 diverged" in capsys.readouterr().err
         # trial 3 took trial 1's worker; no trial started after the failure
         assert sorted(int(p.stem) for p in marks.glob("*.start")) == [1, 2, 3]
-        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1]
+        # trial 3 was running when trial 2 failed: it finishes and is kept
+        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1, 3]
         assert (out / "trial1_fold0_sad.ckpt").exists()
+        assert (out / "trial3_fold2_sad.ckpt").exists()
+
+    def test_archetype_metrics_match_brute_force(self, tmp_path, tiny_config,
+                                                 generated):
+        sidecar = generated / "ground_truth.csv"
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--ground-truth", str(sidecar)))
+        assert code == 0
+        gt = list(csv.reader(open(sidecar)))[1:]
+        checked, absent = 0, 0
+        for doc in json.load(open(out / "results.json")):
+            for mode in ("svdd", "sad"):
+                path = out / f"trial{doc['trial']}_scores_{mode}_test.csv"
+                scores = {int(r[0]): float(r[1]) for r in list(csv.reader(open(path)))[1:]}
+                for name in data.ARCHETYPES:
+                    rank = doc["metrics"][mode][f"gt_{name}_rank_test"]
+                    ratio = doc["metrics"][mode][f"gt_{name}_ratio_test"]
+                    rows = [int(r[0]) for r in gt if r[1] == name and int(r[0]) in scores]
+                    if not rows:
+                        assert rank is None and ratio is None
+                        absent += 1
+                        continue
+                    # pairwise rank: 1 + #greater + half of the other rows tied with it
+                    pair_ranks = [1 + sum(v > scores[r] for v in scores.values())
+                                  + 0.5 * (sum(v == scores[r] for v in scores.values()) - 1)
+                                  for r in rows]
+                    assert rank == sum(pair_ranks) / len(rows)
+                    others = [v for r, v in scores.items() if r not in rows]
+                    assert ratio == pytest.approx(
+                        np.mean([scores[r] for r in rows]) / np.mean(others), rel=1e-12)
+                    checked += 1
+        assert checked and absent
 
     @pytest.mark.parametrize("sidecar, message", [
         ("row_index,archetype,labeled\n7,spoof,1\nx,spoof,1\n", "row 2"),
         ("row_index,archetype,labeled\n7,spoof\n", "row 1"),
         ("row_index,archetype,labeled\n7,spoof,yes\n", "row 1"),
         ("row_index,archetype,labeled\n-3,flash,0\n", "row 1"),
+        ("row_index,archetype,labeled\n7,spoofing,1\n", "row 1"),
         ("", "empty ground-truth file"),
         ("row_index,archetype,labeled\n7,spoof,1\n400,flash,0\n",
          "row 2: row index 400 >= 400 data rows"),
@@ -332,6 +367,31 @@ class TestReport:
         assert [l.split()[:2] for l in lines[:6]] == [["trial", str(t)] for t in range(1, 7)]
         assert lines[6].startswith("means") and lines[6].endswith(f"rank={mean_sad_rank:7.1f}")
         assert lines[7] == f"sad wins {wins}/6 trials"
+
+    def test_prints_archetype_means_with_ground_truth(self, tmp_path, tiny_config,
+                                                      generated, capsys):
+        printed = {}
+        for name, extra in (("gt", ("--ground-truth", str(generated / "ground_truth.csv"))),
+                            ("plain", ())):
+            code, out = run_experiment_cli(tmp_path / name, tiny_config, generated, extra)
+            assert code == 0
+            capsys.readouterr()
+            assert cli.main(["report", "--results", str(out / "results.json"),
+                             "--out", str(tmp_path / name / "rep")]) == 0
+            printed[name] = capsys.readouterr().out.splitlines()
+        assert printed["plain"] == printed["gt"][:8]
+        assert printed["plain"][-1].startswith("sad wins")
+        docs = json.load(open(tmp_path / "gt" / "run" / "results.json"))
+        archetype_lines = printed["gt"][8:]
+        assert len(archetype_lines) == len(data.ARCHETYPES)
+        for name, line in zip(data.ARCHETYPES, archetype_lines):
+            want = []
+            for mode in ("svdd", "sad"):
+                known = [d["metrics"][mode][f"gt_{name}_rank_test"] for d in docs]
+                known = [v for v in known if v is not None]
+                want.append(f"{np.mean(known):.1f}" if known else "NA")
+            assert line.split()[0] == name
+            assert re.findall(r"rank=\s*(\S+)", line) == want
 
     def test_one_model_prints_nothing(self, tmp_path, tiny_config, generated, capsys):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,

@@ -285,7 +285,10 @@ class TestRunExperiment:
     def test_ground_truth_metrics_added(self, tiny_synth):
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1)
         results = harness.run_experiment(
-            tiny_synth.dataset, cfg,
-            ground_truth_rows=tiny_synth.ground_truth.rows)
+            tiny_synth.dataset, cfg, ground_truth=tiny_synth.ground_truth)
         metrics = results[0].report.metrics["svdd"]
         assert "gt_ratio_test" in metrics and "gt_rank_train" in metrics
+        for name in data.ARCHETYPES:
+            for split in ("train", "test"):
+                for metric in ("ratio", "rank", "normalized_rank"):
+                    assert f"gt_{name}_{metric}_{split}" in metrics
