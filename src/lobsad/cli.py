@@ -137,6 +137,8 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     train, synth = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
@@ -230,7 +232,12 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.results}: malformed JSON at line {exc.lineno} "
                           f"column {exc.colno}") from None
-    reports = [evalx.TrialReport(**d) for d in docs]
+    try:
+        if not isinstance(docs, list):
+            raise TypeError("top level must be a list of trials")
+        reports = [evalx.TrialReport(**d) for d in docs]
+    except TypeError as exc:  # a trial that is not an object, or a key it lacks or adds
+        raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
     evalx.export_report(reports, None, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):
         _print_comparison(reports)
@@ -293,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--jobs", type=int, default=1,
-                     help="parallel trials; 1 guarantees bit-reproducibility")
+                     help="trials run in parallel, one process each; results equal "
+                          "--jobs 1 only at the same BLAS thread count, so set "
+                          "OPENBLAS_NUM_THREADS=1 with --jobs > 1")
     run.add_argument("--mode", choices=("both", "svdd-only", "sad-only"),
                      default="both")
     run.add_argument("--paper-scale", action="store_true",

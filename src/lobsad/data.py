@@ -48,6 +48,10 @@ ARCHETYPES = ("spoof", "layering", "flash")
 
 _CSV_BLOCK_ROWS = 2048  # rows per write in write_csv
 
+# one parsed data line: nanosecond stamps near 1.7e18 are not exact in float64,
+# so `ts` is parsed as an integer and the book columns as floats
+_RECORD = np.dtype([("ts", "<i8")] + [(c, "<f8") for c in BOOK_COLUMNS])
+
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # Test-visible hook: called as hook(kind, row_indices) whenever statistics are
@@ -129,7 +133,9 @@ def _first_bad_row(book: np.ndarray) -> int | None:
 
 
 def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """(timestamps, book) of the data lines from `start` on, parsed by numpy.
+    """(timestamps, book) of the data lines from `start` on, parsed by numpy in
+    one pass: each line becomes one `_RECORD`, and `book` is a strided view of
+    the records' 40 book fields.
 
     Returns None when this parse cannot vouch for the file: a cell numpy
     rejects (quoted, empty, short row, `#` line, a timestamp outside int64) or
@@ -142,19 +148,20 @@ def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray
             n_lines = line_no
     if n_lines == 0:
         return np.empty(0, dtype=np.int64), np.empty((0, len(BOOK_COLUMNS)))
-    opts = {"delimiter": ",", "comments": None}
     try:
         fh.seek(start)
-        book = np.loadtxt(fh, dtype=np.float64, ndmin=2,
-                          usecols=[col_of[c] for c in BOOK_COLUMNS], **opts)
-        # nanosecond stamps near 1.7e18 are not exact in float64
-        fh.seek(start)
-        ts = np.loadtxt(fh, dtype=np.int64, ndmin=1, usecols=col_of["ts"], **opts)
+        records = np.loadtxt(fh, dtype=_RECORD, ndmin=1, delimiter=",", comments=None,
+                             usecols=[col_of[c] for c in CSV_COLUMNS])
     except ValueError:
         return None
-    if book.shape[0] != n_lines:
+    if records.shape[0] != n_lines:
         return None
-    return ts, book
+    # the 40 book fields sit side by side after `ts` in every record
+    book = np.ndarray((records.shape[0], len(BOOK_COLUMNS)), np.float64, records,
+                      offset=_RECORD.fields[BOOK_COLUMNS[0]][1],
+                      strides=(_RECORD.itemsize, 8))
+    # a contiguous copy, so a Dataset keeps 8 bytes per row and not the records
+    return records["ts"].copy(), book
 
 
 def _parse_rows(path, fh, col_of: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -68,11 +68,14 @@ def fractional_ranks_desc(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_test(ss: ScoreSet) -> tuple[float, float]:
-    """(mean rank of the labeled anomalies, mean rank / N)."""
+def rank_test(ss: ScoreSet, ranks: np.ndarray | None = None) -> tuple[float, float]:
+    """(mean rank of the labeled anomalies, mean rank / N). `ranks`, when
+    given, are `fractional_ranks_desc(ss.scores)`, so that every subset of
+    one split's rows can share one sort."""
     if ss.labeled_idx.size == 0:
         raise DataError("rank test needs at least one labeled row")
-    ranks = fractional_ranks_desc(ss.scores)
+    if ranks is None:
+        ranks = fractional_ranks_desc(ss.scores)
     mean_rank = float(ranks[ss.labeled_idx].mean())
     return mean_rank, mean_rank / ss.scores.size
 
@@ -125,15 +128,16 @@ class TrialReport:
     config: dict = field(default_factory=dict)
 
 
-def metrics_for(ss: ScoreSet) -> dict:
-    """ratio/rank/normalized rank for one score set; None when not applicable."""
+def metrics_for(ss: ScoreSet, ranks: np.ndarray | None = None) -> dict:
+    """ratio/rank/normalized rank for one score set; None when not applicable.
+    `ranks` is passed on to `rank_test`."""
     out = {}
     try:
         out[f"ratio_{ss.split}"] = ratio_test(ss)
     except DataError:
         out[f"ratio_{ss.split}"] = None
     try:
-        mean_rank, norm = rank_test(ss)
+        mean_rank, norm = rank_test(ss, ranks)
         out[f"rank_{ss.split}"] = mean_rank
         out[f"normalized_rank_{ss.split}"] = norm
     except DataError:

@@ -226,14 +226,15 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
             out = objectives.embed(model, feats[rows])
             s = objectives.distance(out, sphere)
             scores[(mode, split)] = s
+            ranks = evalx.fractional_ranks_desc(s)  # one sort for every row subset
             is_labeled = np.isin(rows, labeled_global)
             ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split, model=mode)
-            mode_metrics.update(evalx.metrics_for(ss))
+            mode_metrics.update(evalx.metrics_for(ss, ranks))
             for prefix, subset in gt_subsets.items():
                 gt_pos = np.nonzero(np.isin(rows, subset))[0]
                 gt_ss = evalx.ScoreSet(s, gt_pos, split=split, model=mode)
                 mode_metrics.update(
-                    {prefix + k: v for k, v in evalx.metrics_for(gt_ss).items()})
+                    {prefix + k: v for k, v in evalx.metrics_for(gt_ss, ranks).items()})
             if split == "train":
                 if data_mod.fit_hook is not None:
                     data_mod.fit_hook("pca", train_rows)
@@ -263,14 +264,20 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
                    on_trial=None) -> list[TrialResult]:
     """All repeats x folds. `on_trial(result)` fires as each trial completes,
     in completion order, so callers can flush partial results before a later
-    trial aborts. With jobs > 1, no trial starts after the first failure; the
-    trials already running finish and reach `on_trial`, then the first error
-    is raised."""
+    trial aborts. `jobs` > 1 runs the trials on min(jobs, trials) worker
+    processes. There, no trial starts after the first failure; the trials
+    already running finish and reach `on_trial`, then the first error is
+    raised."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     plan = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth)
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
+    # a fork-context pool starts all its workers at the first submit, so a
+    # worker with no trial to run would only copy the process
+    jobs = min(jobs, len(tasks))
     results: list[TrialResult] = []
-    if jobs <= 1:
+    if jobs == 1:
         for task in tasks:
             results.append(_trial_worker(task))
             if on_trial is not None:

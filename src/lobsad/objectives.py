@@ -20,7 +20,11 @@ from . import nnet
 from .errors import ConfigError, DataError, ShapeError
 from .nnet import Gradients, MlpModel
 
-_CHUNK = 8192
+# rows per forward pass in `embed`, picked by measurement: one layer's
+# activations at the default dims (1,024 x 100 float64, 0.8 MB) stay in cache
+_CHUNK = 1024
+# rows per partial sum in `init_center`, the summation order of every center
+_CENTER_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -150,15 +154,23 @@ def sad_loss(model: MlpModel, unlabeled: np.ndarray, labeled: LabeledBatch,
 
 
 def embed(model: MlpModel, points: np.ndarray) -> np.ndarray:
-    """Network outputs of every row, computed _CHUNK rows at a time."""
+    """Network outputs of every row, forwarded in near-equal chunks of at most
+    _CHUNK rows into one output array. No chunk is short: BLAS sums a product
+    of a few rows in another order (with OpenBLAS, <= 100 rows at the default
+    dims), so a row would otherwise score differently in a split than in the
+    whole file."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    # an empty input still makes one (empty) chunk, so the result has its shape
-    return np.concatenate([nnet.forward(model, points[lo:lo + _CHUNK])[0]
-                           for lo in range(0, max(points.shape[0], 1), _CHUNK)])
+    out = np.empty((points.shape[0], model.output_dim))
+    # an empty input still makes one (empty) chunk, so its width is checked
+    n_chunks = max(1, -(-points.shape[0] // _CHUNK))
+    for rows, dest in zip(np.array_split(points, n_chunks), np.array_split(out, n_chunks)):
+        dest[...] = nnet.forward(model, rows)[0]
+    return out
 
 
 def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> Hypersphere:
-    """Center = mean network output over all rows, summed chunk by chunk.
+    """Center = mean network output over all rows, summed _CENTER_CHUNK rows
+    at a time.
 
     Coordinates within `nudge` of zero are pushed out to +-nudge so the sphere
     cannot trivially collapse onto the origin of a dead-ReLU output.
@@ -170,7 +182,8 @@ def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> H
     out = embed(model, features)
     # a sum of per-chunk sums, not one sum over all rows: this summation order
     # reproduces the centers (and so the trained models) of earlier versions
-    sums = np.stack([out[lo:lo + _CHUNK].sum(axis=0) for lo in range(0, n, _CHUNK)])
+    sums = np.stack([out[lo:lo + _CENTER_CHUNK].sum(axis=0)
+                     for lo in range(0, n, _CENTER_CHUNK)])
     c = sums.sum(axis=0) / n
     small = np.abs(c) < nudge
     c[small] = np.where(c[small] >= 0, nudge, -nudge)

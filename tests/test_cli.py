@@ -155,6 +155,15 @@ class TestRun:
         assert (out / "trial1_fold0_sad.ckpt").exists()
         assert (out / "trial3_fold2_sad.ckpt").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, tiny_config,
+                                                   generated, capsys, jobs):
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--jobs", jobs))
+        assert code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
     def test_archetype_metrics_match_brute_force(self, tmp_path, tiny_config,
                                                  generated):
         sidecar = generated / "ground_truth.csv"
@@ -392,6 +401,14 @@ class TestReport:
                 want.append(f"{np.mean(known):.1f}" if known else "NA")
             assert line.split()[0] == name
             assert re.findall(r"rank=\s*(\S+)", line) == want
+
+    @pytest.mark.parametrize("doc", ['{"a": 1}', '[{"trial": 1, "bogus": 2}]'])
+    def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "results.json"
+        path.write_text(doc)
+        assert cli.main(["report", "--results", str(path),
+                         "--out", str(tmp_path / "rep")]) == 2
+        assert f"{path}: not a list of trial reports" in capsys.readouterr().err
 
     def test_one_model_prints_nothing(self, tmp_path, tiny_config, generated, capsys):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,

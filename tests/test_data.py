@@ -35,6 +35,22 @@ class TestCsv:
         assert ds.n_labeled == 0
         assert ds.features.shape == (3, 20)
 
+    def test_one_numpy_parse(self, tmp_path, monkeypatch):
+        # the stamps and the 40 book columns come from the same loadtxt call
+        ts, book = small_book(5)
+        path = tmp_path / "lob.csv"
+        data.write_lob_csv(path, ts, book)
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        ds = data.load_lob_csv(path, data.SchemaConfig(("ask_sz_10", "bid_px_1")))
+        assert calls == [list(range(41))]
+        assert np.array_equal(ds.timestamps, ts) and ds.timestamps.dtype == np.int64
+        assert np.array_equal(ds.features, book[:, [39, 0]])
+
     def test_crossed_book_names_row(self, tmp_path):
         ts, book = small_book(3)
         # cross row 2 (1-based): best bid above best ask

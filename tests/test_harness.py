@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobsad import data, harness, nnet, objectives
+from lobsad import data, evalx, harness, nnet, objectives
 from lobsad.errors import ConfigError
 from lobsad.harness import TrainConfig, contiguous_kfold
 from lobsad.objectives import Hypersphere, LabeledBatch
@@ -292,3 +292,54 @@ class TestRunExperiment:
             for split in ("train", "test"):
                 for metric in ("ratio", "rank", "normalized_rank"):
                     assert f"gt_{name}_{metric}_{split}" in metrics
+
+    def test_trial_ranks_each_split_once(self, tiny_synth, monkeypatch):
+        # one sort per (model, split) serves the labeled rows, all ground-truth
+        # rows and each archetype's; the values equal one sort per subset
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        plan = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
+        # every subset has rows in both splits, so each would need a sort
+        ds = tiny_synth.dataset
+        ds = data.Dataset(ds.features, ds.timestamps, np.array([3, 100, 300, 500]))
+        rows = np.arange(5, ds.n_rows, 37)
+        gt = data.GroundTruth(rows, [data.ARCHETYPES[i % 3] for i in range(rows.size)],
+                              np.zeros(rows.size, dtype=bool))
+        calls = {"fractional_ranks_desc": 0, "rank_test": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(evalx, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(evalx, name, counted)
+        res = harness.run_trial(ds, cfg, 0, 0, plan, ground_truth=gt)
+        monkeypatch.undo()
+        assert calls["fractional_ranks_desc"] == 4  # 2 models x 2 splits
+        assert calls["rank_test"] == 20  # 5 subsets, still through evalx.rank_test
+        subsets = {"": ds.labeled_idx, "gt_": gt.rows} | {
+            f"gt_{name}_": gt.rows[[a == name for a in gt.archetypes]]
+            for name in data.ARCHETYPES}
+        for (mode, split), scores in res.scores.items():
+            rows = res.train_rows if split == "train" else res.test_rows
+            for prefix, subset in subsets.items():
+                ss = evalx.ScoreSet(scores, np.nonzero(np.isin(rows, subset))[0],
+                                    split=split)
+                assert ss.labeled_idx.size
+                for key, value in evalx.metrics_for(ss).items():
+                    assert res.report.metrics[mode][prefix + key] == value
+
+    def test_pool_capped_at_trial_count(self, tiny_synth, monkeypatch):
+        # a fork-context pool starts every worker it is given at the first submit
+        made, pool = [], harness.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            made.append(max_workers)
+            return pool(max_workers=max_workers)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
+        results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=64)
+        assert made == [2]
+        assert [r.report.trial for r in results] == [1, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, tiny_synth, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            harness.run_experiment(tiny_synth.dataset, tiny_cfg(), jobs=jobs)

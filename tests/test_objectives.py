@@ -68,6 +68,16 @@ class TestInitCenter:
         out, _ = nnet.forward(model, data)
         assert np.allclose(sphere.center, out.mean(axis=0), atol=1e-12)
 
+    def test_sums_8192_row_partial_sums(self, rng):
+        # this summation order fixes every center, and so every trained model
+        model = nnet.mlp_init(9, (6, 10, 4))
+        data = rng.normal(size=(2 * 8192 + 123, 6))
+        sphere = objectives.init_center(model, data, nudge=1e-300)
+        out = objectives.embed(model, data)
+        sums = [out[lo:lo + 8192].sum(axis=0) for lo in (0, 8192, 2 * 8192)]
+        hand = (sums[0] + sums[1] + sums[2]) / data.shape[0]
+        assert np.array_equal(sphere.center.view(np.int64), hand.view(np.int64))
+
     def test_empty_dataset(self):
         model = identity_model(2)
         with pytest.raises(DataError):
@@ -245,6 +255,48 @@ class TestAnomalyScore:
         assert np.all(s >= 0)
 
 
+def integer_model(rng, dims):
+    """A ReLU net with small integer weights and biases: on integer inputs
+    every sum is exact, so its outputs cannot depend on summation order."""
+    model = nnet.mlp_init(0, dims)
+    return nnet.set_flat_params(
+        model, rng.integers(-3, 4, size=model.n_params()).astype(np.float64))
+
+
+class TestEmbedChunks:
+    # BLAS may sum a product of a few rows in another order than a large one,
+    # so exact arithmetic isolates the chunking from the kernel choice
+    @pytest.mark.parametrize("chunk", [1, 7, 51])  # 7 does not divide 50; 51 > 50
+    def test_same_bits_for_any_chunk_size(self, rng, monkeypatch, chunk):
+        model = integer_model(rng, (5, 7, 7, 3))
+        points = rng.integers(-9, 10, size=(50, 5)).astype(np.float64)
+        want = points
+        for lp in model.layers:
+            want = want @ lp.weights.T + lp.bias
+            if lp.activation == "relu":
+                want = np.maximum(want, 0.0)
+        monkeypatch.setattr(objectives, "_CHUNK", chunk)
+        out = objectives.embed(model, points)
+        assert out.shape == (50, 3)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert objectives.embed(model, points[:0]).shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [1, objectives._CHUNK, objectives._CHUNK + 1,
+                                      3 * objectives._CHUNK + 5])
+    def test_chunks_near_equal(self, rng, monkeypatch, rows):
+        model = nnet.mlp_init(0, (4, 6, 2))
+        sizes, forward = [], nnet.forward
+
+        def counting_forward(model, batch):
+            sizes.append(batch.shape[0])
+            return forward(model, batch)
+        monkeypatch.setattr(nnet, "forward", counting_forward)
+        objectives.embed(model, rng.normal(size=(rows, 4)))
+        assert sum(sizes) == rows
+        assert len(sizes) == -(-rows // objectives._CHUNK)
+        assert max(sizes) - min(sizes) <= 1
+
+
 class TestEmbedMemory:
     def test_peak_is_one_chunk_of_activations(self, rng):
         # the forward tape holds each layer's input once, so embedding one
@@ -261,3 +313,19 @@ class TestEmbedMemory:
             tracemalloc.stop()
         assert out.shape == (rows, model.output_dim)
         assert peak < 1.25 * activations, peak / activations
+
+    def test_peak_over_many_chunks(self, rng):
+        # the output array, written chunk by chunk, plus one chunk in flight
+        model = nnet.mlp_init(0)
+        rows = 6 * objectives._CHUNK + 17
+        points = rng.normal(size=(rows, model.input_dim))
+        output = rows * model.output_dim * 8
+        activations = objectives._CHUNK * sum(model.layer_dims[1:]) * 8
+        tracemalloc.start()
+        try:
+            out = objectives.embed(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, model.output_dim)
+        assert peak < output + 1.25 * activations, (peak - output) / activations
