@@ -22,6 +22,7 @@ Set SAD_LOG=DEBUG|INFO|... to control logging.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -204,24 +205,39 @@ def _checkpoint_schema(path, extra: dict) -> data_mod.SchemaConfig:
 
 
 def cmd_score(args) -> int:
+    """Score the CSV block by block, so memory does not grow with its length.
+    The scores go to a temporary file beside --out, which replaces --out only
+    when every row has scored: a bad row leaves no scores file."""
     model, meta = nnet.load_checkpoint(args.checkpoint)
     extra = meta["extra"]
     for key in ("center", "norm_mean", "norm_std"):
         if key not in extra:
             raise ConfigError(f"{args.checkpoint}: checkpoint lacks '{key}'; "
                               "score needs a trial checkpoint")
-    dataset = data_mod.load_lob_csv(args.data, _checkpoint_schema(args.checkpoint, extra))
-    if dataset.features.shape[1] != model.input_dim:
+    schema = _checkpoint_schema(args.checkpoint, extra)
+    if len(schema.feature_columns) != model.input_dim:
         raise ConfigError(
             f"dimension mismatch: model expects {model.input_dim} features, "
-            f"data has {dataset.features.shape[1]}")
+            f"data has {len(schema.feature_columns)}")
     norm = data_mod.Normalizer(mean=extra["norm_mean"], std=extra["norm_std"])
-    feats = data_mod.apply_normalizer(norm, dataset.features)
-    del dataset  # scoring holds every row's output, so drop the raw features first
     sphere = objectives.Hypersphere(center=extra["center"])
-    scores = objectives.anomaly_score(model, feats, sphere)
-    data_mod.write_csv(args.out, ("row", "score"), _score_line,
-                       np.arange(scores.size), scores)
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write("row,score\r\n")
+            first = 0
+            for _, features in data_mod.iter_lob_csv(args.data, schema):
+                scores = objectives.anomaly_score(
+                    model, data_mod.apply_normalizer(norm, features), sphere)
+                data_mod.write_csv_rows(fh, _score_line,
+                                        range(first, first + scores.size), scores)
+                first += scores.size
+                del features, scores  # freed before the next block is parsed
+        os.replace(tmp, args.out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return 0
 
 
@@ -236,7 +252,12 @@ def cmd_report(args) -> int:
         if not isinstance(docs, list):
             raise TypeError("top level must be a list of trials")
         reports = [evalx.TrialReport(**d) for d in docs]
-    except TypeError as exc:  # a trial that is not an object, or a key it lacks or adds
+        for rep in reports:
+            if not (isinstance(rep.metrics, dict)
+                    and all(isinstance(m, dict) for m in rep.metrics.values())):
+                raise TypeError(f"trial {rep.trial}: metrics is not an object of "
+                                "per-model metric objects")
+    except TypeError as exc:  # a trial that is not an object, a key it lacks or adds
         raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
     evalx.export_report(reports, None, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from itertools import islice
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,13 @@ DEFAULT_FEATURES = tuple(
 ARCHETYPES = ("spoof", "layering", "flash")
 
 _CSV_BLOCK_ROWS = 2048  # rows per write in write_csv
+# data lines per numpy parse, picked by measurement at 60k rows: blocks of
+# 1,024-8,192 lines parse equally fast, but below ~6,000 glibc's malloc hands
+# the forward pass's activations back to the OS after every block, and the
+# page faults cost `lobsad score` about 0.1 s. A block's text and records
+# take ~5 MB.
+_BLOCK_ROWS = 8192
+_BLANK_LINES = ("\n", "\r\n", "\r")  # the lines csv.reader reads as no cells
 
 # one parsed data line: nanosecond stamps near 1.7e18 are not exact in float64,
 # so `ts` is parsed as an integer and the book columns as floats
@@ -115,8 +123,10 @@ def _validate_book_row(row: np.ndarray, row_no: int) -> None:
         raise DataError(f"row {row_no}: non-positive size")
 
 
-def _first_bad_row(book: np.ndarray) -> int | None:
-    """0-based index of the first row `_validate_book_row` rejects, or None.
+def _first_bad_row(book: np.ndarray, ts: np.ndarray, prev_ts) -> int | None:
+    """0-based index of the first row that `_validate_book_row` rejects or
+    whose timestamp is below the one before it (`prev_ts` before row 0; None
+    when there is no row before), or None.
 
     One boolean mask per check, over the whole (N, 40) table."""
     bid_px = book[:, 0:N_LEVELS]
@@ -128,48 +138,49 @@ def _first_bad_row(book: np.ndarray) -> int | None:
     bad |= (np.diff(ask_px, axis=1) <= 0).any(axis=1)
     bad |= ask_px[:, 0] <= bid_px[:, 0]
     bad |= (bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1)
+    bad[1:] |= ts[1:] < ts[:-1]
+    if prev_ts is not None:
+        bad[0] |= ts[0] < prev_ts
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 
 
-def _parse_columns(fh, start: int, col_of: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """(timestamps, book) of the data lines from `start` on, parsed by numpy in
-    one pass: each line becomes one `_RECORD`, and `book` is a strided view of
-    the records' 40 book fields.
+def _order_error(path, row_no: int, ts, prev_ts) -> DataError:
+    return DataError(f"{path}: row {row_no}: timestamp {ts} is below the row "
+                     f"before it ({prev_ts})")
 
-    Returns None when this parse cannot vouch for the file: a cell numpy
+
+def _parse_block(lines: list[str], col_of: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, book) of data lines parsed by one numpy call: each line
+    becomes one `_RECORD`, and `book` is a strided view of the records' 40
+    book fields.
+
+    Returns None when this parse cannot vouch for the lines: a cell numpy
     rejects (quoted, empty, short row, `#` line, a timestamp outside int64) or
-    a line it skipped (blank) before the last data line. The row-wise parser
-    then decides. Blank lines after the last data line are not rows."""
-    fh.seek(start)
-    n_lines = 0
-    for line_no, line in enumerate(fh, start=1):
-        if line.strip("\r\n"):
-            n_lines = line_no
-    if n_lines == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, len(BOOK_COLUMNS)))
+    a line it skipped (blank). The row-wise parser then decides."""
     try:
-        fh.seek(start)
-        records = np.loadtxt(fh, dtype=_RECORD, ndmin=1, delimiter=",", comments=None,
+        records = np.loadtxt(lines, dtype=_RECORD, ndmin=1, delimiter=",", comments=None,
                              usecols=[col_of[c] for c in CSV_COLUMNS])
     except ValueError:
         return None
-    if records.shape[0] != n_lines:
+    if records.shape[0] != len(lines):
         return None
     # the 40 book fields sit side by side after `ts` in every record
     book = np.ndarray((records.shape[0], len(BOOK_COLUMNS)), np.float64, records,
                       offset=_RECORD.fields[BOOK_COLUMNS[0]][1],
                       strides=(_RECORD.itemsize, 8))
-    # a contiguous copy, so a Dataset keeps 8 bytes per row and not the records
-    return records["ts"].copy(), book
+    return records["ts"], book
 
 
-def _parse_rows(path, fh, col_of: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise reference parser over the data lines at the handle's position:
-    the first bad row raises, with its 1-based number. Blank lines after the
-    last data line are not rows; one before it is a bad row."""
-    ts_list, book_rows, blank = [], [], None
-    for row_no, raw in enumerate(csv.reader(fh), start=1):
+def _parse_rows(path, lines: list[str], col_of: dict, first: int, blank: int | None,
+                prev_ts) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise reference parser of data lines, the first of which is data row
+    `first + 1`: the first bad row raises, with its 1-based number. Blank lines
+    after the last data line are not rows; one before it is a bad row, and so
+    is the blank row `blank` of an earlier block. `prev_ts` is the timestamp of
+    the row before the first line."""
+    ts_list, book_rows = [], []
+    for row_no, raw in enumerate(csv.reader(lines), start=first + 1):
         if not raw:
             blank = blank or row_no
             continue
@@ -183,17 +194,60 @@ def _parse_rows(path, fh, col_of: dict) -> tuple[np.ndarray, np.ndarray]:
         if not _INT64_MIN <= ts <= _INT64_MAX:
             raise DataError(f"{path}: row {row_no}: timestamp {ts} outside int64")
         _validate_book_row(vals, row_no)
+        if prev_ts is not None and ts < prev_ts:
+            raise _order_error(path, row_no, ts, prev_ts)
+        prev_ts = ts
         ts_list.append(ts)
         book_rows.append(vals)
     book = np.array(book_rows).reshape(len(book_rows), len(BOOK_COLUMNS))
     return np.array(ts_list, dtype=np.int64), book
 
 
-def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
-    """Parse a LOB CSV into a Dataset; bad rows raise with their 1-based row number.
+def _read_block(path, lines: list[str], col_of: dict, first: int, blank: int | None,
+                prev_ts) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (timestamps, book) of the data lines of one block, the first
+    of which is data row `first + 1`, by numpy or, when numpy cannot vouch for
+    them or the blank row `blank` of an earlier block precedes them, row-wise.
+    The first bad row raises, as `_parse_rows` over the whole file raises it."""
+    parsed = None if blank else _parse_block(lines, col_of)
+    if parsed is None:
+        return _parse_rows(path, lines, col_of, first, blank, prev_ts)
+    ts, book = parsed
+    bad = _first_bad_row(book, ts, prev_ts)
+    if bad is not None:  # the book's error first, as in `_parse_rows`
+        _validate_book_row(book[bad], first + bad + 1)
+        raise _order_error(path, first + bad + 1, ts[bad], ts[bad - 1] if bad else prev_ts)
+    return ts, book
 
-    numpy parses and validates the whole table; a file it cannot vouch for
-    goes through the row-wise parser, which gives the same result or error."""
+
+def _blocks(path, fh, col_of: dict, feat_cols: list[int]):
+    """Yield the (timestamps, features) of each block of _BLOCK_ROWS lines
+    from the handle's position. Blank lines that end a block are not rows;
+    they fail once a data line follows, in this block or a later one."""
+    first, blank, prev_ts = 0, None, None  # lines before the block, pending blank row
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        n_lines = len(lines)
+        while lines and lines[-1] in _BLANK_LINES:
+            lines.pop()
+        n_rows = len(lines)
+        if n_rows:
+            ts, book = _read_block(path, lines, col_of, first, blank, prev_ts)
+            prev_ts = ts[-1]
+            block = ts.copy(), book[:, feat_cols]
+            del lines, ts, book  # a block keeps neither its text nor its records
+            yield block
+        if n_rows < n_lines:
+            blank = blank or first + n_rows + 1
+        first += n_lines
+
+
+def iter_lob_csv(path, schema: SchemaConfig | None = None):
+    """Yield the (timestamps, features) of a LOB CSV block by block, in row
+    order. Bad input raises as in `load_lob_csv`, when its block is read.
+
+    A block holds _BLOCK_ROWS rows, except that a short last block is merged
+    into the one before it: `objectives.embed` then forwards no chunk of a few
+    rows, and each row scores as it does in the whole file."""
     schema = schema or SchemaConfig()
     with open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -203,37 +257,50 @@ def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        col_of = {c: header.index(c) for c in CSV_COLUMNS}
-        start = fh.tell()
-        parsed = _parse_columns(fh, start, col_of)
-        if parsed is None:
-            fh.seek(start)
-            parsed = _parse_rows(path, fh, col_of)
-    ts, book = parsed
-    bad = _first_bad_row(book)
-    if bad is not None:
-        _validate_book_row(book[bad], bad + 1)
-    feat_cols = [BOOK_COLUMNS.index(c) for c in schema.feature_columns]
-    ds = Dataset(features=book[:, feat_cols], timestamps=ts,
-                 labeled_idx=np.array([], dtype=np.int64))
-    ds.validate()
-    return ds
+        held = None
+        for block in _blocks(path, fh, {c: header.index(c) for c in CSV_COLUMNS},
+                             [BOOK_COLUMNS.index(c) for c in schema.feature_columns]):
+            if held is None:
+                held = block
+            elif block[0].size < _BLOCK_ROWS:
+                held = tuple(np.concatenate(pair) for pair in zip(held, block))
+            else:
+                yield held
+                held = block
+        if held is not None:
+            yield held
+
+
+def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
+    """Parse a LOB CSV into a Dataset; bad rows raise with their 1-based row
+    number. The rows are those of `iter_lob_csv`'s blocks, concatenated."""
+    schema = schema or SchemaConfig()
+    blocks = list(iter_lob_csv(path, schema)) or [
+        (np.empty(0, np.int64), np.empty((0, len(schema.feature_columns))))]
+    ts, features = (np.concatenate(parts) for parts in zip(*blocks))
+    return Dataset(features=features, timestamps=ts,
+                   labeled_idx=np.array([], dtype=np.int64))
 
 
 def write_csv(path, header, line, *columns) -> None:
-    """Write `header`, then `line(*cells)` for each row of the row-aligned
-    `columns`, whose cells arrive as Python scalars (a row of a 2-D column as
-    a list). Lines end in `\\r\\n`, as `csv.writer` ends them; callers format
-    floats with `repr`, which reads back bit for bit.
+    """Write `header`, then the rows of `columns` through `write_csv_rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        write_csv_rows(fh, line, *columns)
+
+
+def write_csv_rows(fh, line, *columns) -> None:
+    """Write `line(*cells)` for each row of the row-aligned `columns`, whose
+    cells arrive as Python scalars (a row of a 2-D column as a list). Lines end
+    in `\\r\\n`, as `csv.writer` ends them; callers format floats with `repr`,
+    which reads back bit for bit.
 
     Rows are converted and written a block at a time: converting whole
     columns at once spreads their Python objects over the allocator's arenas
     and raises the peak RSS of `lobsad run` at 60k rows by about 7%."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            blocks = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
-            fh.write("\r\n".join([line(*cells) for cells in zip(*blocks)]) + "\r\n")
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        blocks = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
+        fh.write("\r\n".join([line(*cells) for cells in zip(*blocks)]) + "\r\n")
 
 
 def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:

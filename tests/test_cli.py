@@ -3,11 +3,12 @@ import json
 import os
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lobsad import cli, data, harness, nnet
+from lobsad import cli, data, harness, nnet, objectives
 from lobsad.errors import DivergenceError
 
 
@@ -238,6 +239,28 @@ class TestRun:
         assert not (out / "run_manifest.json").exists()
 
 
+def score_inputs(tmp_path, n_rows, bad_last_row=False):
+    """(CSV, checkpoint): `n_rows` synthetic rows, optionally with a crossed
+    book in the last one, and a trial checkpoint of a random default-view
+    model whose normalizer was fitted on them."""
+    result = data.generate_synthetic(data.SynthConfig(
+        n_rows=n_rows, anomaly_rate=0.0, n_labeled=0, seed=n_rows))
+    if bad_last_row:
+        result.book[-1, 0] = result.book[-1, 20]
+    lob = tmp_path / "lob.csv"
+    data.write_lob_csv(lob, result.timestamps, result.book)
+    norm = data.fit_normalizer(result.dataset.features, np.arange(n_rows))
+    ckpt = tmp_path / "score.ckpt"
+    nnet.save_checkpoint(nnet.mlp_init(1, (20, 12, 20)), ckpt, extra={
+        "center": np.linspace(-0.5, 0.5, 20), "norm_mean": norm.mean,
+        "norm_std": norm.std})
+    return lob, ckpt
+
+
+def score_argv(ckpt, lob, out):
+    return ["score", "--checkpoint", str(ckpt), "--data", str(lob), "--out", str(out)]
+
+
 class TestScore:
     def test_self_consistency_with_stored_scores(self, tmp_path, tiny_config,
                                                  generated):
@@ -269,7 +292,10 @@ class TestScore:
         assert code == 0
         assert score_path.read_text().strip() == "row,score"
 
-    def test_dim_mismatch_exit_2(self, tmp_path, generated, capsys):
+    def test_dim_mismatch_exit_2(self, tmp_path, generated, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a data row was parsed")
+        monkeypatch.setattr(np, "loadtxt", no_parse)  # refused before any row is read
         model = nnet.mlp_init(0, (10, 5, 10))
         ckpt = tmp_path / "bad.ckpt"
         nnet.save_checkpoint(model, ckpt, extra={
@@ -347,6 +373,59 @@ class TestScore:
         assert code == 2
         assert f"layer {layer}: activation '{activation}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_rows, blocks", [
+        (3 * data._BLOCK_ROWS + 7, [data._BLOCK_ROWS] * 2 + [data._BLOCK_ROWS + 7]),
+        (500, [500])])
+    def test_streams_blocks_same_bytes(self, tmp_path, monkeypatch, n_rows, blocks):
+        # the scores CSV equals anomaly_score over the whole file's features;
+        # the short last block is merged into the one before it
+        lob, ckpt = score_inputs(tmp_path, n_rows)
+        model, meta = nnet.load_checkpoint(ckpt)
+        extra = meta["extra"]
+        feats = data.apply_normalizer(
+            data.Normalizer(extra["norm_mean"], extra["norm_std"]),
+            data.load_lob_csv(lob).features)
+        scores = objectives.anomaly_score(model, feats,
+                                          objectives.Hypersphere(extra["center"]))
+        want = tmp_path / "want.csv"
+        data.write_csv(want, ("row", "score"), cli._score_line, np.arange(n_rows), scores)
+        seen, anomaly_score = [], objectives.anomaly_score
+
+        def spy(model, points, sphere):
+            seen.append(points.shape[0])
+            return anomaly_score(model, points, sphere)
+        monkeypatch.setattr(objectives, "anomaly_score", spy)
+        assert cli.main(score_argv(ckpt, lob, tmp_path / "s.csv")) == 0
+        assert seen == blocks
+        assert (tmp_path / "s.csv").read_bytes() == want.read_bytes()
+
+    def test_bad_row_in_last_block_leaves_no_scores(self, tmp_path, capsys):
+        n_rows = 3 * data._BLOCK_ROWS + 7
+        lob, ckpt = score_inputs(tmp_path, n_rows, bad_last_row=True)
+        out = tmp_path / "s.csv"
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(score_argv(ckpt, lob, out)) == 2
+        assert f"row {n_rows}: crossed book" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before  # no --out, no temporary file
+        out.write_text("earlier scores\n")
+        assert cli.main(score_argv(ckpt, lob, out)) == 2
+        assert out.read_text() == "earlier scores\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(before + ["s.csv"])
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 256)
+        peaks = {}
+        for n_blocks in (2, 8, 2, 8):  # the first run warms caches up
+            lob, ckpt = score_inputs(tmp_path, n_blocks * 256)
+            tracemalloc.start()
+            try:
+                assert cli.main(score_argv(ckpt, lob, tmp_path / "s.csv")) == 0
+                peaks[n_blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # scoring every row at once would peak about 4x higher at 8 blocks
+        assert peaks[8] < 1.1 * peaks[2]
+
 
 class TestReport:
     def test_regenerates_identical_csv(self, tmp_path, tiny_config, generated):
@@ -402,7 +481,10 @@ class TestReport:
             assert line.split()[0] == name
             assert re.findall(r"rank=\s*(\S+)", line) == want
 
-    @pytest.mark.parametrize("doc", ['{"a": 1}', '[{"trial": 1, "bogus": 2}]'])
+    @pytest.mark.parametrize("doc", [
+        '{"a": 1}', '[{"trial": 1, "bogus": 2}]',
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": 5}]',
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"svdd": 3}}]'])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)

@@ -36,20 +36,25 @@ class TestCsv:
         assert ds.features.shape == (3, 20)
 
     def test_one_numpy_parse(self, tmp_path, monkeypatch):
-        # the stamps and the 40 book columns come from the same loadtxt call
-        ts, book = small_book(5)
+        # every data line reaches one loadtxt call, exactly once, and the stamps
+        # and the 40 book columns come from that call
+        ts, book = small_book(7)
         path = tmp_path / "lob.csv"
         data.write_lob_csv(path, ts, book)
-        calls, loadtxt = [], np.loadtxt
+        loadtxt = np.loadtxt
+        for block_rows in (1, 3, data._BLOCK_ROWS):
+            monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+            parsed = []
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("usecols"))
-            return loadtxt(*args, **kwargs)
-        monkeypatch.setattr(np, "loadtxt", spy)
-        ds = data.load_lob_csv(path, data.SchemaConfig(("ask_sz_10", "bid_px_1")))
-        assert calls == [list(range(41))]
-        assert np.array_equal(ds.timestamps, ts) and ds.timestamps.dtype == np.int64
-        assert np.array_equal(ds.features, book[:, [39, 0]])
+            def spy(lines, **kwargs):
+                assert kwargs["usecols"] == list(range(41))
+                parsed.extend(lines)
+                return loadtxt(lines, **kwargs)
+            monkeypatch.setattr(np, "loadtxt", spy)
+            ds = data.load_lob_csv(path, data.SchemaConfig(("ask_sz_10", "bid_px_1")))
+            assert parsed == path.read_bytes().decode().splitlines(keepends=True)[1:]
+            assert np.array_equal(ds.timestamps, ts) and ds.timestamps.dtype == np.int64
+            assert np.array_equal(ds.features, book[:, [39, 0]])
 
     def test_crossed_book_names_row(self, tmp_path):
         ts, book = small_book(3)
@@ -348,19 +353,27 @@ def load_outcome(path, schema):
         return str(exc)
 
 
-def load_both(path, schema):
-    """(outcome of load_lob_csv, outcome of the row-wise reference alone, whether
-    load_lob_csv fell back to the row-wise parser); an outcome is a Dataset or
-    a DataError message."""
+# lines per block at which load_lob_csv is checked against the reference:
+# tiny blocks put block boundaries everywhere in the small oracle files
+BLOCK_SIZES = (1, 2, 3, data._BLOCK_ROWS)
+
+
+def load_both(path, schema, block_rows):
+    """(outcome of load_lob_csv at `block_rows` lines per block, outcome of the
+    row-wise reference alone over the whole file, whether load_lob_csv fell
+    back to the row-wise parser); an outcome is a Dataset or a DataError
+    message."""
     fell_back = []
     reference = data._parse_rows
 
     def spy(*args):
         fell_back.append(True)
         return reference(*args)
-    with mock.patch.object(data, "_parse_rows", spy):
+    with mock.patch.object(data, "_parse_rows", spy), \
+            mock.patch.object(data, "_BLOCK_ROWS", block_rows):
         fast = load_outcome(path, schema)
-    with mock.patch.object(data, "_parse_columns", lambda *args: None):
+    # the oracle files are far shorter than one default block
+    with mock.patch.object(data, "_parse_block", lambda *args: None):
         ref = load_outcome(path, schema)
     return fast, ref, bool(fell_back)
 
@@ -374,43 +387,43 @@ def assert_same_dataset(a, b):
     assert np.array_equal(a.labeled_idx, b.labeled_idx)
 
 
+def load_at_each_block_size(lines, newline, schema):
+    """(path, [load_both(...) at each of BLOCK_SIZES]) of a file of `lines`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lob.csv")
+        write_lines(path, lines, newline)
+        return path, [load_both(path, schema, rows) for rows in BLOCK_SIZES]
+
+
 class TestLoaderOracle:
     @given(case=lob_files())
     @settings(max_examples=60, deadline=None)
     def test_well_formed_matches_reference(self, case):
         lines, newline, schema, _, _ = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "lob.csv")
-            write_lines(path, lines, newline)
-            fast, ref, fell_back = load_both(path, schema)
-        assert not fell_back
-        assert_same_dataset(fast, ref)
+        for fast, ref, fell_back in load_at_each_block_size(lines, newline, schema)[1]:
+            assert not fell_back
+            assert_same_dataset(fast, ref)
 
     @given(case=lob_files(tuple(VALIDATION_DEFECTS)))
     @settings(max_examples=60, deadline=None)
     def test_invalid_book_same_error(self, case):
         lines, newline, schema, kind, row = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "lob.csv")
-            write_lines(path, lines, newline)
-            fast, ref, fell_back = load_both(path, schema)
-        assert not fell_back  # the whole-table checks found it
-        assert fast == ref
-        assert fast.startswith(f"row {row + 1}: {VALIDATION_DEFECTS[kind]}")
+        for fast, ref, fell_back in load_at_each_block_size(lines, newline, schema)[1]:
+            assert not fell_back  # the whole-block checks found it
+            assert fast == ref
+            assert fast.startswith(f"row {row + 1}: {VALIDATION_DEFECTS[kind]}")
 
     @given(case=lob_files(PARSE_DEFECTS))
     @settings(max_examples=60, deadline=None)
     def test_odd_lines_same_error(self, case):
         lines, newline, schema, kind, row = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "lob.csv")
-            write_lines(path, lines, newline)
-            fast, ref, fell_back = load_both(path, schema)
-        assert fell_back
-        assert fast == ref
+        path, outcomes = load_at_each_block_size(lines, newline, schema)
         detail = ("timestamp 99999999999999999999 outside int64"
                   if kind == "ts_overflow" else "unparsable cell")
-        assert fast.startswith(f"{path}: row {row + 1}: {detail}")
+        for fast, ref, fell_back in outcomes:
+            assert fell_back
+            assert fast == ref
+            assert fast.startswith(f"{path}: row {row + 1}: {detail}")
 
     @given(case=lob_files())
     @settings(max_examples=20, deadline=None)
@@ -418,29 +431,62 @@ class TestLoaderOracle:
         lines, newline, schema, _, _ = case
         quoted = [lines[0]] + [",".join(f'"{c}"' for c in line.split(","))
                                for line in lines[1:]]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "lob.csv")
-            write_lines(path, quoted, newline)
-            fast, ref, fell_back = load_both(path, schema)
-            write_lines(path, lines, newline)
-            plain = data.load_lob_csv(path, schema)
-        assert fell_back
-        assert_same_dataset(fast, ref)
-        assert_same_dataset(fast, plain)
+        plain = load_at_each_block_size(lines, newline, schema)[1][0][0]
+        for fast, ref, fell_back in load_at_each_block_size(quoted, newline, schema)[1]:
+            assert fell_back
+            assert_same_dataset(fast, ref)
+            assert_same_dataset(fast, plain)
 
     @given(case=lob_files(), n_blank=st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_trailing_blank_lines_ignored(self, case, n_blank):
         lines, newline, schema, _, _ = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "lob.csv")
-            write_lines(path, lines + [""] * n_blank, newline)
-            fast, ref, fell_back = load_both(path, schema)
-            write_lines(path, lines, newline)
-            plain = data.load_lob_csv(path, schema)
-        assert not fell_back
-        assert_same_dataset(fast, ref)
-        assert_same_dataset(fast, plain)
+        plain = load_at_each_block_size(lines, newline, schema)[1][0][0]
+        for fast, ref, fell_back in load_at_each_block_size(
+                lines + [""] * n_blank, newline, schema)[1]:
+            assert not fell_back
+            assert_same_dataset(fast, ref)
+            assert_same_dataset(fast, plain)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    def test_blank_line_ending_a_block(self, tmp_path, monkeypatch, block_rows):
+        # rows 3-4 blank: at 2 lines per block they end a block, and data follows
+        # in the next block; blank lines that end the file are no rows
+        ts, book = small_book(4)
+        path = tmp_path / "lob.csv"
+        data.write_lob_csv(path, ts, book)
+        lines = path.read_text().splitlines()
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+        write_lines(path, lines[:3] + ["", ""] + lines[3:] + ["", ""], "\n")
+        with pytest.raises(DataError, match=r"row 3: unparsable cell \(list index"):
+            data.load_lob_csv(path)
+        write_lines(path, lines[:3] + ["", "", ""], "\r\n")
+        assert_same_dataset(data.load_lob_csv(path), data.Dataset(
+            book[:2, :20], ts[:2], np.array([], dtype=np.int64)))
+
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    @pytest.mark.parametrize("row", [2, 3, 4, 7, 8])
+    def test_timestamp_below_previous_names_row(self, tmp_path, monkeypatch,
+                                                block_rows, row):
+        # within a block and across each block boundary; a defect of the book
+        # in a later row, or in the same row, does not hide or replace it
+        ts, book = small_book(8)
+        ts[row - 1] = ts[row - 2] - 1
+        book[7, 0] = book[7, 20]  # a crossed book in the last row
+        path = tmp_path / "lob.csv"
+        data.write_lob_csv(path, ts, book)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+        want = (f"{path}: row {row}: timestamp {ts[row - 1]} is below the row "
+                f"before it ({ts[row - 2]})")
+        if row == 8:
+            want = "row 8: crossed book"
+        with pytest.raises(DataError) as exc:
+            data.load_lob_csv(path)
+        assert str(exc.value).startswith(want)
+        with mock.patch.object(data, "_parse_block", lambda *args: None):
+            with pytest.raises(DataError) as ref:
+                data.load_lob_csv(path)
+        assert str(ref.value) == str(exc.value)
 
     def test_timestamp_outside_int64_names_row(self, tmp_path):
         ts, book = small_book(3)
