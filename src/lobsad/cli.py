@@ -121,16 +121,10 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
                 schema: data_mod.SchemaConfig) -> None:
     t = res.report.trial
     for mode, model in res.models.items():
-        extra = {"center": res.sphere.center,
-                 "norm_mean": res.normalizer.mean,
-                 "norm_std": res.normalizer.std,
-                 # checkpoint extras are float arrays: the feature columns go
-                 # in as their indices into BOOK_COLUMNS
-                 "feature_columns": [data_mod.BOOK_COLUMNS.index(c)
-                                     for c in schema.feature_columns]}
         nnet.save_checkpoint(
             model, os.path.join(out_dir, f"trial{t}_fold{res.report.fold}_{mode}.ckpt"),
-            seed=res.report.config.get("seed"), extra=extra)
+            center=res.sphere.center, norm_mean=res.normalizer.mean,
+            norm_std=res.normalizer.std, feature_columns=schema.feature_columns)
     for (mode, split), scores in res.scores.items():
         rows = res.train_rows if split == "train" else res.test_rows
         data_mod.write_csv(os.path.join(out_dir, f"trial{t}_scores_{mode}_{split}.csv"),
@@ -192,35 +186,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _checkpoint_schema(path, extra: dict) -> data_mod.SchemaConfig:
-    """The feature columns a trial checkpoint was trained on; the default view
-    for a checkpoint written before they were stored."""
-    if "feature_columns" not in extra:
-        return data_mod.SchemaConfig()
-    idx = extra["feature_columns"]
-    if idx.ndim != 1 or not np.isin(idx, np.arange(len(data_mod.BOOK_COLUMNS))).all():
-        raise ConfigError(f"{path}: feature_columns are not book column indices")
-    return data_mod.SchemaConfig(
-        tuple(data_mod.BOOK_COLUMNS[i] for i in idx.astype(np.int64)))
-
-
 def cmd_score(args) -> int:
     """Score the CSV block by block, so memory does not grow with its length.
     The scores go to a temporary file beside --out, which replaces --out only
     when every row has scored: a bad row leaves no scores file."""
     model, meta = nnet.load_checkpoint(args.checkpoint)
-    extra = meta["extra"]
-    for key in ("center", "norm_mean", "norm_std"):
-        if key not in extra:
-            raise ConfigError(f"{args.checkpoint}: checkpoint lacks '{key}'; "
-                              "score needs a trial checkpoint")
-    schema = _checkpoint_schema(args.checkpoint, extra)
-    if len(schema.feature_columns) != model.input_dim:
-        raise ConfigError(
-            f"dimension mismatch: model expects {model.input_dim} features, "
-            f"data has {len(schema.feature_columns)}")
-    norm = data_mod.Normalizer(mean=extra["norm_mean"], std=extra["norm_std"])
-    sphere = objectives.Hypersphere(center=extra["center"])
+    try:
+        schema = data_mod.SchemaConfig(meta["feature_columns"])
+    except ConfigError as exc:
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
+    norm = data_mod.Normalizer(mean=meta["norm_mean"], std=meta["norm_std"])
+    sphere = objectives.Hypersphere(center=meta["center"])
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -257,7 +233,10 @@ def cmd_report(args) -> int:
                     and all(isinstance(m, dict) for m in rep.metrics.values())):
                 raise TypeError(f"trial {rep.trial}: metrics is not an object of "
                                 "per-model metric objects")
-    except TypeError as exc:  # a trial that is not an object, a key it lacks or adds
+            if not all(v is None or isinstance(v, (int, float))
+                       for m in rep.metrics.values() for v in m.values()):
+                raise TypeError(f"trial {rep.trial}: a metric is not a number")
+    except TypeError as exc:  # a trial that is not an object, a bad key or metric
         raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
     evalx.export_report(reports, None, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):
@@ -358,10 +337,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LobSadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LobSadError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

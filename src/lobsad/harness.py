@@ -255,10 +255,6 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
                        main_losses=main_losses)
 
 
-def _trial_worker(args) -> TrialResult:
-    return run_trial(*args)
-
-
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 1,
                    ground_truth: data_mod.GroundTruth | None = None,
                    on_trial=None) -> list[TrialResult]:
@@ -279,7 +275,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
     results: list[TrialResult] = []
     if jobs == 1:
         for task in tasks:
-            results.append(_trial_worker(task))
+            results.append(run_trial(*task))
             if on_trial is not None:
                 on_trial(results[-1])
     else:
@@ -290,7 +286,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
             running = set()
             while queued or running:
                 while queued and len(running) < jobs:
-                    running.add(ex.submit(_trial_worker, queued.pop()))
+                    running.add(ex.submit(run_trial, *queued.pop()))
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in done:
                     if fut.exception() is not None:  # start no more; drain the rest

@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, LobSadError, ShapeError
 
 DEFAULT_DIMS = (20, 100, 100, 100, 20)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -59,6 +59,10 @@ class MlpModel:
 
     def validate(self) -> None:
         check_layer_dims(self.layer_dims)
+        if len(self.layer_dims) != len(self.layers) + 1:
+            raise ShapeError(f"layer_dims {self.layer_dims} does not fit "
+                             f"{len(self.layers)} layers: it needs "
+                             f"{len(self.layers) + 1} entries")
         for i, lp in enumerate(self.layers):
             d_out, d_in = self.layer_dims[i + 1], self.layer_dims[i]
             if lp.weights.shape != (d_out, d_in):
@@ -300,45 +304,67 @@ def _decode(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
 
 
-def save_checkpoint(model: MlpModel, path, seed: int | None = None,
-                    extra: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint; f64 round-trips are bit-exact.
-
-    `extra` may hold additional named arrays (e.g. hypersphere center,
-    normalizer statistics) alongside the model parameters.
-    """
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "layer_dims": list(model.layer_dims),
-        "bias_enabled": True,  # read back only to refuse bias-free checkpoints
-        "seed": seed,
-        "layers": [
-            {"weights": _encode(lp.weights), "bias": _encode(lp.bias),
-             "activation": lp.activation}
-            for lp in model.layers
-        ],
-        "extra": {k: _encode(np.asarray(v)) for k, v in (extra or {}).items()},
-    }
+def save_checkpoint(model: MlpModel, path, *, center, norm_mean, norm_std,
+                    feature_columns) -> None:
+    """Write a trial checkpoint: one version-2 JSON document with the model's
+    `layer_dims` and `layers`, the hypersphere `center`, the normalizer's
+    `norm_mean` and `norm_std`, and the `feature_columns` by name. Arrays are
+    base64 little-endian float64, so a round trip is bit-exact. Nothing is
+    checked here; `load_checkpoint` checks every field."""
+    doc = {"version": CHECKPOINT_VERSION, "layer_dims": list(model.layer_dims),
+           "layers": [{"weights": _encode(lp.weights), "bias": _encode(lp.bias),
+                       "activation": lp.activation} for lp in model.layers],
+           "center": _encode(center), "norm_mean": _encode(norm_mean),
+           "norm_std": _encode(norm_std), "feature_columns": list(feature_columns)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
-def load_checkpoint(path) -> tuple[MlpModel, dict]:
-    """Read a checkpoint; returns (model, meta) where meta has seed and extras."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('version')!r}")
-    if doc.get("bias_enabled") is not True:
-        raise ConfigError(f"{path}: only checkpoints with biases are supported, "
-                          f"got bias_enabled={doc.get('bias_enabled')!r}")
-    layers = tuple(
-        LayerParams(weights=_decode(l["weights"]), bias=_decode(l["bias"]),
-                    activation=l["activation"])
-        for l in doc["layers"]
-    )
-    model = MlpModel(layers=layers, layer_dims=tuple(doc["layer_dims"]))
+def _read_checkpoint(doc) -> tuple[MlpModel, dict]:
+    """`load_checkpoint` of a parsed document; raises at the first defect."""
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {version!r} is not read" + (
+            "; re-run `lobsad run` to write version 2" if version == 1 else ""))
+    model = MlpModel(layers=tuple(LayerParams(_decode(l["weights"]), _decode(l["bias"]),
+                                              l["activation"]) for l in doc["layers"]),
+                     layer_dims=tuple(doc["layer_dims"]))
     model.validate()
-    meta = {"seed": doc.get("seed"),
-            "extra": {k: _decode(v) for k, v in doc.get("extra", {}).items()}}
-    return model, meta
+    meta = {}
+    for key, width in (("center", model.output_dim), ("norm_mean", model.input_dim),
+                       ("norm_std", model.input_dim)):
+        meta[key] = a = _decode(doc[key])
+        if a.shape != (width,):
+            raise ValueError(f"{key} has shape {a.shape}, the model needs ({width},)")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{key} has non-finite values")
+    if not (meta["norm_std"] > 0).all():
+        raise ValueError("norm_std has values <= 0")
+    cols = doc["feature_columns"]
+    if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+        raise TypeError("feature_columns is not a list of column names")
+    if len(cols) != model.input_dim:
+        raise ValueError(f"feature_columns names {len(cols)} columns for "
+                         f"{model.input_dim} model inputs")
+    return model, meta | {"feature_columns": tuple(cols)}
+
+
+def load_checkpoint(path) -> tuple[MlpModel, dict]:
+    """Read a trial checkpoint written by `save_checkpoint`.
+
+    Returns (model, meta); meta holds exactly `center`, `norm_mean` and
+    `norm_std` as float64 arrays and `feature_columns` as a tuple of names.
+    Every field is checked against the model first: a file that is not JSON,
+    a missing or mistyped field, a shape that does not fit the model, a
+    non-finite value, `norm_std` <= 0, a column count other than the input
+    width, or a version other than 2 raises ConfigError naming `path`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_checkpoint(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: checkpoint lacks field {exc}") from None
+    except (TypeError, ValueError, LobSadError) as exc:  # incl. UnicodeDecodeError
+        raise ConfigError(f"{path}: {exc}") from None

@@ -92,7 +92,9 @@ class TestCriterion2Degeneration:
                                             LabeledBatch.empty(20), cfg, mode,
                                             np.random.default_rng(7))
             paths[mode] = tmp_path / f"{mode}.ckpt"
-            nnet.save_checkpoint(trained, paths[mode], seed=7)
+            nnet.save_checkpoint(trained, paths[mode], center=sphere.center,
+                                 norm_mean=np.zeros(20), norm_std=np.ones(20),
+                                 feature_columns=data.DEFAULT_FEATURES)
         ckpt_identical = paths["svdd"].read_bytes() == paths["sad"].read_bytes()
         _report(2, "SAD(m=0) degenerates to SVDD",
                 loss_bitwise and grads_bitwise and ckpt_identical,

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import re
@@ -124,12 +125,13 @@ class TestRun:
     def test_parallel_divergence_fails_fast(self, tmp_path, tiny_config, generated,
                                             capsys, monkeypatch):
         # six trials on two workers: trial 1 finishes, trial 2 diverges after
-        # it, and later trials are slow. The workers are forked, so they run
-        # this patched run_trial.
+        # it, and later trials are slow. The workers are forked and the pool
+        # sends `harness.run_trial` by name, so they run this patched one.
         marks = tmp_path / "marks"
         marks.mkdir()
         real_run_trial = harness.run_trial
 
+        @functools.wraps(real_run_trial)  # pickled by name, as a traced wrapper is
         def run_trial(dataset, cfg, repeat, fold, *rest):
             trial = repeat * cfg.k_folds + fold + 1
             (marks / f"{trial}.start").touch()
@@ -239,10 +241,11 @@ class TestRun:
         assert not (out / "run_manifest.json").exists()
 
 
-def score_inputs(tmp_path, n_rows, bad_last_row=False):
+def score_inputs(tmp_path, n_rows, bad_last_row=False, **fields):
     """(CSV, checkpoint): `n_rows` synthetic rows, optionally with a crossed
     book in the last one, and a trial checkpoint of a random default-view
-    model whose normalizer was fitted on them."""
+    model whose normalizer was fitted on them; `fields` override the
+    checkpoint's."""
     result = data.generate_synthetic(data.SynthConfig(
         n_rows=n_rows, anomaly_rate=0.0, n_labeled=0, seed=n_rows))
     if bad_last_row:
@@ -251,14 +254,34 @@ def score_inputs(tmp_path, n_rows, bad_last_row=False):
     data.write_lob_csv(lob, result.timestamps, result.book)
     norm = data.fit_normalizer(result.dataset.features, np.arange(n_rows))
     ckpt = tmp_path / "score.ckpt"
-    nnet.save_checkpoint(nnet.mlp_init(1, (20, 12, 20)), ckpt, extra={
-        "center": np.linspace(-0.5, 0.5, 20), "norm_mean": norm.mean,
-        "norm_std": norm.std})
+    fields = {"center": np.linspace(-0.5, 0.5, 20), "norm_mean": norm.mean,
+              "norm_std": norm.std, "feature_columns": data.DEFAULT_FEATURES} | fields
+    nnet.save_checkpoint(nnet.mlp_init(1, (20, 12, 20)), ckpt, **fields)
     return lob, ckpt
 
 
 def score_argv(ckpt, lob, out):
     return ["score", "--checkpoint", str(ckpt), "--data", str(lob), "--out", str(out)]
+
+
+def _without(field):
+    return lambda doc: json.dumps({k: v for k, v in doc.items() if k != field})
+
+
+# (checkpoint fields passed to save_checkpoint, edit of the saved document)
+BAD_CHECKPOINTS = [
+    pytest.param({}, lambda doc: "{not json", id="not-json"),
+    *(pytest.param({}, _without(field), id=f"no-{field}") for field in
+      ("layers", "center", "norm_mean", "norm_std", "feature_columns")),
+    pytest.param({"center": np.zeros(5)}, None, id="center-5-wide"),
+    pytest.param({"norm_mean": np.zeros(7)}, None, id="mean-7-wide"),
+    pytest.param({"norm_std": np.zeros(20)}, None, id="std-zero"),
+    pytest.param({"center": np.r_[np.nan, np.zeros(19)]}, None, id="center-nan"),
+    pytest.param({"feature_columns": ("mid_px",) + data.DEFAULT_FEATURES[1:]}, None,
+                 id="unknown-column"),
+    pytest.param({"feature_columns": data.DEFAULT_FEATURES[:19]}, None,
+                 id="19-names"),
+]
 
 
 class TestScore:
@@ -298,9 +321,8 @@ class TestScore:
         monkeypatch.setattr(np, "loadtxt", no_parse)  # refused before any row is read
         model = nnet.mlp_init(0, (10, 5, 10))
         ckpt = tmp_path / "bad.ckpt"
-        nnet.save_checkpoint(model, ckpt, extra={
-            "center": np.zeros(10), "norm_mean": np.zeros(10),
-            "norm_std": np.ones(10)})
+        nnet.save_checkpoint(model, ckpt, center=np.zeros(10), norm_mean=np.zeros(10),
+                             norm_std=np.ones(10), feature_columns=data.DEFAULT_FEATURES)
         code = cli.main(["score", "--checkpoint", str(ckpt),
                          "--data", str(generated / "lob.csv"),
                          "--out", str(tmp_path / "s.csv")])
@@ -330,17 +352,20 @@ class TestScore:
         assert len(stored) == len(scored) == 400
         assert scored == stored
 
-    def test_bad_stored_feature_columns_exit_2(self, tmp_path, generated, capsys):
-        model = nnet.mlp_init(0, (2, 3, 2))
-        ckpt = tmp_path / "bad.ckpt"
-        nnet.save_checkpoint(model, ckpt, extra={
-            "center": np.zeros(2), "norm_mean": np.zeros(2), "norm_std": np.ones(2),
-            "feature_columns": [0, 40]})
-        code = cli.main(["score", "--checkpoint", str(ckpt),
-                         "--data", str(generated / "lob.csv"),
-                         "--out", str(tmp_path / "s.csv")])
-        assert code == 2
-        assert "feature_columns" in capsys.readouterr().err
+    @pytest.mark.parametrize("fields, edit", BAD_CHECKPOINTS)
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, monkeypatch,
+                                         fields, edit):
+        lob, ckpt = score_inputs(tmp_path, 50, **fields)
+        if edit is not None:
+            ckpt.write_text(edit(json.loads(ckpt.read_text())))
+        before = sorted(os.listdir(tmp_path))
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a data row was parsed")
+        monkeypatch.setattr(np, "loadtxt", no_parse)  # refused before any row is read
+        assert cli.main(score_argv(ckpt, lob, tmp_path / "s.csv")) == 2
+        assert f"error: {ckpt}: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before  # no --out, no temporary file
 
     def test_timestamp_outside_int64_exit_2(self, tmp_path, generated, capsys):
         code, out = run_experiment_cli(tmp_path, write_config(
@@ -361,9 +386,9 @@ class TestScore:
                                      layer, activation):
         # the forward pass knows only ReLU hidden layers and a linear output
         ckpt = tmp_path / "act.ckpt"
-        nnet.save_checkpoint(nnet.mlp_init(0, (20, 12, 20)), ckpt, extra={
-            "center": np.ones(20), "norm_mean": np.zeros(20),
-            "norm_std": np.ones(20)})
+        nnet.save_checkpoint(nnet.mlp_init(0, (20, 12, 20)), ckpt, center=np.ones(20),
+                             norm_mean=np.zeros(20), norm_std=np.ones(20),
+                             feature_columns=data.DEFAULT_FEATURES)
         doc = json.loads(ckpt.read_text())
         doc["layers"][layer]["activation"] = activation
         ckpt.write_text(json.dumps(doc))
@@ -381,12 +406,11 @@ class TestScore:
         # the short last block is merged into the one before it
         lob, ckpt = score_inputs(tmp_path, n_rows)
         model, meta = nnet.load_checkpoint(ckpt)
-        extra = meta["extra"]
         feats = data.apply_normalizer(
-            data.Normalizer(extra["norm_mean"], extra["norm_std"]),
+            data.Normalizer(meta["norm_mean"], meta["norm_std"]),
             data.load_lob_csv(lob).features)
         scores = objectives.anomaly_score(model, feats,
-                                          objectives.Hypersphere(extra["center"]))
+                                          objectives.Hypersphere(meta["center"]))
         want = tmp_path / "want.csv"
         data.write_csv(want, ("row", "score"), cli._score_line, np.arange(n_rows), scores)
         seen, anomaly_score = [], objectives.anomaly_score
@@ -484,7 +508,10 @@ class TestReport:
     @pytest.mark.parametrize("doc", [
         '{"a": 1}', '[{"trial": 1, "bogus": 2}]',
         '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": 5}]',
-        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"svdd": 3}}]'])
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"svdd": 3}}]',
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {'
+        '"svdd": {"ratio_test": "x", "rank_test": 1}, '
+        '"sad": {"ratio_test": 1, "rank_test": 2}}}]'])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)

@@ -330,8 +330,8 @@ def lob_files(draw, defects=(None,)):
     needed = [columns.index(c) for c in data.CSV_COLUMNS]  # not the "note" column
     if kind == "unparsable":
         cells[rng.choice(needed)] = str(rng.choice(["oops", "", "1.5.2"]))
-    elif kind == "short":
-        del cells[rng.integers(0, max(needed) + 1):]
+    elif kind == "short":  # keep a cell: a line with none is a blank line
+        del cells[rng.integers(1, max(needed) + 1):]
     elif kind == "ts_overflow":
         cells[columns.index("ts")] = "99999999999999999999"
     lines[row + 1] = ",".join(cells)

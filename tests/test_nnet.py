@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,13 @@ class TestInit:
     def test_bad_dims(self, dims):
         with pytest.raises(ConfigError):
             nnet.mlp_init(0, dims)
+
+    @pytest.mark.parametrize("dims", [(20, 12, 20, 5), (20, 12)])
+    def test_layer_dims_must_match_layer_count(self, dims):
+        # one more dim than layers: each layer maps dims[i] to dims[i + 1]
+        model = dataclasses.replace(nnet.mlp_init(1, (20, 12, 20)), layer_dims=dims)
+        with pytest.raises(ShapeError, match="does not fit 2 layers"):
+            model.validate()
 
 
 class TestForward:
@@ -313,42 +323,51 @@ class TestAdam:
             nnet.adam_step(model, grads, nnet.adam_init(model), lr=0.1)
 
 
+def save_trial_checkpoint(model, path, rng, **fields):
+    """A trial checkpoint of `model` with random fields; `fields` override them."""
+    fields = {"center": rng.normal(size=model.output_dim),
+              "norm_mean": rng.normal(size=model.input_dim),
+              "norm_std": rng.uniform(0.5, 2.0, size=model.input_dim),
+              "feature_columns": [f"col{i}" for i in range(model.input_dim)]} | fields
+    nnet.save_checkpoint(model, path, **fields)
+    return fields
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        model = nnet.mlp_init(11, (6, 9, 6))
+        model = nnet.mlp_init(11, (6, 9, 4))
         model = nnet.set_flat_params(
             model, rng.normal(size=model.n_params()) * np.pi)
-        extra = {"center": rng.normal(size=6)}
         path = tmp_path / "m.ckpt"
-        nnet.save_checkpoint(model, path, seed=11, extra=extra)
+        fields = save_trial_checkpoint(model, path, rng)
         loaded, meta = nnet.load_checkpoint(path)
         assert np.array_equal(nnet.get_flat_params(loaded),
                               nnet.get_flat_params(model))
         assert loaded.layer_dims == model.layer_dims
-        assert meta["seed"] == 11
-        assert np.array_equal(meta["extra"]["center"], extra["center"])
+        assert set(meta) == set(fields)
+        for key in ("center", "norm_mean", "norm_std"):
+            assert meta[key].dtype == np.float64
+            assert meta[key].tobytes() == fields[key].tobytes()
+        assert meta["feature_columns"] == tuple(fields["feature_columns"])
 
-    def test_version_check(self, tmp_path):
-        model = nnet.mlp_init(0, (2, 2))
+    def test_version_check(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
-        nnet.save_checkpoint(model, path)
-        import json
+        save_trial_checkpoint(nnet.mlp_init(0, (2, 2)), path, rng)
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="checkpoint version 99 is not read"):
             nnet.load_checkpoint(path)
 
-    @pytest.mark.parametrize("flag", [False, None])
-    def test_bias_free_checkpoint_rejected(self, tmp_path, flag):
-        # the network always has biases; a checkpoint claiming otherwise (or
-        # saying nothing) cannot be run as written, so it is refused
-        path = tmp_path / "m.ckpt"
-        nnet.save_checkpoint(nnet.mlp_init(0, (2, 2)), path)
-        import json
-        doc = json.loads(path.read_text())
-        assert doc["bias_enabled"] is True
-        doc["bias_enabled"] = flag
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="bias_enabled"):
+    def test_version_1_refused_with_rerun_message(self, tmp_path, rng):
+        # the version-1 layout: the trial's arrays in a generic "extra" dict
+        path = tmp_path / "v1.ckpt"
+        save_trial_checkpoint(nnet.mlp_init(0, (2, 2)), path, rng)
+        v2 = json.loads(path.read_text())
+        path.write_text(json.dumps({
+            "version": 1, "layer_dims": v2["layer_dims"], "bias_enabled": True,
+            "seed": 0, "layers": v2["layers"],
+            "extra": {k: v2[k] for k in ("center", "norm_mean", "norm_std")}}))
+        with pytest.raises(ConfigError, match="re-run `lobsad run`") as err:
             nnet.load_checkpoint(path)
+        assert str(path) in str(err.value)
