@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -39,19 +40,26 @@ log = logging.getLogger("lobsad.cli")
 
 CONFIG_VERSION = 1
 
+# field type -> the JSON types of a config value for it (never a bool), and their name
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), tuple: ((list,), "a list"),
+               data_mod.SchemaConfig: ((list,), "a list")}
+
 
 def _dataclass_from_dict(cls, section: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - fields
+    """`cls` from a config section whose values' JSON types fit its fields;
+    every list becomes a tuple, whose elements `cls` checks."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(section) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
-    kwargs = dict(section)
-    if "layer_dims" in kwargs:
-        kwargs["layer_dims"] = tuple(kwargs["layer_dims"])
-    if "archetype_mix" in kwargs:
-        kwargs["archetype_mix"] = tuple(kwargs["archetype_mix"])
+    for key, value in section.items():
+        types, noun = _JSON_TYPES[typing.get_origin(hints[key]) or hints[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"'{name}' section: {key} must be {noun}, got {value!r}")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     if "schema" in kwargs:
-        kwargs["schema"] = data_mod.SchemaConfig(tuple(kwargs["schema"]))
+        kwargs["schema"] = data_mod.SchemaConfig(kwargs["schema"])
     return cls(**kwargs)
 
 
@@ -178,11 +186,8 @@ def cmd_run(args) -> int:
     try:
         harness.run_experiment(dataset, train, modes=modes, jobs=args.jobs,
                                ground_truth=gt, on_trial=on_trial)
-    except DivergenceError as exc:
-        flush()  # partial results before abort
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    flush()
+    finally:
+        flush()  # the finished trials' results, also when a later one fails
     return 0
 
 
@@ -236,7 +241,9 @@ def cmd_report(args) -> int:
             if not all(v is None or isinstance(v, (int, float))
                        for m in rep.metrics.values() for v in m.values()):
                 raise TypeError(f"trial {rep.trial}: a metric is not a number")
-    except TypeError as exc:  # a trial that is not an object, a bad key or metric
+            if not isinstance(rep.runtime_s, (int, float)):
+                raise TypeError(f"trial {rep.trial}: runtime_s is not a number")
+    except TypeError as exc:  # a trial that is not an object, a bad key or value
         raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
     evalx.export_report(reports, None, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):

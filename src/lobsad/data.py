@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from itertools import islice
 from dataclasses import dataclass, field
 
@@ -62,10 +63,6 @@ _RECORD = np.dtype([("ts", "<i8")] + [(c, "<f8") for c in BOOK_COLUMNS])
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
-# Test-visible hook: called as hook(kind, row_indices) whenever statistics are
-# fitted, so leakage checks can observe exactly which rows reach the fitter.
-fit_hook = None
-
 
 @dataclass(frozen=True)
 class SchemaConfig:
@@ -90,13 +87,6 @@ class Dataset:
     @property
     def n_labeled(self) -> int:
         return self.labeled_idx.size
-
-    def validate(self) -> None:
-        if self.labeled_idx.size:
-            if self.labeled_idx.min() < 0 or self.labeled_idx.max() >= self.n_rows:
-                raise DataError("label index out of range")
-        if np.any(np.diff(self.timestamps) < 0):
-            raise DataError("timestamps not nondecreasing")
 
 
 @dataclass
@@ -338,8 +328,6 @@ def fit_normalizer(features: np.ndarray, rows: np.ndarray) -> Normalizer:
     rows = np.asarray(rows)
     if rows.size == 0:
         raise DataError("fit_normalizer needs a nonempty row range")
-    if fit_hook is not None:
-        fit_hook("normalizer", rows)
     sub = features[rows]
     mean = sub.mean(axis=0)
     std = sub.std(axis=0)
@@ -385,6 +373,20 @@ class SynthConfig:
             raise ConfigError("n_labeled must be >= 0")
         if self.spoof_side not in ("bid", "ask"):
             raise ConfigError(f"spoof_side must be bid or ask, got {self.spoof_side}")
+        if not 0 < self.tick_size < math.inf:
+            raise ConfigError(f"tick_size must be finite and > 0, got {self.tick_size}")
+        for name in ("mid_vol_ticks", "size_log_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        jumps = self.flash_jump_ticks
+        if not (len(jumps) == 2 and all(isinstance(j, int) for j in jumps)
+                and 0 <= jumps[0] <= jumps[1]):
+            raise ConfigError(f"flash_jump_ticks must be integers 0 <= low <= high, got {jumps}")
+        mix = self.archetype_mix
+        if not (len(mix) == 3 and all(isinstance(w, (int, float)) and 0 <= w < math.inf
+                                      for w in mix) and sum(mix) > 0):
+            raise ConfigError(f"archetype_mix must be three finite weights >= 0 with a "
+                              f"positive sum, got {mix}")
 
 
 @dataclass
@@ -491,7 +493,6 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     feat_cols = [BOOK_COLUMNS.index(c) for c in cfg.schema.feature_columns]
     ds = Dataset(features=book[:, feat_cols], timestamps=ts,
                  labeled_idx=labeled_rows.astype(np.int64))
-    ds.validate()
     gt = GroundTruth(rows=gt_rows, archetypes=gt_arch, labeled=labeled_mask)
     return SynthResult(dataset=ds, timestamps=ts, book=book, ground_truth=gt)
 

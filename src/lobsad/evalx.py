@@ -28,7 +28,6 @@ class ScoreSet:
     scores: np.ndarray  # (N,) anomaly scores, >= 0
     labeled_idx: np.ndarray  # indices into scores of the true anomalies
     split: str = "train"  # "train" | "test"
-    model: str = "svdd"  # "svdd" | "sad"
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64).ravel()

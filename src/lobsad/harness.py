@@ -30,14 +30,9 @@ _DIVERGENCE_WINDOW = 100
 _DIVERGENCE_FACTOR = 1e3
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    n_rows: int
-    ranges: tuple[tuple[int, int], ...]  # contiguous [start, stop) per fold
-
-
-def contiguous_kfold(n_rows: int, k: int) -> FoldPlan:
-    """Split [0, n_rows) into k near-equal contiguous ranges (sizes differ by <= 1)."""
+def contiguous_kfold(n_rows: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Split [0, n_rows) into k near-equal contiguous [start, stop) ranges
+    (sizes differ by <= 1)."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if n_rows < k:
@@ -48,7 +43,7 @@ def contiguous_kfold(n_rows: int, k: int) -> FoldPlan:
         size = base + (1 if i < extra else 0)
         ranges.append((start, start + size))
         start += size
-    return FoldPlan(n_rows=n_rows, ranges=tuple(ranges))
+    return tuple(ranges)
 
 
 @dataclass(frozen=True)
@@ -179,13 +174,13 @@ class TrialResult:
 
 
 def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
-              plan: FoldPlan, modes=MODES,
+              folds: tuple[tuple[int, int], ...], modes=MODES,
               ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
     t0 = time.perf_counter()
-    lo, hi = plan.ranges[fold]
+    lo, hi = folds[fold]
     test_rows = np.arange(lo, hi)
     train_rows = np.concatenate(
-        [np.arange(a, b) for i, (a, b) in enumerate(plan.ranges) if i != fold])
+        [np.arange(a, b) for i, (a, b) in enumerate(folds) if i != fold])
 
     norm = data_mod.fit_normalizer(dataset.features, train_rows)
     feats = data_mod.apply_normalizer(norm, dataset.features)
@@ -206,7 +201,7 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
         f"gt_{name}_": ground_truth.rows[[a == name for a in ground_truth.archetypes]]
         for name in data_mod.ARCHETYPES}
 
-    trial_no = repeat * len(plan.ranges) + fold + 1
+    trial_no = repeat * len(folds) + fold + 1
     models, scores, projections, main_losses, metrics = {}, {}, {}, {}, {}
     for mode in modes:
         # same rng sub-seed for both modes: identical batch order, objective is
@@ -228,16 +223,14 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
             scores[(mode, split)] = s
             ranks = evalx.fractional_ranks_desc(s)  # one sort for every row subset
             is_labeled = np.isin(rows, labeled_global)
-            ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split, model=mode)
+            ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split)
             mode_metrics.update(evalx.metrics_for(ss, ranks))
             for prefix, subset in gt_subsets.items():
                 gt_pos = np.nonzero(np.isin(rows, subset))[0]
-                gt_ss = evalx.ScoreSet(s, gt_pos, split=split, model=mode)
+                gt_ss = evalx.ScoreSet(s, gt_pos, split=split)
                 mode_metrics.update(
                     {prefix + k: v for k, v in evalx.metrics_for(gt_ss, ranks).items()})
             if split == "train":
-                if data_mod.fit_hook is not None:
-                    data_mod.fit_hook("pca", train_rows)
                 basis = evalx.pca_fit(out, k=2)
             projections[(mode, split)] = (evalx.pca_project(basis, out), is_labeled)
             del out  # the next split's forward passes set peak memory: free these first
@@ -266,8 +259,8 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 
     raised."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    plan = contiguous_kfold(dataset.n_rows, cfg.k_folds)
-    tasks = [(dataset, cfg, r, f, plan, tuple(modes), ground_truth)
+    folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
+    tasks = [(dataset, cfg, r, f, folds, tuple(modes), ground_truth)
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
     # a fork-context pool starts all its workers at the first submit, so a
     # worker with no trial to run would only copy the process

@@ -3,9 +3,10 @@
 Everything is float64. There is one forward pass (`_forward`), one backward
 pass (`_backward`) and one Adam update (`_adam_update`), which the training
 loops also run, on `_FusedTrainer`'s flat parameter vector. The public
-`forward`, `backward` and `adam_step` never mutate their inputs. The tape keeps
-each layer's input, one array per layer. Hidden layers are ReLU and the last
-is linear, so hidden layer i's mask is `inputs[i + 1] > 0`, which is z > 0.
+`forward`, `backward` and `adam_step` never mutate their inputs. The tape is
+the tuple of each layer's input, one array per layer. Activations follow from
+position: hidden layers are ReLU and the last is linear, so hidden layer i's
+mask is `tape[i + 1] > 0`, which is z > 0.
 
 Adam (Kingma & Ba, ICLR 2015, section 2) keeps m = b1 m + g and v = b2 v + g^2,
 the textbook moments over 1 - b1 and 1 - b2, and folds both bias corrections
@@ -38,7 +39,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class LayerParams:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str  # "relu" | "linear"
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,13 @@ class MlpModel:
                 )
             if lp.bias.shape != (d_out,):
                 raise ShapeError(f"layer {i}: bias {lp.bias.shape} != ({d_out},)")
-            want = _activation(i, len(self.layers))
-            if lp.activation != want:
-                raise ConfigError(f"layer {i}: activation {lp.activation!r}, "
-                                  f"expected {want!r}")
             if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
                 raise DataError(f"layer {i}: non-finite parameters")
 
 
 def _activation(i: int, n_layers: int) -> str:
-    """ReLU on every layer except the last, which is linear."""
+    """ReLU on every layer except the last, which is linear: the checkpoint's
+    name for what `_forward` does at position i."""
     return "linear" if i == n_layers - 1 else "relu"
 
 
@@ -89,13 +86,6 @@ class Gradients:
     """Per-layer (dW, db) pairs, shape-congruent with the model."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class ForwardTape:
-    """Each layer's input, recorded by `forward` for `backward`."""
-
-    inputs: tuple[np.ndarray, ...]  # input to each layer, (B, d_in_layer)
 
 
 @dataclass
@@ -136,13 +126,10 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
     dims = check_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     layers = []
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for fan_in, fan_out in zip(dims, dims[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-a, a, size=(fan_out, fan_in))
-        layers.append(LayerParams(weights=w, bias=np.zeros(fan_out),
-                                  activation=_activation(i, n_layers)))
+        layers.append(LayerParams(weights=w, bias=np.zeros(fan_out)))
     return MlpModel(layers=tuple(layers), layer_dims=dims)
 
 
@@ -158,40 +145,42 @@ def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """The forward pass; bias and ReLU go in place on each fresh `np.dot`."""
+def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The forward pass and its tape; bias and ReLU go in place on each fresh
+    `np.dot`, and every layer but the last is ReLU."""
     inputs = []
     h = x
     for lp in model.layers:
+        if inputs:  # h is a hidden layer's output
+            np.maximum(h, 0.0, out=h)
         inputs.append(h)
         h = np.dot(h, lp.weights.T)
         h += lp.bias
-        if lp.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-    return h, ForwardTape(inputs=tuple(inputs))
+    return h, tuple(inputs)
 
 
-def _backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
+def _backward(model: MlpModel, tape: tuple[np.ndarray, ...],
+              grad_outputs: np.ndarray) -> Gradients:
     """The backward pass; each mask goes in place on a fresh `np.dot`."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     dz = grad_outputs
     for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = (np.dot(dz.T, tape.inputs[i]), np.sum(dz, axis=0))
-        if i > 0:
+        grads[i] = (np.dot(dz.T, tape[i]), np.sum(dz, axis=0))
+        if i > 0:  # layer i's input is the output of a ReLU layer
             dz = np.dot(dz, model.layers[i].weights)
-            if model.layers[i - 1].activation == "relu":
-                dz *= tape.inputs[i] > 0.0
+            dz *= tape[i] > 0.0
     return Gradients(layers=tuple(grads))
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return _forward(model, _as_batch(model, batch))
 
 
-def backward(model: MlpModel, tape: ForwardTape, grad_outputs: np.ndarray) -> Gradients:
+def backward(model: MlpModel, tape: tuple[np.ndarray, ...],
+             grad_outputs: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of sum_b <grad_outputs_b, outputs_b> w.r.t. params."""
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    want = (tape.inputs[0].shape[0], model.output_dim)
+    want = (tape[0].shape[0], model.output_dim)
     if grad_outputs.shape != want:
         raise ShapeError(f"grad_outputs {grad_outputs.shape} != outputs {want}")
     return _backward(model, tape, grad_outputs)
@@ -249,8 +238,7 @@ def _view(model: MlpModel, flat: np.ndarray) -> MlpModel:
         nw, nb = lp.weights.size, lp.bias.size
         w = flat[off:off + nw].reshape(lp.weights.shape)
         off += nw
-        layers.append(LayerParams(weights=w, bias=flat[off:off + nb],
-                                  activation=lp.activation))
+        layers.append(LayerParams(weights=w, bias=flat[off:off + nb]))
         off += nb
     return MlpModel(layers=tuple(layers), layer_dims=model.layer_dims)
 
@@ -313,7 +301,8 @@ def save_checkpoint(model: MlpModel, path, *, center, norm_mean, norm_std,
     checked here; `load_checkpoint` checks every field."""
     doc = {"version": CHECKPOINT_VERSION, "layer_dims": list(model.layer_dims),
            "layers": [{"weights": _encode(lp.weights), "bias": _encode(lp.bias),
-                       "activation": lp.activation} for lp in model.layers],
+                       "activation": _activation(i, len(model.layers))}
+                      for i, lp in enumerate(model.layers)],
            "center": _encode(center), "norm_mean": _encode(norm_mean),
            "norm_std": _encode(norm_std), "feature_columns": list(feature_columns)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -326,9 +315,13 @@ def _read_checkpoint(doc) -> tuple[MlpModel, dict]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not read" + (
             "; re-run `lobsad run` to write version 2" if version == 1 else ""))
-    model = MlpModel(layers=tuple(LayerParams(_decode(l["weights"]), _decode(l["bias"]),
-                                              l["activation"]) for l in doc["layers"]),
-                     layer_dims=tuple(doc["layer_dims"]))
+    layers = doc["layers"]
+    for i, l in enumerate(layers):  # `_forward` knows only ReLU, then a linear last layer
+        want = _activation(i, len(layers))
+        if l["activation"] != want:
+            raise ConfigError(f"layer {i}: activation {l['activation']!r}, expected {want!r}")
+    model = MlpModel(layers=tuple(LayerParams(_decode(l["weights"]), _decode(l["bias"]))
+                                  for l in layers), layer_dims=tuple(doc["layer_dims"]))
     model.validate()
     meta = {}
     for key, width in (("center", model.output_dim), ("norm_mean", model.input_dim),

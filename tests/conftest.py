@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lobsad import nnet
+from lobsad import data, evalx, nnet, objectives
 
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
@@ -53,10 +53,48 @@ def sample_safe_model_batch(rng, dims, batch_rows=4, min_preact=1e-4):
         # the tape keeps layer inputs only: recompute each pre-activation
         # with the forward pass's own arithmetic
         preacts = [np.dot(h, lp.weights.T) + lp.bias
-                   for h, lp in zip(tape.inputs, model.layers)]
+                   for h, lp in zip(tape, model.layers)]
         if min(np.abs(z).min() for z in preacts) > min_preact:
             return model, batch
     raise AssertionError("could not sample a kink-safe model/batch")
+
+
+def record_fits(monkeypatch) -> dict:
+    """Record every statistics fit of a run made in this process: the row sets
+    given to `data.fit_normalizer` and the arrays given to `evalx.pca_fit`,
+    which `harness` looks up through their modules at call time."""
+    fits = {"normalizer": [], "pca": []}
+    fit_normalizer, pca_fit = data.fit_normalizer, evalx.pca_fit
+
+    def normalizer_spy(features, rows):
+        fits["normalizer"].append(np.array(rows))
+        return fit_normalizer(features, rows)
+
+    def pca_spy(outputs, k):
+        fits["pca"].append(np.array(outputs))
+        return pca_fit(outputs, k)
+    monkeypatch.setattr(data, "fit_normalizer", normalizer_spy)
+    monkeypatch.setattr(evalx, "pca_fit", pca_spy)
+    return fits
+
+
+def fit_leaks(fits: dict, results, features: np.ndarray) -> int:
+    """The number of missing, extra or leaking fits in `record_fits`'s record
+    of a sequential run. Fit k of the normalizer must be trial k's train rows,
+    disjoint from its test rows. The PCA fits must be, trial by trial and
+    model by model, bit-equal to the embedding of the trial's normalized train
+    rows, `objectives.embed(model, apply_normalizer(norm, features)[train_rows])`."""
+    want_pca = [objectives.embed(model, data.apply_normalizer(r.normalizer, features)
+                                 [r.train_rows])
+                for r in results for model in r.models.values()]
+    leaks = (abs(len(fits["normalizer"]) - len(results))
+             + abs(len(fits["pca"]) - len(want_pca)))
+    for rows, r in zip(fits["normalizer"], results):
+        leaks += not (np.array_equal(rows, r.train_rows)
+                      and not np.isin(rows, r.test_rows).any())
+    for got, want in zip(fits["pca"], want_pca):
+        leaks += not (got.shape == want.shape and got.tobytes() == want.tobytes())
+    return leaks
 
 
 @pytest.fixture

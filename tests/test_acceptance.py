@@ -161,44 +161,32 @@ class TestCriterion5MetricOracles:
 
 
 class TestCriterion6FoldProperties:
-    def test_partitions_and_no_leakage(self):
+    def test_partitions_and_no_leakage(self, monkeypatch):
         rng = np.random.default_rng(4)
         partition_ok = True
         for _ in range(100):
             k = int(rng.integers(2, 12))
             n = int(rng.integers(k, 5000))
-            plan = harness.contiguous_kfold(n, k)
+            folds = harness.contiguous_kfold(n, k)
             covered = np.concatenate(
-                [np.arange(lo, hi) for lo, hi in plan.ranges])
-            sizes = [hi - lo for lo, hi in plan.ranges]
+                [np.arange(lo, hi) for lo, hi in folds])
+            sizes = [hi - lo for lo, hi in folds]
             partition_ok &= (np.array_equal(covered, np.arange(n))
                              and max(sizes) - min(sizes) <= 1)
 
         scfg = data.SynthConfig(n_rows=600, anomaly_rate=0.03, n_labeled=9, seed=7)
         synth = data.generate_synthetic(scfg)
-        accesses = []
-        data.fit_hook = lambda kind, rows: accesses.append((kind, np.array(rows)))
-        try:
-            results = harness.run_experiment(
-                synth.dataset,
-                harness.TrainConfig(pretrain_epochs=1, main_epochs=2,
-                                    batch_size=32, layer_dims=(20, 8, 20),
-                                    n_repeats=1))
-        finally:
-            data.fit_hook = None
-        test_sets = [set(r.test_rows.tolist()) for r in results]
-        train_sets = [frozenset(r.train_rows.tolist()) for r in results]
-        leakage = 0
-        for kind, rows in accesses:
-            fitted = frozenset(int(i) for i in rows)
-            if fitted not in train_sets:  # must be exactly some trial's train set
-                leakage += 1
-            else:
-                leakage += sum(bool(fitted & test_sets[i])
-                               for i, ts in enumerate(train_sets) if ts == fitted)
+        fits = conftest.record_fits(monkeypatch)
+        results = harness.run_experiment(
+            synth.dataset,
+            harness.TrainConfig(pretrain_epochs=1, main_epochs=2,
+                                batch_size=32, layer_dims=(20, 8, 20),
+                                n_repeats=1))
+        leakage = conftest.fit_leaks(fits, results, synth.dataset.features)
+        n_fits = len(fits["normalizer"]) + len(fits["pca"])
         _report(6, "contiguous folds partition + zero fit-time leakage",
-                partition_ok and accesses and leakage == 0,
-                f"(100 partitions ok={partition_ok}, {len(accesses)} fits, "
+                partition_ok and n_fits and leakage == 0,
+                f"(100 partitions ok={partition_ok}, {n_fits} fits, "
                 f"{leakage} leaks)")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lobsad import cli, data, harness, nnet, objectives
-from lobsad.errors import DivergenceError
+from lobsad.errors import DataError, DivergenceError
 
 
 def write_config(path, train=None, synth=None):
@@ -70,6 +70,27 @@ class TestGenerate:
         cfg = write_config(tmp_path / "c.json", {"bogus_knob": 1}, {})
         assert cli.main(["generate", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tick_size", 0, "tick_size must be finite and > 0, got 0"),
+        ("tick_size", -0.25, "tick_size must be finite and > 0, got -0.25"),
+        ("mid_vol_ticks", -1, "mid_vol_ticks must be finite and >= 0, got -1"),
+        ("size_log_sigma", -0.6, "size_log_sigma must be finite and >= 0, got -0.6"),
+        ("flash_jump_ticks", [400, 150], "flash_jump_ticks must be integers 0 <= low"),
+        ("flash_jump_ticks", [150], "flash_jump_ticks must be integers 0 <= low"),
+        ("archetype_mix", [0, 0, 0], "archetype_mix must be three finite weights >= 0"),
+        ("archetype_mix", [1, -1, 1], "archetype_mix must be three finite weights >= 0"),
+        ("archetype_mix", ["a", 1, 1], "archetype_mix must be three finite weights >= 0"),
+    ])
+    def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
+                                                      key, value, message):
+        # each of these crashed the generator or wrote data `run` refuses
+        cfg = write_config(tmp_path / "c.json", TINY_TRAIN,
+                           dict(TINY_SYNTH, **{key: value}))
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "lob.csv").exists()
 
 
 def run_experiment_cli(tmp_path, tiny_config, generated, extra=()):
@@ -158,6 +179,24 @@ class TestRun:
         assert (out / "trial1_fold0_sad.ckpt").exists()
         assert (out / "trial3_fold2_sad.ckpt").exists()
 
+    def test_failed_trial_flushes_finished_trials(self, tmp_path, tiny_config,
+                                                  generated, capsys, monkeypatch):
+        # any error, not only divergence, leaves the results of the trials before it
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            if repeat * cfg.k_folds + fold + 1 == 2:
+                raise DataError("trial 2 failed")
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated)
+        assert code == 2
+        assert "error: trial 2 failed" in capsys.readouterr().err
+        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1]
+        rows = list(csv.reader(open(out / "results.csv")))[1:]
+        assert len(rows) == 8 and {r[0] for r in rows} == {"1"}
+        assert (out / "trial1_fold0_sad.ckpt").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, tiny_config,
                                                    generated, capsys, jobs):
@@ -230,11 +269,19 @@ class TestRun:
         ("layer_dims", [20, 0, 20], "layer dims must be integers >= 1"),
         ("layer_dims", [20.7, 12, 20], "layer dims must be integers >= 1"),
         ("layer_dims", ["a", 20], "layer dims must be integers >= 1"),
+        ("batch_size", "64", "'train' section: batch_size must be an integer, got '64'"),
+        ("batch_size", 64.5, "batch_size must be an integer, got 64.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("lr", None, "'train' section: lr must be a number, got None"),
+        ("layer_dims", 5, "layer_dims must be a list, got 5"),
+        ("synth.n_rows", "100", "'synth' section: n_rows must be an integer, got '100'"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
-        cfg = write_config(tmp_path / "c.json", dict(TINY_TRAIN, **{key: value}),
-                           TINY_SYNTH)
+        train, synth = dict(TINY_TRAIN), dict(TINY_SYNTH)
+        section, _, key = key.rpartition(".")  # "synth.<key>" or a train key
+        (synth if section == "synth" else train)[key] = value
+        cfg = write_config(tmp_path / "c.json", train, synth)
         code, out = run_experiment_cli(tmp_path, cfg, generated)
         assert code == 2
         assert message in capsys.readouterr().err
@@ -511,13 +558,18 @@ class TestReport:
         '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"svdd": 3}}]',
         '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {'
         '"svdd": {"ratio_test": "x", "rank_test": 1}, '
-        '"sad": {"ratio_test": 1, "rank_test": 2}}}]'])
+        '"sad": {"ratio_test": 1, "rank_test": 2}}}]',
+        *('[{"trial": 1, "fold": 0, "repeat": 0, "runtime_s": %s, "metrics": {'
+          '"svdd": {"ratio_test": 1, "rank_test": 1}, '
+          '"sad": {"ratio_test": 1, "rank_test": 2}}}]' % runtime
+          for runtime in ('"x"', "null"))])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)
         assert cli.main(["report", "--results", str(path),
                          "--out", str(tmp_path / "rep")]) == 2
         assert f"{path}: not a list of trial reports" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_one_model_prints_nothing(self, tmp_path, tiny_config, generated, capsys):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,

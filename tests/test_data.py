@@ -157,17 +157,6 @@ class TestNormalizer:
         assert np.allclose(norm.mean, mean, atol=1e-10)
         assert np.allclose(norm.std, np.sqrt(var), atol=1e-10)
 
-    def test_fit_only_sees_given_rows(self, rng):
-        x = rng.standard_normal((100, 2))
-        seen = []
-        data.fit_hook = lambda kind, rows: seen.append((kind, np.array(rows)))
-        try:
-            data.fit_normalizer(x, np.arange(10, 60))
-        finally:
-            data.fit_hook = None
-        assert len(seen) == 1
-        assert seen[0][1].min() == 10 and seen[0][1].max() == 59
-
 
 def assert_book_invariants(book):
     n = data.N_LEVELS
@@ -244,7 +233,9 @@ class TestGenerator:
                                seed=seed)
         result = data.generate_synthetic(cfg)
         assert_book_invariants(result.book)
-        result.dataset.validate()
+        ds = result.dataset
+        assert np.all(np.diff(ds.timestamps) >= 0)
+        assert ds.labeled_idx.min() >= 0 and ds.labeled_idx.max() < ds.n_rows
 
 
 class TestGroundTruthSidecar:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fit_leaks, record_fits
 from lobsad import data, evalx, harness, nnet, objectives
 from lobsad.errors import ConfigError
 from lobsad.harness import TrainConfig, contiguous_kfold
@@ -32,14 +33,13 @@ def tiny_synth():
 
 class TestKfold:
     def test_nine_by_three(self):
-        plan = contiguous_kfold(9, 3)
-        assert plan.ranges == ((0, 3), (3, 6), (6, 9))
+        assert contiguous_kfold(9, 3) == ((0, 3), (3, 6), (6, 9))
 
     def test_ten_by_three(self):
-        plan = contiguous_kfold(10, 3)
-        sizes = sorted(hi - lo for lo, hi in plan.ranges)
+        folds = contiguous_kfold(10, 3)
+        sizes = sorted(hi - lo for lo, hi in folds)
         assert sizes == [3, 3, 4]
-        assert plan.ranges[0][0] == 0 and plan.ranges[-1][1] == 10
+        assert folds[0][0] == 0 and folds[-1][1] == 10
 
     @given(n=st.integers(2, 5000), k=st.integers(2, 12))
     @settings(max_examples=100, deadline=None)
@@ -48,10 +48,10 @@ class TestKfold:
             with pytest.raises(ConfigError):
                 contiguous_kfold(n, k)
             return
-        plan = contiguous_kfold(n, k)
-        covered = np.concatenate([np.arange(lo, hi) for lo, hi in plan.ranges])
+        folds = contiguous_kfold(n, k)
+        covered = np.concatenate([np.arange(lo, hi) for lo, hi in folds])
         assert np.array_equal(covered, np.arange(n))  # union, disjoint, contiguous
-        sizes = [hi - lo for lo, hi in plan.ranges]
+        sizes = [hi - lo for lo, hi in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_n_below_k(self):
@@ -220,22 +220,13 @@ class TestRunExperiment:
         b = harness.run_experiment(tiny_synth.dataset, cfg)
         assert [r.report.metrics for r in a] == [r.report.metrics for r in b]
 
-    def test_no_leakage_into_fitting(self, tiny_synth):
-        accesses = []
-        data.fit_hook = lambda kind, rows: accesses.append((kind, np.array(rows)))
-        try:
-            results = harness.run_experiment(tiny_synth.dataset,
-                                             tiny_cfg(n_repeats=1))
-        finally:
-            data.fit_hook = None
-        assert accesses
-        seen_kinds = {k for k, _ in accesses}
-        assert seen_kinds == {"normalizer", "pca"}
-        # every fitted row set must be exactly some trial's train rows
-        for kind, rows in accesses:
-            matching = [r for r in results
-                        if np.array_equal(np.sort(rows), np.sort(r.train_rows))]
-            assert matching, f"{kind} fitted on rows that are no trial's train set"
+    def test_no_leakage_into_fitting(self, tiny_synth, monkeypatch):
+        fits = record_fits(monkeypatch)
+        results = harness.run_experiment(tiny_synth.dataset,
+                                         tiny_cfg(n_repeats=1))
+        # one normalizer per trial, one PCA basis per trial and model
+        assert [len(fits["normalizer"]), len(fits["pca"])] == [3, 6]
+        assert fit_leaks(fits, results, tiny_synth.dataset.features) == 0
 
     def test_fold_without_labels_marked_na(self):
         # all labels in the first third: folds 1 and 2 have no labeled test rows
@@ -263,14 +254,14 @@ class TestRunExperiment:
         # train rows once for the center, then each split once per model:
         # 400 + 2 x (400 + 200) rows through the network
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, layer_dims=(20, 8, 20))
-        plan = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
+        folds = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
         rows, forward = [], nnet.forward
 
         def counting_forward(model, batch):
             rows.append(batch.shape[0])
             return forward(model, batch)
         monkeypatch.setattr(nnet, "forward", counting_forward)
-        res = harness.run_trial(tiny_synth.dataset, cfg, 0, 0, plan)
+        res = harness.run_trial(tiny_synth.dataset, cfg, 0, 0, folds)
         assert sum(rows) == 1600
         monkeypatch.undo()
         # `lobsad score` relies on the stored scores being anomaly_score's
@@ -297,7 +288,7 @@ class TestRunExperiment:
         # one sort per (model, split) serves the labeled rows, all ground-truth
         # rows and each archetype's; the values equal one sort per subset
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
-        plan = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
+        folds = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
         # every subset has rows in both splits, so each would need a sort
         ds = tiny_synth.dataset
         ds = data.Dataset(ds.features, ds.timestamps, np.array([3, 100, 300, 500]))
@@ -310,7 +301,7 @@ class TestRunExperiment:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(evalx, name, counted)
-        res = harness.run_trial(ds, cfg, 0, 0, plan, ground_truth=gt)
+        res = harness.run_trial(ds, cfg, 0, 0, folds, ground_truth=gt)
         monkeypatch.undo()
         assert calls["fractional_ranks_desc"] == 4  # 2 models x 2 splits
         assert calls["rank_test"] == 20  # 5 subsets, still through evalx.rank_test

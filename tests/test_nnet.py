@@ -35,9 +35,14 @@ class TestInit:
         assert shapes == [(100, 20), (100, 100), (100, 100), (20, 100)]
         assert model.input_dim == 20 and model.output_dim == 20
 
-    def test_activations(self):
-        model = nnet.mlp_init(7)
-        assert [lp.activation for lp in model.layers] == ["relu"] * 3 + ["linear"]
+    def test_activations(self, tmp_path):
+        # activations follow from position; the checkpoint names them
+        path = tmp_path / "m.ckpt"
+        nnet.save_checkpoint(nnet.mlp_init(7), path, center=np.zeros(20),
+                             norm_mean=np.zeros(20), norm_std=np.ones(20),
+                             feature_columns=["c"] * 20)
+        doc = json.loads(path.read_text())
+        assert [l["activation"] for l in doc["layers"]] == ["relu"] * 3 + ["linear"]
 
     def test_deterministic(self):
         a, b = nnet.mlp_init(7), nnet.mlp_init(7)
@@ -95,10 +100,10 @@ class TestForward:
         out, _ = nnet.forward(model, x[None, :])
         # live oracle: same arithmetic, straight-line per-row loops
         h = x.copy()
-        for lp in model.layers:
+        for i, lp in enumerate(model.layers):
             z = np.array([lp.weights[r] @ h + lp.bias[r]
                           for r in range(lp.weights.shape[0])])
-            h = np.maximum(z, 0.0) if lp.activation == "relu" else z
+            h = np.maximum(z, 0.0) if i < len(model.layers) - 1 else z
         assert np.allclose(out[0], h, rtol=0, atol=1e-12)
         assert np.allclose(out[0], PINNED_FORWARD_SEED7, rtol=0, atol=1e-12)
 
@@ -126,7 +131,7 @@ class TestForward:
         model = nnet.mlp_init(seed, (5, 7, 7, 3))
         _, tape = nnet.forward(model, r.normal(size=(6, 5)))
         # post-activation inputs of layers 1.. are the hidden activations
-        for h in tape.inputs[1:]:
+        for h in tape[1:]:
             assert np.all(h >= 0)
 
 
@@ -189,16 +194,17 @@ def reference_forward_backward(model, x, grad_out):
     """Reference passes that keep every pre-activation z and take each ReLU
     mask from z > 0 rather than from the next layer's input."""
     inputs, preacts, h = [], [], x
-    for lp in model.layers:
+    last = len(model.layers) - 1  # hidden layers are ReLU, the last is linear
+    for i, lp in enumerate(model.layers):
         inputs.append(h)
         z = np.dot(h, lp.weights.T)
         z += lp.bias
         preacts.append(z)
-        h = np.maximum(z, 0.0) if lp.activation == "relu" else z
+        h = np.maximum(z, 0.0) if i < last else z
     grads, delta = [None] * len(model.layers), grad_out
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         lp = model.layers[i]
-        dz = delta * (preacts[i] > 0.0) if lp.activation == "relu" else delta
+        dz = delta * (preacts[i] > 0.0) if i < last else delta
         grads[i] = (np.dot(dz.T, inputs[i]), np.sum(dz, axis=0))
         if i > 0:
             delta = np.dot(dz, lp.weights)
@@ -219,7 +225,7 @@ class TestTapeOracle:
         assert np.array_equal(out, ref_out)
         for (gw, gb), (rw, rb) in zip(grads.layers, ref_grads):
             assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
-        assert len(tape.inputs) == len(model.layers)
+        assert len(tape) == len(model.layers)
 
 
 class TestAdam:
