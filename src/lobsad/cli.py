@@ -49,6 +49,8 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 def _dataclass_from_dict(cls, section: dict, name: str):
     """`cls` from a config section whose values' JSON types fit its fields;
     every list becomes a tuple, whose elements `cls` checks."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be an object, got {section!r}")
     hints = typing.get_type_hints(cls)
     unknown = set(section) - set(hints)
     if unknown:
@@ -110,7 +112,7 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     result = data_mod.generate_synthetic(synth)
     data_mod.write_lob_csv(os.path.join(args.out, "lob.csv"),
-                           result.timestamps, result.book)
+                           result.dataset.timestamps, result.book)
     data_mod.write_labels(os.path.join(args.out, "labels.txt"),
                           result.dataset.labeled_idx)
     data_mod.write_ground_truth(os.path.join(args.out, "ground_truth.csv"),

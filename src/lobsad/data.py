@@ -375,6 +375,9 @@ class SynthConfig:
             raise ConfigError(f"spoof_side must be bid or ask, got {self.spoof_side}")
         if not 0 < self.tick_size < math.inf:
             raise ConfigError(f"tick_size must be finite and > 0, got {self.tick_size}")
+        if not 0 < self.start_price / self.tick_size < 2.0 ** 53:  # NaN fails too
+            raise ConfigError(f"start_price must be finite and > 0, and start_price / "
+                              f"tick_size below 2**53, got {self.start_price}")
         for name in ("mid_vol_ticks", "size_log_sigma"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -401,7 +404,6 @@ class GroundTruth:
 @dataclass
 class SynthResult:
     dataset: Dataset
-    timestamps: np.ndarray
     book: np.ndarray  # (N, 40) full book, BOOK_COLUMNS order
     ground_truth: GroundTruth
 
@@ -494,7 +496,7 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     ds = Dataset(features=book[:, feat_cols], timestamps=ts,
                  labeled_idx=labeled_rows.astype(np.int64))
     gt = GroundTruth(rows=gt_rows, archetypes=gt_arch, labeled=labeled_mask)
-    return SynthResult(dataset=ds, timestamps=ts, book=book, ground_truth=gt)
+    return SynthResult(dataset=ds, book=book, ground_truth=gt)
 
 
 def write_labels(path, labeled_idx: np.ndarray) -> None:

@@ -21,6 +21,8 @@ from .errors import DataError, ShapeError
 
 # Metrics emitted to results.csv; normalized rank lives in results.json only.
 CSV_METRICS = ("ratio", "rank")
+# width and height of a scatter SVG, in pixels
+_SVG_SIZE = 480
 
 
 @dataclass(frozen=True)
@@ -190,23 +192,23 @@ def export_report(reports: list[TrialReport], scatters: dict | None,
     return written
 
 
-def _write_scatter_svg(path, proj: np.ndarray, is_labeled: np.ndarray,
-                       size: int = 480) -> None:
-    """Presentation-only scatter: unlabeled points blue, labeled anomalies orange."""
+def _write_scatter_svg(path, proj: np.ndarray, is_labeled: np.ndarray) -> None:
+    """Presentation-only scatter, _SVG_SIZE pixels square: unlabeled points
+    blue, labeled anomalies orange."""
     proj = np.asarray(proj, dtype=np.float64)
     if proj.size == 0:
         lo, span = np.zeros(2), np.ones(2)
     else:
         lo, hi = proj.min(axis=0), proj.max(axis=0)
         span = np.where(hi - lo > 0, hi - lo, 1.0)
-    pad, inner = 20, size - 40
+    pad, inner = 20, _SVG_SIZE - 40
 
     def pix(p):
         q = (p - lo) / span
-        return pad + q[0] * inner, size - pad - q[1] * inner
+        return pad + q[0] * inner, _SVG_SIZE - pad - q[1] * inner
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}">',
+             f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>']
     labeled_pts = []
     for p, lab in zip(proj, is_labeled):
         x, y = pix(p)

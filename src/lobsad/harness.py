@@ -99,21 +99,25 @@ def _check_divergence(losses: list[float], phase: str) -> None:
 
 def _train(model: MlpModel, n: int, epochs: int, cfg: TrainConfig,
            rng: np.random.Generator, phase: str, step) -> tuple[MlpModel, list[float]]:
-    """Shuffled minibatch epochs over n rows. `step(model, rows)` returns the
-    loss of the batch `rows` at `model` and its gradients."""
-    trainer = nnet._FusedTrainer(model, cfg.weight_decay)
+    """Shuffled minibatch epochs over n rows, each step an Adam update in place
+    on a copy of the model's parameters. `step(model, rows)` returns the loss
+    of the batch `rows` at `model` and its flat gradient vector."""
+    model.validate()
+    model = nnet.set_flat_params(model, model.params)
+    state = nnet.adam_init(model)
+    decay = cfg.weight_decay * state.decay_mask if cfg.weight_decay else None
     losses: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
-            loss, grads = step(trainer.model, perm[lo:lo + cfg.batch_size])
-            trainer.adam_apply(grads, cfg.lr)
+            loss, grads = step(model, perm[lo:lo + cfg.batch_size])
+            nnet._adam_update(model.params, grads, state, cfg.lr, decay)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
         _check_divergence(losses, phase)
-    return trainer.snapshot(), losses
+    return model, losses
 
 
 def pretrain(model: MlpModel, train_features: np.ndarray, cfg: TrainConfig,

@@ -1,8 +1,11 @@
 """Minimal dense feed-forward network with exact reverse-mode gradients and Adam.
 
-Everything is float64. There is one forward pass (`_forward`), one backward
-pass (`_backward`) and one Adam update (`_adam_update`), which the training
-loops also run, on `_FusedTrainer`'s flat parameter vector. The public
+Everything is float64. A model's parameters are one flat vector, `params`,
+in the order W0, b0, W1, b1, ...; its `layers` are (weights, bias) views into
+that vector, and a gradient is a flat vector in the same order. Only
+`_layer_views` knows the offsets. There is one forward pass (`_forward`), one
+backward pass (`_backward`) and one Adam update (`_adam_update`), which the
+training loops also run, in place on their own copy of `params`. The public
 `forward`, `backward` and `adam_step` never mutate their inputs. The tape is
 the tuple of each layer's input, one array per layer. Activations follow from
 position: hidden layers are ReLU and the last is linear, so hidden layer i's
@@ -21,7 +24,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,8 +46,16 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class MlpModel:
-    layers: tuple[LayerParams, ...]
+    params: np.ndarray  # (n_params,) float64, W0, b0, W1, b1, ...
     layer_dims: tuple[int, ...]
+    layers: tuple[LayerParams, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", _layer_views(self.params, self.layer_dims))
+
+    def __reduce__(self):
+        # pickle the vector alone: stored views would come back as detached copies
+        return MlpModel, (self.params, self.layer_dims)
 
     @property
     def input_dim(self) -> int:
@@ -55,24 +66,30 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def n_params(self) -> int:
-        return sum(lp.weights.size + lp.bias.size for lp in self.layers)
+        return self.params.size
 
     def validate(self) -> None:
+        """Refuse bad dims or non-finite parameters; the size of `params` was
+        checked when the model was built."""
         check_layer_dims(self.layer_dims)
-        if len(self.layer_dims) != len(self.layers) + 1:
-            raise ShapeError(f"layer_dims {self.layer_dims} does not fit "
-                             f"{len(self.layers)} layers: it needs "
-                             f"{len(self.layers) + 1} entries")
-        for i, lp in enumerate(self.layers):
-            d_out, d_in = self.layer_dims[i + 1], self.layer_dims[i]
-            if lp.weights.shape != (d_out, d_in):
-                raise ShapeError(
-                    f"layer {i}: weights {lp.weights.shape} != ({d_out}, {d_in})"
-                )
-            if lp.bias.shape != (d_out,):
-                raise ShapeError(f"layer {i}: bias {lp.bias.shape} != ({d_out},)")
-            if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
-                raise DataError(f"layer {i}: non-finite parameters")
+        if not np.isfinite(self.params).all():
+            raise DataError("non-finite parameters")
+
+
+def _layer_views(flat: np.ndarray, dims: tuple[int, ...]) -> tuple[LayerParams, ...]:
+    """Each layer's (weights, bias) as views into the flat vector `flat`, laid
+    out W0, b0, W1, b1, ...: the one place that knows the offsets."""
+    size = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
+    if flat.shape != (size,):
+        raise ShapeError(f"parameters of shape {flat.shape} do not fit layer_dims "
+                         f"{dims}, which need ({size},)")
+    layers, off = [], 0
+    for d_in, d_out in zip(dims, dims[1:]):
+        w = flat[off:off + d_out * d_in].reshape(d_out, d_in)
+        off += d_out * d_in
+        layers.append(LayerParams(weights=w, bias=flat[off:off + d_out]))
+        off += d_out
+    return tuple(layers)
 
 
 def _activation(i: int, n_layers: int) -> str:
@@ -81,16 +98,9 @@ def _activation(i: int, n_layers: int) -> str:
     return "linear" if i == n_layers - 1 else "relu"
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Per-layer (dW, db) pairs, shape-congruent with the model."""
-
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
 @dataclass
 class AdamState:
-    """Moment accumulators over the flattened parameter vector.
+    """Moment accumulators over the flat parameter vector.
 
     `decay_mask` is 1 on weight-matrix entries and 0 on biases so L2 decay
     never touches biases.
@@ -103,8 +113,9 @@ class AdamState:
 
 
 def adam_init(model: MlpModel) -> AdamState:
-    mask = _flatten((np.ones(lp.weights.size), np.zeros(lp.bias.size))
-                    for lp in model.layers)
+    mask = np.zeros(model.n_params())
+    for lp in _layer_views(mask, model.layer_dims):
+        lp.weights[...] = 1.0
     return AdamState(m=np.zeros(mask.size), v=np.zeros(mask.size), decay_mask=mask)
 
 
@@ -125,12 +136,11 @@ def mlp_init(seed: int, layer_dims=DEFAULT_DIMS) -> MlpModel:
     """
     dims = check_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
-    layers = []
+    arrays = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-a, a, size=(fan_out, fan_in))
-        layers.append(LayerParams(weights=w, bias=np.zeros(fan_out)))
-    return MlpModel(layers=tuple(layers), layer_dims=dims)
+        arrays += [rng.uniform(-a, a, size=fan_out * fan_in), np.zeros(fan_out)]
+    return MlpModel(params=np.concatenate(arrays), layer_dims=dims)
 
 
 def _as_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -160,16 +170,18 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarr
 
 
 def _backward(model: MlpModel, tape: tuple[np.ndarray, ...],
-              grad_outputs: np.ndarray) -> Gradients:
-    """The backward pass; each mask goes in place on a fresh `np.dot`."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
-    dz = grad_outputs
-    for i in range(len(model.layers) - 1, -1, -1):
-        grads[i] = (np.dot(dz.T, tape[i]), np.sum(dz, axis=0))
+              grad_outputs: np.ndarray) -> np.ndarray:
+    """The backward pass into one fresh vector laid out like `model.params`;
+    each mask goes in place on a fresh `np.dot`."""
+    grads = np.empty(model.n_params())
+    views, dz = _layer_views(grads, model.layer_dims), grad_outputs
+    for i in range(len(views) - 1, -1, -1):
+        np.dot(dz.T, tape[i], out=views[i].weights)
+        np.sum(dz, axis=0, out=views[i].bias)
         if i > 0:  # layer i's input is the output of a ReLU layer
             dz = np.dot(dz, model.layers[i].weights)
             dz *= tape[i] > 0.0
-    return Gradients(layers=tuple(grads))
+    return grads
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -177,8 +189,9 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.nd
 
 
 def backward(model: MlpModel, tape: tuple[np.ndarray, ...],
-             grad_outputs: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients of sum_b <grad_outputs_b, outputs_b> w.r.t. params."""
+             grad_outputs: np.ndarray) -> np.ndarray:
+    """Exact reverse-mode gradients of sum_b <grad_outputs_b, outputs_b> w.r.t.
+    `model.params`, as one vector in the same layout."""
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
     want = (tape[0].shape[0], model.output_dim)
     if grad_outputs.shape != want:
@@ -210,73 +223,22 @@ def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
     p -= g
 
 
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState, lr: float,
+def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState, lr: float,
               weight_decay: float = 0.0) -> tuple[MlpModel, AdamState]:
-    """One `_adam_update` on copies of the parameters and the moments."""
-    p = get_flat_params(model)
+    """One `_adam_update` on copies of the parameters, the moments and `grads`."""
+    p = model.params.copy()
+    g = np.array(grads, dtype=np.float64)  # a copy: the update uses it as scratch
+    if g.shape != p.shape:
+        raise ShapeError(f"gradients of shape {g.shape} != parameters {p.shape}")
     new_state = replace(state, m=state.m.copy(), v=state.v.copy())
     decay = weight_decay * state.decay_mask if weight_decay else None
-    _adam_update(p, flatten_grads(grads), new_state, lr, decay)
-    return _view(model, p), new_state
-
-
-# --- flat parameter vectors and views ----------------------------------------
-
-def _flatten(pairs) -> np.ndarray:
-    """Per-layer (weights, bias)-shaped pairs as one vector in parameter order."""
-    return np.concatenate([a.ravel() for pair in pairs for a in pair])
-
-
-def get_flat_params(model: MlpModel) -> np.ndarray:
-    return _flatten((lp.weights, lp.bias) for lp in model.layers)
-
-
-def _view(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    """A model shaped like `model` whose arrays are views into `flat`."""
-    layers, off = [], 0
-    for lp in model.layers:
-        nw, nb = lp.weights.size, lp.bias.size
-        w = flat[off:off + nw].reshape(lp.weights.shape)
-        off += nw
-        layers.append(LayerParams(weights=w, bias=flat[off:off + nb]))
-        off += nb
-    return MlpModel(layers=tuple(layers), layer_dims=model.layer_dims)
+    _adam_update(p, g, new_state, lr, decay)
+    return MlpModel(params=p, layer_dims=model.layer_dims), new_state
 
 
 def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    flat = np.array(flat, dtype=np.float64)  # a copy: the model owns its data
-    if flat.size != model.n_params():
-        raise ShapeError(f"flat size {flat.size} != n_params {model.n_params()}")
-    return _view(model, flat)
-
-
-def flatten_grads(grads: Gradients) -> np.ndarray:
-    return _flatten(grads.layers)
-
-
-class _FusedTrainer:
-    """State of a training loop: the flat parameter vector with a model whose
-    arrays view it, the Adam moments, and the weight-decay vector.
-
-    A step runs the same `_forward` and `_backward` as the public functions on
-    `self.model`, then `adam_apply`, which updates the flat vector in place, so
-    no step rebuilds a model. Not part of the public API.
-    """
-
-    def __init__(self, model: MlpModel, weight_decay: float):
-        model.validate()
-        self.p = get_flat_params(model)
-        self.model = _view(model, self.p)
-        self.state = adam_init(model)
-        self.decay = weight_decay * self.state.decay_mask if weight_decay else None
-
-    def snapshot(self) -> MlpModel:
-        """Detached copy of the current parameters."""
-        return set_flat_params(self.model, self.p)
-
-    def adam_apply(self, grads: Gradients, lr: float) -> None:
-        """One Adam update from the gradients of the current parameters."""
-        _adam_update(self.p, flatten_grads(grads), self.state, lr, self.decay)
+    """A model shaped like `model` with a copy of `flat` as its parameters."""
+    return MlpModel(params=np.array(flat, dtype=np.float64), layer_dims=model.layer_dims)
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -315,13 +277,22 @@ def _read_checkpoint(doc) -> tuple[MlpModel, dict]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not read" + (
             "; re-run `lobsad run` to write version 2" if version == 1 else ""))
-    layers = doc["layers"]
+    dims, layers = check_layer_dims(doc["layer_dims"]), doc["layers"]
+    if len(dims) != len(layers) + 1:
+        raise ShapeError(f"layer_dims {dims} does not fit {len(layers)} layers: it "
+                         f"needs {len(layers) + 1} entries")
+    arrays = []
     for i, l in enumerate(layers):  # `_forward` knows only ReLU, then a linear last layer
         want = _activation(i, len(layers))
         if l["activation"] != want:
             raise ConfigError(f"layer {i}: activation {l['activation']!r}, expected {want!r}")
-    model = MlpModel(layers=tuple(LayerParams(_decode(l["weights"]), _decode(l["bias"]))
-                                  for l in layers), layer_dims=tuple(doc["layer_dims"]))
+        w, b = _decode(l["weights"]), _decode(l["bias"])
+        if w.shape != (dims[i + 1], dims[i]):
+            raise ShapeError(f"layer {i}: weights {w.shape} != ({dims[i + 1]}, {dims[i]})")
+        if b.shape != (dims[i + 1],):
+            raise ShapeError(f"layer {i}: bias {b.shape} != ({dims[i + 1]},)")
+        arrays += [w.ravel(), b]
+    model = MlpModel(params=np.concatenate(arrays), layer_dims=dims)
     model.validate()
     meta = {}
     for key, width in (("center", model.output_dim), ("norm_mean", model.input_dim),

@@ -18,13 +18,15 @@ import numpy as np
 
 from . import nnet
 from .errors import ConfigError, DataError, ShapeError
-from .nnet import Gradients, MlpModel
+from .nnet import MlpModel
 
 # rows per forward pass in `embed`, picked by measurement: one layer's
 # activations at the default dims (1,024 x 100 float64, 0.8 MB) stay in cache
 _CHUNK = 1024
 # rows per partial sum in `init_center`, the summation order of every center
 _CENTER_CHUNK = 8192
+# `init_center` pushes center coordinates nearer zero than this out to +-_NUDGE
+_NUDGE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def loss_head(out: np.ndarray, target: np.ndarray, y: np.ndarray | None = None,
 
 def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,
                    y: np.ndarray | None = None,
-                   hyper: SadHyper | None = None) -> tuple[float, Gradients]:
+                   hyper: SadHyper | None = None) -> tuple[float, np.ndarray]:
     """forward -> loss head -> backward: the one sequence behind every loss
     and every training step. `batch` is not validated here."""
     out, tape = nnet._forward(model, batch)
@@ -119,7 +121,7 @@ def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     return loss, nnet._backward(model, tape, grad_out)
 
 
-def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, Gradients]:
+def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared reconstruction error, (1/B) sum ||phi(x) - x||^2."""
     check_autoencoder(model)
     batch = nnet._as_batch(model, np.atleast_2d(batch))
@@ -127,7 +129,7 @@ def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, Gradients]:
 
 
 def svdd_loss(model: MlpModel, batch: np.ndarray,
-              sphere: Hypersphere) -> tuple[float, Gradients]:
+              sphere: Hypersphere) -> tuple[float, np.ndarray]:
     """One-class loss: (1/n) sum ||phi(x_i) - c||^2 over the batch."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
@@ -136,7 +138,7 @@ def svdd_loss(model: MlpModel, batch: np.ndarray,
 
 
 def sad_loss(model: MlpModel, unlabeled: np.ndarray, labeled: LabeledBatch,
-             sphere: Hypersphere, hyper: SadHyper) -> tuple[float, Gradients]:
+             sphere: Hypersphere, hyper: SadHyper) -> tuple[float, np.ndarray]:
     """Semi-supervised loss.
 
     (1/(n+m)) sum_i ||phi(x_i)-c||^2
@@ -168,11 +170,11 @@ def embed(model: MlpModel, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> Hypersphere:
+def init_center(model: MlpModel, features: np.ndarray) -> Hypersphere:
     """Center = mean network output over all rows, summed _CENTER_CHUNK rows
     at a time.
 
-    Coordinates within `nudge` of zero are pushed out to +-nudge so the sphere
+    Coordinates within _NUDGE of zero are pushed out to +-_NUDGE so the sphere
     cannot trivially collapse onto the origin of a dead-ReLU output.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -185,8 +187,8 @@ def init_center(model: MlpModel, features: np.ndarray, nudge: float = 1e-3) -> H
     sums = np.stack([out[lo:lo + _CENTER_CHUNK].sum(axis=0)
                      for lo in range(0, n, _CENTER_CHUNK)])
     c = sums.sum(axis=0) / n
-    small = np.abs(c) < nudge
-    c[small] = np.where(c[small] >= 0, nudge, -nudge)
+    small = np.abs(c) < _NUDGE
+    c[small] = np.where(c[small] >= 0, _NUDGE, -_NUDGE)
     return Hypersphere(center=c)
 
 

@@ -16,7 +16,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def finite_difference_grad(loss_fn, model, h=1e-5):
     """Central finite differences over every parameter; independent oracle."""
-    flat = nnet.get_flat_params(model)
+    flat = model.params
     grad = np.empty(flat.size)
     for i in range(flat.size):
         up, down = flat.copy(), flat.copy()
@@ -46,7 +46,7 @@ def sample_safe_model_batch(rng, dims, batch_rows=4, min_preact=1e-4):
     for _ in range(200):
         seed = int(rng.integers(0, 2**31))
         model = nnet.mlp_init(seed, layer_dims=dims)
-        flat = nnet.get_flat_params(model) + 0.1 * rng.standard_normal(model.n_params())
+        flat = model.params + 0.1 * rng.standard_normal(model.n_params())
         model = nnet.set_flat_params(model, flat)
         batch = rng.normal(size=(batch_rows, dims[0]))
         _, tape = nnet.forward(model, batch)

@@ -81,6 +81,12 @@ class TestGenerate:
         ("archetype_mix", [0, 0, 0], "archetype_mix must be three finite weights >= 0"),
         ("archetype_mix", [1, -1, 1], "archetype_mix must be three finite weights >= 0"),
         ("archetype_mix", ["a", 1, 1], "archetype_mix must be three finite weights >= 0"),
+        ("start_price", float("nan"), "start_price must be finite and > 0"),
+        ("start_price", 1e30, "start_price must be finite and > 0"),
+        ("start_price", -1e30, "start_price must be finite and > 0"),
+        ("start_price", -5.0, "start_price must be finite and > 0"),
+        ("start_price", 0, "start_price must be finite and > 0"),
+        ("start_price", 2.0 ** 51, "start_price / tick_size below 2**53, got 2251799813685248"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -275,14 +281,21 @@ class TestRun:
         ("lr", None, "'train' section: lr must be a number, got None"),
         ("layer_dims", 5, "layer_dims must be a list, got 5"),
         ("synth.n_rows", "100", "'synth' section: n_rows must be an integer, got '100'"),
+        ("train", 5, "'train' section must be an object, got 5"),
+        ("synth", [], "'synth' section must be an object, got []"),
+        ("train", "ab", "'train' section must be an object, got 'ab'"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
-        train, synth = dict(TINY_TRAIN), dict(TINY_SYNTH)
-        section, _, key = key.rpartition(".")  # "synth.<key>" or a train key
-        (synth if section == "synth" else train)[key] = value
-        cfg = write_config(tmp_path / "c.json", train, synth)
-        code, out = run_experiment_cli(tmp_path, cfg, generated)
+        doc = {"version": 1, "train": dict(TINY_TRAIN), "synth": dict(TINY_SYNTH)}
+        section, _, key = key.rpartition(".")  # "synth.<key>", a train key or a section
+        if key in doc:
+            doc[key] = value
+        else:
+            doc[section or "train"][key] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_experiment_cli(tmp_path, str(cfg), generated)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
@@ -298,7 +311,7 @@ def score_inputs(tmp_path, n_rows, bad_last_row=False, **fields):
     if bad_last_row:
         result.book[-1, 0] = result.book[-1, 20]
     lob = tmp_path / "lob.csv"
-    data.write_lob_csv(lob, result.timestamps, result.book)
+    data.write_lob_csv(lob, result.dataset.timestamps, result.book)
     norm = data.fit_normalizer(result.dataset.features, np.arange(n_rows))
     ckpt = tmp_path / "score.ckpt"
     fields = {"center": np.linspace(-0.5, 0.5, 20), "norm_mean": norm.mean,

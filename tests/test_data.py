@@ -93,11 +93,11 @@ class TestCsv:
         cfg = data.SynthConfig(n_rows=500, anomaly_rate=0.01, n_labeled=2, seed=4)
         result = data.generate_synthetic(cfg)
         path = tmp_path / "lob.csv"
-        data.write_lob_csv(path, result.timestamps, result.book)
+        data.write_lob_csv(path, result.dataset.timestamps, result.book)
         loaded = data.load_lob_csv(path, cfg.schema)
         assert np.allclose(loaded.features, result.dataset.features,
                            rtol=0, atol=1e-12)
-        assert np.array_equal(loaded.timestamps, result.timestamps)
+        assert np.array_equal(loaded.timestamps, result.dataset.timestamps)
 
 
 class TestLabels:
@@ -179,7 +179,7 @@ class TestGenerator:
         cfg = data.SynthConfig(n_rows=3000, anomaly_rate=0.01, n_labeled=5, seed=11)
         a, b = data.generate_synthetic(cfg), data.generate_synthetic(cfg)
         assert np.array_equal(a.book, b.book)
-        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.dataset.timestamps, b.dataset.timestamps)
         assert np.array_equal(a.ground_truth.rows, b.ground_truth.rows)
         assert np.array_equal(a.dataset.labeled_idx, b.dataset.labeled_idx)
 
@@ -199,7 +199,7 @@ class TestGenerator:
         cfg = data.SynthConfig(n_rows=5000, anomaly_rate=0.01, n_labeled=10, seed=3)
         result = data.generate_synthetic(cfg)
         assert_book_invariants(result.book)
-        assert np.all(np.diff(result.timestamps) > 0)
+        assert np.all(np.diff(result.dataset.timestamps) > 0)
 
     def test_label_sparsity_default(self):
         cfg = data.SynthConfig()
@@ -494,10 +494,10 @@ class TestLoaderOracle:
         cfg = data.SynthConfig(n_rows=5000, anomaly_rate=0.02, n_labeled=2, seed=8)
         result = data.generate_synthetic(cfg)
         path = tmp_path / "lob.csv"
-        data.write_lob_csv(path, result.timestamps, result.book)
+        data.write_lob_csv(path, result.dataset.timestamps, result.book)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(data.CSV_COLUMNS)
-        for t, row in zip(result.timestamps, result.book):
+        for t, row in zip(result.dataset.timestamps, result.book):
             writer.writerow([int(t)] + [repr(float(v)) for v in row])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")

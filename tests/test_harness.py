@@ -65,8 +65,7 @@ class TestPretrain:
         x = rng.normal(size=(100, 20))
         cfg = tiny_cfg(pretrain_epochs=0)
         out, losses = harness.pretrain(model, x, cfg, np.random.default_rng(0))
-        assert np.array_equal(nnet.get_flat_params(out),
-                              nnet.get_flat_params(model))
+        assert np.array_equal(out.params, model.params)
         assert losses == []
 
     def test_loss_decreases_on_learnable_data(self, rng):
@@ -85,7 +84,7 @@ class TestPretrain:
         cfg = tiny_cfg()
         a, _ = harness.pretrain(model, x, cfg, np.random.default_rng(9))
         b, _ = harness.pretrain(model, x, cfg, np.random.default_rng(9))
-        assert np.array_equal(nnet.get_flat_params(a), nnet.get_flat_params(b))
+        assert np.array_equal(a.params, b.params)
 
 
     @pytest.mark.parametrize("dims", HAND_LOOP_DIMS, ids=dims_id)
@@ -109,8 +108,7 @@ class TestPretrain:
             hand_losses.append(sum(batch_losses) / len(batch_losses))
         assert state.t == 6
         assert losses == hand_losses
-        assert np.array_equal(nnet.get_flat_params(trained),
-                              nnet.get_flat_params(expected))
+        assert np.array_equal(trained.params, expected.params)
 
 
 class TestTrainMain:
@@ -123,7 +121,7 @@ class TestTrainMain:
                                      cfg, "svdd", np.random.default_rng(5))
         sad, _ = harness.train_main(model, sphere, x, LabeledBatch.empty(20),
                                     cfg, "sad", np.random.default_rng(5))
-        assert np.array_equal(nnet.get_flat_params(svdd), nnet.get_flat_params(sad))
+        assert np.array_equal(svdd.params, sad.params)
 
     def test_single_batch_epoch_matches_hand_step(self, rng):
         model = nnet.mlp_init(4, (20, 16, 20))
@@ -136,8 +134,7 @@ class TestTrainMain:
         _, grads = objectives.svdd_loss(model, x[perm], sphere)
         expected, _ = nnet.adam_step(model, grads, nnet.adam_init(model),
                                      cfg.lr, cfg.weight_decay)
-        assert np.array_equal(nnet.get_flat_params(trained),
-                              nnet.get_flat_params(expected))
+        assert np.array_equal(trained.params, expected.params)
 
     @pytest.mark.parametrize("dims", HAND_LOOP_DIMS, ids=dims_id)
     def test_sad_epochs_match_hand_loop(self, rng, dims):
@@ -167,8 +164,7 @@ class TestTrainMain:
             hand_losses.append(sum(batch_losses) / len(batch_losses))
         assert state.t == 6
         assert losses == hand_losses
-        assert np.array_equal(nnet.get_flat_params(trained),
-                              nnet.get_flat_params(expected))
+        assert np.array_equal(trained.params, expected.params)
 
     def test_labeled_cluster_pushed_out(self, rng):
         # 2-cluster toy: training on labels must raise the labeled cluster's

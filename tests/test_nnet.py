@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,17 @@ class TestInit:
         out, _ = nnet.forward(model, x)
         assert np.array_equal(out, x)
 
+    def test_pickle_keeps_layers_viewing_params(self):
+        # worker processes send models back by pickle
+        model = nnet.mlp_init(5, (4, 6, 3))
+        copy = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(copy.params, model.params)
+        for lp in copy.layers:
+            assert np.shares_memory(lp.weights, copy.params)
+            assert np.shares_memory(lp.bias, copy.params)
+        copy.params[:] = 0.0
+        assert all(not lp.weights.any() and not lp.bias.any() for lp in copy.layers)
+
     @pytest.mark.parametrize("dims", [(), (5,), (3, 0, 2), (3, -1)])
     def test_bad_dims(self, dims):
         with pytest.raises(ConfigError):
@@ -74,10 +87,9 @@ class TestInit:
 
     @pytest.mark.parametrize("dims", [(20, 12, 20, 5), (20, 12)])
     def test_layer_dims_must_match_layer_count(self, dims):
-        # one more dim than layers: each layer maps dims[i] to dims[i + 1]
-        model = dataclasses.replace(nnet.mlp_init(1, (20, 12, 20)), layer_dims=dims)
-        with pytest.raises(ShapeError, match="does not fit 2 layers"):
-            model.validate()
+        # the parameters of a (20, 12, 20) net fit no other dims
+        with pytest.raises(ShapeError, match=r"do not fit layer_dims .*need"):
+            dataclasses.replace(nnet.mlp_init(1, (20, 12, 20)), layer_dims=dims)
 
 
 class TestForward:
@@ -141,7 +153,7 @@ class TestBackward:
         x = rng.normal(size=(6, 4))
         out, tape = nnet.forward(model, x)
         grads = nnet.backward(model, tape, np.zeros_like(out))
-        assert np.all(nnet.flatten_grads(grads) == 0)
+        assert np.all(grads == 0)
 
     def test_linear_layer_outer_product(self):
         # L = sum of outputs of a single linear layer: dL/dW[r, c] = sum_b x[b, c]
@@ -150,8 +162,9 @@ class TestBackward:
         out, tape = nnet.forward(model, x)
         grads = nnet.backward(model, tape, np.ones_like(out))
         expected = np.tile(x.sum(axis=0), (2, 1))
-        assert np.allclose(grads.layers[0][0], expected)
-        assert np.allclose(grads.layers[0][1], [2.0, 2.0])
+        (layer,) = nnet._layer_views(grads, model.layer_dims)
+        assert np.allclose(layer.weights, expected)
+        assert np.allclose(layer.bias, [2.0, 2.0])
 
     def test_finite_difference_4_5_3(self, rng):
         model, x = sample_safe_model_batch(rng, (4, 5, 3))
@@ -162,7 +175,7 @@ class TestBackward:
             return float(np.sum((out - target) ** 2))
 
         out, tape = nnet.forward(model, x)
-        analytic = nnet.flatten_grads(nnet.backward(model, tape, 2 * (out - target)))
+        analytic = nnet.backward(model, tape, 2 * (out - target))
         fd = finite_difference_grad(loss, model)
         assert relative_error(analytic, fd) < 1e-5
 
@@ -179,7 +192,7 @@ class TestBackward:
             return float(np.sum(w * out))
 
         _, tape = nnet.forward(model, x)
-        analytic = nnet.flatten_grads(nnet.backward(model, tape, w))
+        analytic = nnet.backward(model, tape, w)
         fd = finite_difference_grad(loss, model)
         assert relative_error(analytic, fd) < 1e-5
 
@@ -223,23 +236,22 @@ class TestTapeOracle:
         out, tape = nnet.forward(model, x)
         grads = nnet.backward(model, tape, grad_out)
         assert np.array_equal(out, ref_out)
-        for (gw, gb), (rw, rb) in zip(grads.layers, ref_grads):
-            assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+        for g, (rw, rb) in zip(nnet._layer_views(grads, model.layer_dims), ref_grads,
+                               strict=True):
+            assert np.array_equal(g.weights, rw) and np.array_equal(g.bias, rb)
         assert len(tape) == len(model.layers)
 
 
 class TestAdam:
     def _grads_like(self, model, fill=0.0):
-        return nnet.Gradients(tuple(
-            (np.full_like(lp.weights, fill), np.full_like(lp.bias, fill))
-            for lp in model.layers))
+        return np.full(model.n_params(), fill)
 
     def test_zero_grad_no_decay_unchanged(self):
         model = nnet.mlp_init(2, (3, 4, 2))
         state = nnet.adam_init(model)
         new, state2 = nnet.adam_step(model, self._grads_like(model), state,
                                      lr=0.1, weight_decay=0.0)
-        assert np.array_equal(nnet.get_flat_params(new), nnet.get_flat_params(model))
+        assert np.array_equal(new.params, model.params)
         assert state2.t == 1
 
     def test_first_step_closed_form(self, rng):
@@ -248,17 +260,10 @@ class TestAdam:
         model = nnet.mlp_init(2, (3, 4, 2))
         state = nnet.adam_init(model)
         g = rng.normal(size=model.n_params())
-        off, layers = 0, []
-        for lp in model.layers:
-            nw, nb = lp.weights.size, lp.bias.size
-            layers.append((g[off:off + nw].reshape(lp.weights.shape),
-                           g[off + nw:off + nw + nb]))
-            off += nw + nb
-        grads = nnet.Gradients(tuple(layers))
         lr, eps = 0.01, nnet.ADAM_EPS
-        new, _ = nnet.adam_step(model, grads, state, lr=lr, weight_decay=0.0)
-        expected = nnet.get_flat_params(model) - lr * g / (np.abs(g) + eps)
-        assert np.allclose(nnet.get_flat_params(new), expected, atol=1e-12)
+        new, _ = nnet.adam_step(model, g, state, lr=lr, weight_decay=0.0)
+        expected = model.params - lr * g / (np.abs(g) + eps)
+        assert np.allclose(new.params, expected, atol=1e-12)
 
     def test_decay_only_shrinks_weights_not_biases(self):
         model = nnet.mlp_init(2, (3, 3))
@@ -278,15 +283,8 @@ class TestAdam:
         model = nnet.mlp_init(seed, (3, 4, 2))
         state = nnet.adam_init(model)
         g = r.normal(size=model.n_params())
-        off, layers = 0, []
-        for lp in model.layers:
-            nw, nb = lp.weights.size, lp.bias.size
-            layers.append((g[off:off + nw].reshape(lp.weights.shape),
-                           g[off + nw:off + nw + nb]))
-            off += nw + nb
-        new, st2 = nnet.adam_step(model, nnet.Gradients(tuple(layers)), state,
-                                  lr=0.0, weight_decay=0.5)
-        assert np.array_equal(nnet.get_flat_params(new), nnet.get_flat_params(model))
+        new, st2 = nnet.adam_step(model, g, state, lr=0.0, weight_decay=0.5)
+        assert np.array_equal(new.params, model.params)
         assert st2.t == state.t + 1
 
     def test_matches_textbook_adam(self, rng):
@@ -296,31 +294,38 @@ class TestAdam:
         is_weight = np.concatenate([np.full(a.size, i % 2 == 0) for lp in model.layers
                                     for i, a in enumerate((lp.weights, lp.bias))])
         lr, wd, b1, b2, eps = 1e-2, 0.1, 0.9, 0.999, 1e-8
-        p = nnet.get_flat_params(model)
+        p = model.params
         m, v = np.zeros(p.size), np.zeros(p.size)
         state = nnet.adam_init(model)
         for t in range(1, 201):
             g = rng.normal(size=p.size)
-            model, state = nnet.adam_step(model, self._unflatten(model, g), state,
-                                          lr=lr, weight_decay=wd)
+            model, state = nnet.adam_step(model, g, state, lr=lr, weight_decay=wd)
             g = g + wd * p * is_weight
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat, v_hat = m / (1 - b1 ** t), v / (1 - b2 ** t)
             p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            np.testing.assert_allclose(nnet.get_flat_params(model), p,
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(model.params, p, rtol=1e-12, atol=0)
         assert state.t == 200
 
-    @staticmethod
-    def _unflatten(model, g):
-        off, layers = 0, []
-        for lp in model.layers:
-            nw, nb = lp.weights.size, lp.bias.size
-            layers.append((g[off:off + nw].reshape(lp.weights.shape),
-                           g[off + nw:off + nw + nb]))
-            off += nw + nb
-        return nnet.Gradients(tuple(layers))
+    def test_inputs_unchanged(self, rng):
+        # `_adam_update` uses the gradient vector as scratch space
+        model = nnet.mlp_init(2, (3, 4, 2))
+        _, state = nnet.adam_step(model, rng.normal(size=model.n_params()),
+                                  nnet.adam_init(model), lr=0.1)
+        g = rng.normal(size=model.n_params())
+        before = [a.copy() for a in (model.params, state.m, state.v, g)]
+        nnet.adam_step(model, g, state, lr=0.1, weight_decay=0.5)
+        after = (model.params, state.m, state.v, g)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.t == 1
+
+    @pytest.mark.parametrize("size", [0, 1, 25])
+    def test_gradient_size_checked(self, size):
+        # a gradient vector of another size must not broadcast into the update
+        model = nnet.mlp_init(2, (3, 4, 2))  # 26 parameters
+        with pytest.raises(ShapeError, match="gradients of shape"):
+            nnet.adam_step(model, np.ones(size), nnet.adam_init(model), lr=0.1)
 
     def test_nonfinite_grads_raise(self):
         model = nnet.mlp_init(2, (3, 3))
@@ -347,14 +352,24 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         fields = save_trial_checkpoint(model, path, rng)
         loaded, meta = nnet.load_checkpoint(path)
-        assert np.array_equal(nnet.get_flat_params(loaded),
-                              nnet.get_flat_params(model))
+        assert np.array_equal(loaded.params, model.params)
         assert loaded.layer_dims == model.layer_dims
         assert set(meta) == set(fields)
         for key in ("center", "norm_mean", "norm_std"):
             assert meta[key].dtype == np.float64
             assert meta[key].tobytes() == fields[key].tobytes()
         assert meta["feature_columns"] == tuple(fields["feature_columns"])
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # the version-2 file of a fixed model, byte for byte
+        path = tmp_path / "m.ckpt"
+        nnet.save_checkpoint(nnet.mlp_init(7, (4, 3, 2)), path,
+                             center=np.array([0.5, -0.25]),
+                             norm_mean=np.array([1.0, 2.0, 3.0, 4.0]),
+                             norm_std=np.array([0.5, 1.0, 2.0, 4.0]),
+                             feature_columns=["a", "b", "c", "d"])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4c751e90eeb7ead6d61f01ce4b3db968ddf4801407b4cfc7d0bb5bbef70aa65e")
 
     def test_version_check(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
