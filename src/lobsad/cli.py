@@ -142,10 +142,11 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     train, synth = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
+    jobs = harness.resolve_jobs(args.jobs, train)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
              "sad-only": ("sad",)}[args.mode]
     os.makedirs(args.out, exist_ok=True)
@@ -159,15 +160,6 @@ def cmd_run(args) -> int:
         if beyond.size:
             raise DataError(f"{args.ground_truth}: row {beyond[0] + 1}: row index "
                             f"{gt.rows[beyond[0]]} >= {dataset.n_rows} data rows")
-
-    manifest = {"config": _config_snapshot(train, synth),
-                "data": os.path.abspath(args.data),
-                "labels": os.path.abspath(args.labels),
-                "mode": args.mode, "jobs": args.jobs,
-                "n_rows": dataset.n_rows, "n_labeled": dataset.n_labeled}
-    with open(os.path.join(args.out, "run_manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
 
     done: list[harness.TrialResult] = []
 
@@ -185,11 +177,21 @@ def cmd_run(args) -> int:
         _save_trial(res, args.out, synth.schema)
         log.info("trial %d done in %.1fs", res.report.trial, res.report.runtime_s)
 
-    try:
-        harness.run_experiment(dataset, train, modes=modes, jobs=args.jobs,
-                               ground_truth=gt, on_trial=on_trial)
-    finally:
-        flush()  # the finished trials' results, also when a later one fails
+    with nnet.one_blas_thread() as blas_threads:  # as run_experiment trains
+        manifest = {"config": _config_snapshot(train, synth),
+                    "data": os.path.abspath(args.data),
+                    "labels": os.path.abspath(args.labels),
+                    "mode": args.mode, "jobs": jobs, "blas_threads": blas_threads,
+                    "usable_cpus": harness.usable_cpus(),
+                    "n_rows": dataset.n_rows, "n_labeled": dataset.n_labeled}
+        with open(os.path.join(args.out, "run_manifest.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+        try:
+            harness.run_experiment(dataset, train, modes=modes, jobs=jobs,
+                                   ground_truth=gt, on_trial=on_trial)
+        finally:
+            flush()  # the finished trials' results, also when a later one fails
     return 0
 
 
@@ -206,7 +208,9 @@ def cmd_score(args) -> int:
     sphere = objectives.Hypersphere(center=meta["center"])
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        # at the one BLAS thread a run trains and scores at, so the scores
+        # equal the run's stored ones at any thread count set outside
+        with open(tmp, "w", encoding="utf-8", newline="") as fh, nnet.one_blas_thread():
             fh.write("row,score\r\n")
             first = 0
             for _, features in data_mod.iter_lob_csv(args.data, schema):
@@ -308,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="optional sidecar; adds gt_* metrics to results.json")
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1,
-                     help="trials run in parallel, one process each; results equal "
-                          "--jobs 1 only at the same BLAS thread count, so set "
-                          "OPENBLAS_NUM_THREADS=1 with --jobs > 1")
+    run.add_argument("--jobs", type=int, default=None,
+                     help="processes that run trials, this one included, each at "
+                          "one BLAS thread (default: the usable CPUs; never more "
+                          "than the trials); results do not depend on it")
     run.add_argument("--mode", choices=("both", "svdd-only", "sad-only"),
                      default="both")
     run.add_argument("--paper-scale", action="store_true",

@@ -371,6 +371,8 @@ class SynthConfig:
             raise ConfigError("n_rows must be >= 1")
         if self.n_labeled < 0:
             raise ConfigError("n_labeled must be >= 0")
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.spoof_side not in ("bid", "ask"):
             raise ConfigError(f"spoof_side must be bid or ask, got {self.spoof_side}")
         if not 0 < self.tick_size < math.inf:

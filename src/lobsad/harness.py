@@ -4,15 +4,23 @@ metrics and repeated trials.
 
 Within a trial the two models share the pretrained weights, the center and the
 minibatch order; the objective is the only thing that differs. Everything is
-seeded: a fixed seed gives bit-identical single-job results per BLAS thread count.
+seeded, and `run_experiment` trains at one BLAS thread in every process, so a
+fixed seed gives bit-identical results whatever the number of processes, the
+CPU count or `OPENBLAS_NUM_THREADS`; only the BLAS build moves them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import multiprocessing
+import os
+import queue
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,6 +70,8 @@ class TrainConfig:
     n_repeats: int = 2
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.pretrain_epochs < 0 or self.main_epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -252,47 +262,115 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
                        main_losses=main_losses)
 
 
-def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES, jobs: int = 1,
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def resolve_jobs(jobs: int | None, cfg: TrainConfig) -> int:
+    """The processes a run of `cfg` trains on: `jobs`, by default the usable
+    CPUs, and never more than the trials."""
+    if jobs is None:
+        jobs = usable_cpus()
+    elif jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, cfg.n_repeats * cfg.k_folds)
+
+
+# a worker's dataset and ground truth, set once by `_init_worker`: fork hands
+# them over without pickling, so a task is only the trial's coordinates
+_WORKER_DATA: tuple = ()
+
+
+def _init_worker(dataset: Dataset, ground_truth: data_mod.GroundTruth | None) -> None:
+    global _WORKER_DATA
+    _WORKER_DATA = (dataset, ground_truth)
+
+
+def _worker_trial(cfg, repeat, fold, folds, modes) -> TrialResult:
+    dataset, ground_truth = _WORKER_DATA
+    return run_trial(dataset, cfg, repeat, fold, folds, modes, ground_truth)
+
+
+def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
+                   jobs: int | None = None,
                    ground_truth: data_mod.GroundTruth | None = None,
                    on_trial=None) -> list[TrialResult]:
-    """All repeats x folds. `on_trial(result)` fires as each trial completes,
-    in completion order, so callers can flush partial results before a later
-    trial aborts. `jobs` > 1 runs the trials on min(jobs, trials) worker
-    processes. There, no trial starts after the first failure; the trials
-    already running finish and reach `on_trial`, then the first error is
-    raised."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg)`
+    processes: this one runs trials itself, in trial order, beside jobs - 1
+    forked workers, each of which starts the next trial as its last one ends.
+    The results do not depend on `jobs`. `on_trial(result)` fires on the
+    calling thread as each trial completes, in completion order, so callers
+    can flush partial results before a later trial aborts. No trial starts
+    after the first failure; the trials already running finish and reach
+    `on_trial`, then the first error is raised."""
+    jobs = resolve_jobs(jobs, cfg)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
-    tasks = [(dataset, cfg, r, f, folds, tuple(modes), ground_truth)
-             for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
-    # a fork-context pool starts all its workers at the first submit, so a
-    # worker with no trial to run would only copy the process
-    jobs = min(jobs, len(tasks))
+    tasks = deque((cfg, r, f, folds, tuple(modes))
+                  for r in range(cfg.n_repeats) for f in range(cfg.k_folds))
+    lock, error = threading.Lock(), None
+    finished = queue.SimpleQueue()  # the workers' futures, as their trials end
     results: list[TrialResult] = []
-    if jobs == 1:
-        for task in tasks:
-            results.append(run_trial(*task))
-            if on_trial is not None:
-                on_trial(results[-1])
-    else:
-        # one trial per free worker, in trial order (popped from the end): a
-        # pool runs every trial it has queued, even after a failure
-        queued, error = tasks[::-1], None
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            running = set()
-            while queued or running:
-                while queued and len(running) < jobs:
-                    running.add(ex.submit(run_trial, *queued.pop()))
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    if fut.exception() is not None:  # start no more; drain the rest
-                        error, queued = error or fut.exception(), []
-                        continue
-                    results.append(fut.result())
+    # fork: the workers get the dataset without a pickle and inherit the one
+    # BLAS thread. The pool forks all of them at the first submit, from this
+    # thread, so `resolve_jobs` caps them: a worker with no trial would only
+    # copy the process
+    pool = contextlib.nullcontext() if jobs == 1 else ProcessPoolExecutor(
+        max_workers=jobs - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(dataset, ground_truth))
+
+    def fail(exc: BaseException) -> None:
+        nonlocal error
+        with lock:
+            error = error or exc
+
+    def take():  # this process's next task, or None once none may start
+        with lock:
+            return tasks.popleft() if tasks and error is None else None
+
+    def feed(done=None) -> None:
+        """Give a worker the next task; the pool calls this as a worker's trial ends."""
+        nonlocal error
+        if done is not None:
+            if done.exception() is not None:
+                fail(done.exception())
+            finished.put(done)
+        with lock:  # held across submit: a task taken is a future submitted
+            if not tasks or error is not None:
+                return
+            try:
+                fut = pool.submit(_worker_trial, *tasks.popleft())
+            except Exception as exc:  # a worker died, or an error shuts the pool
+                error = error or exc
+                return
+        fut.add_done_callback(feed)
+
+    def deliver_finished() -> None:
+        while not finished.empty():
+            fut = finished.get()
+            if fut.exception() is None:
+                results.append(fut.result())
+                if on_trial is not None:
+                    on_trial(results[-1])
+
+    with nnet.one_blas_thread():
+        with pool:  # its shutdown waits for the running trials and refuses new ones
+            for _ in range(jobs - 1):
+                feed()
+            while (task := take()) is not None:
+                try:
+                    results.append(run_trial(dataset, *task, ground_truth))
+                except Exception as exc:  # start no more; running trials finish
+                    fail(exc)
+                else:
                     if on_trial is not None:
                         on_trial(results[-1])
-        if error is not None:
-            raise error
+                deliver_finished()
+        deliver_finished()  # the pool has shut down: every worker's future is here
+    if error is not None:
+        raise error
     results.sort(key=lambda r: r.report.trial)
     return results

@@ -16,12 +16,16 @@ the textbook moments over 1 - b1 and 1 - b2, and folds both bias corrections
 into p -= a_t m / (sqrt(v) + eps_t), with k_t = sqrt((1 - b2^t) / (1 - b2)),
 a_t = lr (1 - b1) / (1 - b1^t) k_t and eps_t = eps k_t. L2 decay adds
 weight_decay * p to g on weights only. Training is bit-reproducible for a
-fixed seed at a fixed BLAS thread count.
+fixed seed at a fixed BLAS thread count; `one_blas_thread` fixes it at one
+where the process's OpenBLAS exposes it, so that only the BLAS build moves
+the bits.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import ctypes
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -239,6 +243,53 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState, lr: float,
 def set_flat_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
     """A model shaped like `model` with a copy of `flat` as its parameters."""
     return MlpModel(params=np.array(flat, dtype=np.float64), layer_dims=model.layer_dims)
+
+
+# --- BLAS threads ------------------------------------------------------------
+
+def _openblas() -> tuple | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, from the process's loaded libraries; None when no loaded
+    library exports them (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                             lib.scipy_openblas_set_num_threads64_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    except OSError:
+        pass
+    return None
+
+
+def blas_threads() -> int | None:
+    """The process's OpenBLAS thread count; None when it cannot be read."""
+    fns = _openblas()
+    return None if fns is None else fns[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread and restore the previous count on
+    exit. Yields 1, or None when the count cannot be set; then it does nothing.
+    The thread count decides how a matrix product is summed, so results under
+    it depend on the BLAS build alone. Forked workers inherit the count."""
+    fns = _openblas()
+    if fns is None:
+        yield None
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(before)
 
 
 # --- checkpoints -------------------------------------------------------------

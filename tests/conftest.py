@@ -5,6 +5,8 @@ from lobsad import data, evalx, nnet, objectives
 
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
+# the desk-scale experiment's processes, BLAS threads and wall time, likewise
+DESK_RUN: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -12,6 +14,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_RESULTS):
             terminalreporter.write_line(line)
+    for line in DESK_RUN:
+        terminalreporter.write_line(f"desk experiment: {line}")
 
 
 def finite_difference_grad(loss_fn, model, h=1e-5):
@@ -84,9 +88,10 @@ def fit_leaks(fits: dict, results, features: np.ndarray) -> int:
     disjoint from its test rows. The PCA fits must be, trial by trial and
     model by model, bit-equal to the embedding of the trial's normalized train
     rows, `objectives.embed(model, apply_normalizer(norm, features)[train_rows])`."""
-    want_pca = [objectives.embed(model, data.apply_normalizer(r.normalizer, features)
-                                 [r.train_rows])
-                for r in results for model in r.models.values()]
+    with nnet.one_blas_thread():  # the thread count the run embedded at
+        want_pca = [objectives.embed(model, data.apply_normalizer(r.normalizer, features)
+                                     [r.train_rows])
+                    for r in results for model in r.models.values()]
     leaks = (abs(len(fits["normalizer"]) - len(results))
              + abs(len(fits["pca"]) - len(want_pca)))
     for rows, r in zip(fits["normalizer"], results):

@@ -34,8 +34,13 @@ def desk_run():
     t0 = time.perf_counter()
     scfg = data.SynthConfig()  # 60,000 rows, 0.2% anomalies, 30 labeled
     synth = data.generate_synthetic(scfg)
-    results = harness.run_experiment(synth.dataset, harness.TrainConfig())
-    return results, time.perf_counter() - t0
+    cfg, threads = harness.TrainConfig(), set()
+    results = harness.run_experiment(synth.dataset, cfg,
+                                     on_trial=lambda r: threads.add(nnet.blas_threads()))
+    elapsed = time.perf_counter() - t0
+    conftest.DESK_RUN.append(f"jobs={harness.resolve_jobs(None, cfg)}, blas_threads="
+                             f"{','.join(map(str, threads))}, {elapsed:.1f}s")
+    return results, elapsed
 
 
 class TestCriterion1Gradients:
@@ -175,11 +180,12 @@ class TestCriterion6FoldProperties:
         scfg = data.SynthConfig(n_rows=600, anomaly_rate=0.03, n_labeled=9, seed=7)
         synth = data.generate_synthetic(scfg)
         fits = conftest.record_fits(monkeypatch)
+        # the spies see only this process's calls, so no trial runs in a worker
         results = harness.run_experiment(
             synth.dataset,
             harness.TrainConfig(pretrain_epochs=1, main_epochs=2,
                                 batch_size=32, layer_dims=(20, 8, 20),
-                                n_repeats=1))
+                                n_repeats=1), jobs=1)
         leakage = conftest.fit_leaks(fits, results, synth.dataset.features)
         n_fits = len(fits["normalizer"]) + len(fits["pca"])
         _report(6, "contiguous folds partition + zero fit-time leakage",

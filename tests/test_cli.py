@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import re
@@ -87,6 +86,7 @@ class TestGenerate:
         ("start_price", -5.0, "start_price must be finite and > 0"),
         ("start_price", 0, "start_price must be finite and > 0"),
         ("start_price", 2.0 ** 51, "start_price / tick_size below 2**53, got 2251799813685248"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -97,6 +97,18 @@ class TestGenerate:
         assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "lob.csv").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_negative_seed_flag_exit_2_before_any_file(self, tmp_path, tiny_config,
+                                                       capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--config", tiny_config, "--out", str(out), "--seed", "-1"]
+        if command == "run":
+            argv += ["--data", str(tmp_path / "lob.csv"),
+                     "--labels", str(tmp_path / "labels.txt")]
+        assert cli.main(argv) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def run_experiment_cli(tmp_path, tiny_config, generated, extra=()):
@@ -151,17 +163,17 @@ class TestRun:
 
     def test_parallel_divergence_fails_fast(self, tmp_path, tiny_config, generated,
                                             capsys, monkeypatch):
-        # six trials on two workers: trial 1 finishes, trial 2 diverges after
-        # it, and later trials are slow. The workers are forked and the pool
-        # sends `harness.run_trial` by name, so they run this patched one.
+        # six trials on two processes: the worker runs trial 1, this process
+        # trial 2, which diverges after trial 1 has finished; later trials are
+        # slow. The worker is forked after the patch, so it runs this patched
+        # `harness.run_trial` too.
         marks = tmp_path / "marks"
         marks.mkdir()
         real_run_trial = harness.run_trial
 
-        @functools.wraps(real_run_trial)  # pickled by name, as a traced wrapper is
         def run_trial(dataset, cfg, repeat, fold, *rest):
             trial = repeat * cfg.k_folds + fold + 1
-            (marks / f"{trial}.start").touch()
+            (marks / f"{trial}.start").write_text(str(os.getpid()))
             if trial == 2:
                 deadline = time.monotonic() + 60
                 while not (marks / "1.done").exists() and time.monotonic() < deadline:
@@ -180,6 +192,8 @@ class TestRun:
         assert "trial 2 diverged" in capsys.readouterr().err
         # trial 3 took trial 1's worker; no trial started after the failure
         assert sorted(int(p.stem) for p in marks.glob("*.start")) == [1, 2, 3]
+        assert (marks / "2.start").read_text() == str(os.getpid())
+        assert (marks / "3.start").read_text() == (marks / "1.start").read_text()
         # trial 3 was running when trial 2 failed: it finishes and is kept
         assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1, 3]
         assert (out / "trial1_fold0_sad.ckpt").exists()
@@ -202,6 +216,29 @@ class TestRun:
         rows = list(csv.reader(open(out / "results.csv")))[1:]
         assert len(rows) == 8 and {r[0] for r in rows} == {"1"}
         assert (out / "trial1_fold0_sad.ckpt").exists()
+
+    def test_manifest_records_environment(self, tmp_path, tiny_config, generated):
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated)
+        assert code == 0
+        manifest = json.load(open(out / "run_manifest.json"))
+        assert manifest["usable_cpus"] == harness.usable_cpus()
+        assert manifest["jobs"] == min(harness.usable_cpus(), 6)
+        assert manifest["blas_threads"] == (None if nnet.blas_threads() is None else 1)
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--jobs", "64"))
+        assert json.load(open(out / "run_manifest.json"))["jobs"] == 6
+
+    def test_manifest_blas_threads_null_when_unset(self, tmp_path, tiny_config,
+                                                   generated, monkeypatch):
+        # no loaded library exports the thread-count calls: the run goes on
+        # at the threads it has, and says so
+        monkeypatch.setattr(nnet, "_openblas", lambda: None)
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--jobs", "2"))
+        assert code == 0
+        manifest = json.load(open(out / "run_manifest.json"))
+        assert manifest["blas_threads"] is None and manifest["jobs"] == 2
+        assert len(json.load(open(out / "results.json"))) == 6
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, tiny_config,
@@ -281,6 +318,8 @@ class TestRun:
         ("lr", None, "'train' section: lr must be a number, got None"),
         ("layer_dims", 5, "layer_dims must be a list, got 5"),
         ("synth.n_rows", "100", "'synth' section: n_rows must be an integer, got '100'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("synth.seed", -1, "seed must be >= 0, got -1"),
         ("train", 5, "'train' section must be an object, got 5"),
         ("synth", [], "'synth' section must be an object, got []"),
         ("train", "ab", "'train' section must be an object, got 'ab'"),
@@ -495,6 +534,30 @@ class TestScore:
         assert cli.main(score_argv(ckpt, lob, out)) == 2
         assert out.read_text() == "earlier scores\n"
         assert sorted(os.listdir(tmp_path)) == sorted(before + ["s.csv"])
+
+    def test_scores_at_one_blas_thread(self, tmp_path, monkeypatch):
+        # at the thread count the run scored at, whatever the caller's; the
+        # caller's count comes back, after a refused row too
+        if nnet.blas_threads() is None:
+            pytest.skip("no settable OpenBLAS in this process")
+        seen, anomaly_score = [], objectives.anomaly_score
+
+        def recording_score(*args):
+            seen.append(nnet.blas_threads())
+            return anomaly_score(*args)
+        monkeypatch.setattr(objectives, "anomaly_score", recording_score)
+        before = nnet.blas_threads()
+        _, set_threads = nnet._openblas()
+        set_threads(2)
+        try:
+            lob, ckpt = score_inputs(tmp_path, 300)
+            assert cli.main(score_argv(ckpt, lob, tmp_path / "s.csv")) == 0
+            assert seen == [1] and nnet.blas_threads() == 2
+            lob, ckpt = score_inputs(tmp_path, 300, bad_last_row=True)
+            assert cli.main(score_argv(ckpt, lob, tmp_path / "s.csv")) == 2
+            assert nnet.blas_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_ROWS", 256)

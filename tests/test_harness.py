@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fit_leaks, record_fits
 from lobsad import data, evalx, harness, nnet, objectives
-from lobsad.errors import ConfigError
+from lobsad.errors import ConfigError, DataError
 from lobsad.harness import TrainConfig, contiguous_kfold
 from lobsad.objectives import Hypersphere, LabeledBatch
 
@@ -218,8 +222,9 @@ class TestRunExperiment:
 
     def test_no_leakage_into_fitting(self, tiny_synth, monkeypatch):
         fits = record_fits(monkeypatch)
+        # the spies see only this process's calls, so no trial runs in a worker
         results = harness.run_experiment(tiny_synth.dataset,
-                                         tiny_cfg(n_repeats=1))
+                                         tiny_cfg(n_repeats=1), jobs=1)
         # one normalizer per trial, one PCA basis per trial and model
         assert [len(fits["normalizer"]), len(fits["pca"])] == [3, 6]
         assert fit_leaks(fits, results, tiny_synth.dataset.features) == 0
@@ -241,10 +246,19 @@ class TestRunExperiment:
         assert by_fold[1]["svdd"]["ratio_train"] is not None
 
     def test_parallel_matches_sequential(self, tiny_synth):
-        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1)
-        seq = harness.run_experiment(tiny_synth.dataset, cfg)
-        par = harness.run_experiment(tiny_synth.dataset, cfg, jobs=2)
-        assert [r.report.metrics for r in seq] == [r.report.metrics for r in par]
+        # every trial's scores and metrics, bit for bit, wherever it ran
+        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
+        seq = harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
+        for jobs in (2, 3):
+            par = harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
+            assert [r.report.trial for r in par] == [1, 2, 3, 4, 5, 6]
+            for a, b in zip(seq, par, strict=True):
+                assert a.report.metrics == b.report.metrics
+                assert a.scores.keys() == b.scores.keys()
+                for key, scores in a.scores.items():
+                    assert scores.tobytes() == b.scores[key].tobytes()
+                for mode, model in a.models.items():
+                    assert model.params.tobytes() == b.models[mode].params.tobytes()
 
     def test_trial_embeds_each_split_once(self, tiny_synth, monkeypatch):
         # train rows once for the center, then each split once per model:
@@ -314,17 +328,91 @@ class TestRunExperiment:
                     assert res.report.metrics[mode][prefix + key] == value
 
     def test_pool_capped_at_trial_count(self, tiny_synth, monkeypatch):
-        # a fork-context pool starts every worker it is given at the first submit
+        # a fork-context pool starts every worker it is given at the first
+        # submit; this process runs trials too, so 2 trials need 1 worker
         made, pool = [], harness.ProcessPoolExecutor
 
-        def recording_pool(max_workers):
+        def recording_pool(max_workers, **kwargs):
             made.append(max_workers)
-            return pool(max_workers=max_workers)
+            return pool(max_workers=max_workers, **kwargs)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
         results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=64)
-        assert made == [2]
+        assert made == [1]
         assert [r.report.trial for r in results] == [1, 2]
+        harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
+        assert made == [1]  # one process needs no pool
+
+    def test_default_jobs(self, monkeypatch):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
+        assert harness.resolve_jobs(None, tiny_cfg()) == 4
+        assert harness.resolve_jobs(None, tiny_cfg(n_repeats=1, k_folds=2)) == 2
+        assert harness.resolve_jobs(3, tiny_cfg()) == 3
+        monkeypatch.undo()
+        assert harness.usable_cpus() >= 1
+
+    def test_own_trial_failure_drains_workers(self, tiny_synth, monkeypatch,
+                                              tmp_path):
+        # two processes: a worker runs trial 1 while this process runs trial 2,
+        # which fails; trial 1 was running, so it finishes and is delivered,
+        # and no later trial starts
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            trial = repeat * cfg.k_folds + fold + 1
+            (tmp_path / f"{trial}.start").write_text(str(os.getpid()))
+            if trial == 2:
+                deadline = time.monotonic() + 60
+                while not (tmp_path / "1.start").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise DataError("trial 2 failed")
+            time.sleep(1.0)  # still running when trial 2 fails
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        delivered = []
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        with pytest.raises(DataError, match="trial 2 failed"):
+            harness.run_experiment(tiny_synth.dataset, cfg, jobs=2,
+                                   on_trial=lambda r: delivered.append(r.report.trial))
+        assert delivered == [1]
+        assert sorted(int(p.stem) for p in tmp_path.glob("*.start")) == [1, 2]
+        assert (tmp_path / "2.start").read_text() == str(os.getpid())
+
+    def test_on_trial_runs_on_calling_thread(self, tiny_synth):
+        threads = []
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        harness.run_experiment(tiny_synth.dataset, cfg, jobs=3,
+                               on_trial=lambda r: threads.append(threading.get_ident()))
+        assert threads == [threading.get_ident()] * 6
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_blas_thread_while_training(self, tiny_synth, monkeypatch, jobs):
+        # every process trains at one thread; the caller's count comes back,
+        # after an error too
+        if nnet.blas_threads() is None:
+            pytest.skip("no settable OpenBLAS in this process")
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            if nnet.blas_threads() != 1:
+                raise AssertionError(f"trial ran at {nnet.blas_threads()} threads")
+            if repeat * cfg.k_folds + fold + 1 == 3:
+                raise DataError("trial 3 failed")
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        before = nnet.blas_threads()
+        _, set_threads = nnet._openblas()
+        set_threads(2)
+        try:
+            cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1)
+            with pytest.raises(DataError, match="trial 3 failed"):
+                harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
+            assert nnet.blas_threads() == 2
+            cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
+            assert len(harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)) == 2
+            assert nnet.blas_threads() == 2
+        finally:
+            set_threads(before)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tiny_synth, jobs):
