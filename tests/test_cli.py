@@ -318,11 +318,11 @@ class TestRun:
         ("lr", None, "'train' section: lr must be a number, got None"),
         ("layer_dims", 5, "layer_dims must be a list, got 5"),
         ("synth.n_rows", "100", "'synth' section: n_rows must be an integer, got '100'"),
-        ("seed", -1, "seed must be >= 0, got -1"),
-        ("synth.seed", -1, "seed must be >= 0, got -1"),
         ("train", 5, "'train' section must be an object, got 5"),
         ("synth", [], "'synth' section must be an object, got []"),
         ("train", "ab", "'train' section must be an object, got 'ab'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("synth.seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
