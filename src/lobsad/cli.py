@@ -5,15 +5,18 @@ Subcommands:
     lobsad generate --config cfg.json --out DIR
         Write a synthetic LOB CSV, a label file and a ground-truth sidecar.
     lobsad run --config cfg.json --data lob.csv --labels labels.txt --out DIR
-        Full experiment: repeats x contiguous folds, both models, results/
-        checkpoints/scatter exports and a run manifest.
+        Full experiment: repeats x contiguous folds, both models, a run
+        manifest; as each trial ends, its checkpoints, score dumps and
+        scatters, and results.csv/results.json rewritten for every trial
+        ended so far.
     lobsad score --checkpoint ckpt --data lob.csv --out scores.csv
         Anomaly score for every row of a CSV using a trial checkpoint.
     lobsad report --results results.json --out DIR
         Regenerate results.csv; for a run of both models, print SVDD vs SAD on
         the test split, per trial and, after a --ground-truth run, per archetype.
 
-Exit codes: 0 success, 1 runtime/divergence failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime/divergence failure, 2 usage, config or data
+error, or a file that cannot be read or written.
 Config files are versioned JSON; unknown keys are rejected. Flags override
 config-file values; the resolved config is recorded in the run manifest.
 Set SAD_LOG=DEBUG|INFO|... to control logging.
@@ -128,7 +131,9 @@ def _score_line(row: int, score: float) -> str:
 
 
 def _save_trial(res: harness.TrialResult, out_dir: str,
-                schema: data_mod.SchemaConfig) -> None:
+                schema: data_mod.SchemaConfig, svg: bool) -> None:
+    """Write every file of one trial: its checkpoints and, per (mode, split),
+    its score dump and its scatter."""
     t = res.report.trial
     for mode, model in res.models.items():
         nnet.save_checkpoint(
@@ -139,6 +144,8 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
         rows = res.train_rows if split == "train" else res.test_rows
         data_mod.write_csv(os.path.join(out_dir, f"trial{t}_scores_{mode}_{split}.csv"),
                            ("row", "score"), _score_line, rows, scores)
+        evalx.write_scatter(os.path.join(out_dir, f"trial{t}_scatter_{mode}_{split}"),
+                            *res.projections[(mode, split)], svg=svg)
 
 
 def cmd_run(args) -> int:
@@ -161,20 +168,14 @@ def cmd_run(args) -> int:
             raise DataError(f"{args.ground_truth}: row {beyond[0] + 1}: row index "
                             f"{gt.rows[beyond[0]]} >= {dataset.n_rows} data rows")
 
-    done: list[harness.TrialResult] = []
-
-    def flush():  # trials finish out of order when jobs > 1
-        done.sort(key=lambda r: r.report.trial)
-        reports = [r.report for r in done]
-        scatters = {}
-        for r in done:
-            for (mode, split), payload in r.projections.items():
-                scatters[(r.report.trial, mode, split)] = payload
-        evalx.export_report(reports, scatters, args.out, svg=args.svg)
+    reports: list[evalx.TrialReport] = []
 
     def on_trial(res):
-        done.append(res)
-        _save_trial(res, args.out, synth.schema)
+        """Write the trial's files, then the tables of every trial ended so far."""
+        _save_trial(res, args.out, synth.schema, args.svg)
+        reports.append(res.report)
+        reports.sort(key=lambda r: r.trial)  # trials end out of order when jobs > 1
+        evalx.export_report(reports, args.out)
         log.info("trial %d done in %.1fs", res.report.trial, res.report.runtime_s)
 
     with nnet.one_blas_thread() as blas_threads:  # as run_experiment trains
@@ -187,11 +188,8 @@ def cmd_run(args) -> int:
         with open(os.path.join(args.out, "run_manifest.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
-        try:
-            harness.run_experiment(dataset, train, modes=modes, jobs=jobs,
-                                   ground_truth=gt, on_trial=on_trial)
-        finally:
-            flush()  # the finished trials' results, also when a later one fails
+        harness.run_experiment(dataset, train, modes=modes, jobs=jobs,
+                               ground_truth=gt, on_trial=on_trial)
     return 0
 
 
@@ -251,7 +249,7 @@ def cmd_report(args) -> int:
                 raise TypeError(f"trial {rep.trial}: runtime_s is not a number")
     except TypeError as exc:  # a trial that is not an object, a bad key or value
         raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
-    evalx.export_report(reports, None, args.out)
+    evalx.export_report(reports, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):
         _print_comparison(reports)
     return 0
@@ -350,7 +348,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LobSadError, FileNotFoundError) as exc:
+    except (LobSadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

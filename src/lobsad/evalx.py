@@ -151,16 +151,9 @@ def _fmt(value) -> str:
     return "NA" if value is None else repr(float(value))
 
 
-def export_report(reports: list[TrialReport], scatters: dict | None,
-                  out_dir, svg: bool = False) -> list[str]:
-    """Write results.csv, results.json and per-trial scatter CSVs.
-
-    `scatters` maps (trial, model, split) -> (projections (N,2), is_labeled (N,) bool).
-    Returns the list of written paths.
-    """
+def export_report(reports: list[TrialReport], out_dir) -> list[str]:
+    """Write results.csv and results.json; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,24 +165,22 @@ def export_report(reports: list[TrialReport], scatters: dict | None,
                         value = rep.metrics[model].get(f"{metric}_{split}")
                         writer.writerow([rep.trial, rep.fold, model, split,
                                          metric, _fmt(value)])
-    written.append(csv_path)
 
     json_path = os.path.join(out_dir, "results.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2)
-    written.append(json_path)
+    return [csv_path, json_path]
 
-    for (trial, model, split), (proj, is_labeled) in (scatters or {}).items():
-        path = os.path.join(out_dir, f"trial{trial}_scatter_{model}_{split}.csv")
-        write_csv(path, ("pc1", "pc2", "is_labeled"),
-                  lambda p, lab: f"{p[0]!r},{p[1]!r},{int(lab)}",
-                  np.asarray(proj, dtype=np.float64), is_labeled)
-        written.append(path)
-        if svg:
-            svg_path = os.path.join(out_dir, f"trial{trial}_scatter_{model}_{split}.svg")
-            _write_scatter_svg(svg_path, proj, is_labeled)
-            written.append(svg_path)
-    return written
+
+def write_scatter(stem, proj: np.ndarray, is_labeled: np.ndarray,
+                  svg: bool = False) -> None:
+    """Write `stem`.csv, one `pc1,pc2,is_labeled` row per point, and with
+    `svg` also the same scatter as `stem`.svg."""
+    write_csv(f"{stem}.csv", ("pc1", "pc2", "is_labeled"),
+              lambda p, lab: f"{p[0]!r},{p[1]!r},{int(lab)}",
+              np.asarray(proj, dtype=np.float64), is_labeled)
+    if svg:
+        _write_scatter_svg(f"{stem}.svg", proj, is_labeled)
 
 
 def _write_scatter_svg(path, proj: np.ndarray, is_labeled: np.ndarray) -> None:

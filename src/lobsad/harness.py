@@ -28,7 +28,7 @@ import numpy as np
 from . import data as data_mod
 from . import evalx, nnet, objectives
 from .data import Dataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .nnet import MlpModel
 from .objectives import Hypersphere, LabeledBatch, SadHyper
 
@@ -112,6 +112,8 @@ def _train(model: MlpModel, n: int, epochs: int, cfg: TrainConfig,
     """Shuffled minibatch epochs over n rows, each step an Adam update in place
     on a copy of the model's parameters. `step(model, rows)` returns the loss
     of the batch `rows` at `model` and its flat gradient vector."""
+    if n == 0:
+        raise DataError(f"{phase}: no rows to train on")
     model.validate()
     model = nnet.set_flat_params(model, model.params)
     state = nnet.adam_init(model)
@@ -303,9 +305,12 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
     processes: this one runs trials itself, in trial order, beside jobs - 1
     forked workers, each of which starts the next trial as its last one ends.
     The results do not depend on `jobs`. `on_trial(result)` fires on the
-    calling thread as each trial completes, in completion order, so callers
-    can flush partial results before a later trial aborts. No trial starts
-    after the first failure; the trials already running finish and reach
+    calling thread once for each trial that ends without error, so callers
+    can write each trial's results before a later trial aborts. This
+    process's own trials reach it as they end. A worker's trial reaches it
+    only when this process's current trial ends or, once this process has
+    no trial left, when every running trial has ended. No trial starts after
+    the first failure; the trials already running finish and reach
     `on_trial`, then the first error is raised."""
     jobs = resolve_jobs(jobs, cfg)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)

@@ -213,9 +213,7 @@ class TestCriterion7Pca:
         scatter_ok = sep_ok = True
         r0 = results[0]
         proj, is_labeled = r0.projections[("sad", "train")]
-        evalx.export_report([r0.report],
-                            {(r0.report.trial, "sad", "train"): (proj, is_labeled)},
-                            tmp_path)
+        evalx.write_scatter(tmp_path / "trial1_scatter_sad_train", proj, is_labeled)
         rows = list(csv.reader(open(tmp_path / "trial1_scatter_sad_train.csv")))[1:]
         scatter_ok &= (len(rows) == r0.train_rows.size
                        and sum(int(r[2]) for r in rows) == int(is_labeled.sum()))

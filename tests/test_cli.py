@@ -141,6 +141,24 @@ class TestRun:
         rows = list(csv.reader(open(out / "results.csv")))[1:]
         assert {r[2] for r in rows} == {"svdd"}
 
+    def test_sad_only_mode(self, tmp_path, tiny_config, generated, capsys):
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--mode", "sad-only"))
+        assert code == 0
+        names = {p.name for p in out.iterdir()}
+        assert not [name for name in names if "svdd" in name]
+        for t in range(1, 7):
+            assert f"trial{t}_fold{(t - 1) % 3}_sad.ckpt" in names
+            assert {f"trial{t}_scatter_sad_{split}.csv"
+                    for split in ("train", "test")} <= names
+        assert [set(d["metrics"]) for d in json.load(open(out / "results.json"))] \
+            == [{"sad"}] * 6
+        assert {r[2] for r in list(csv.reader(open(out / "results.csv")))[1:]} == {"sad"}
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(out / "results.json"),
+                         "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_missing_labels_exit_2(self, tmp_path, tiny_config, generated, capsys):
         code = cli.main(["run", "--config", tiny_config,
                          "--data", str(generated / "lob.csv"),
@@ -216,6 +234,61 @@ class TestRun:
         rows = list(csv.reader(open(out / "results.csv")))[1:]
         assert len(rows) == 8 and {r[0] for r in rows} == {"1"}
         assert (out / "trial1_fold0_sad.ckpt").exists()
+
+    def test_trial_files_on_disk_before_next_trial(self, tmp_path, tiny_config,
+                                                   generated, monkeypatch):
+        # a trial's files, and the tables that list it, are written as it
+        # ends: a run killed in trial 2 keeps all of trial 1
+        out = tmp_path / "run"
+        seen = {}
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            if repeat * cfg.k_folds + fold + 1 == 2:
+                seen["files"] = sorted(p.name for p in out.glob("trial1_*"))
+                seen["json"] = [d["trial"] for d in json.load(open(out / "results.json"))]
+                seen["csv"] = {r[0] for r in list(csv.reader(open(out / "results.csv")))[1:]}
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        code, _ = run_experiment_cli(tmp_path, tiny_config, generated,
+                                     ("--jobs", "1", "--svg"))
+        assert code == 0
+        splits = [(mode, split) for mode in ("svdd", "sad") for split in ("train", "test")]
+        assert seen["files"] == sorted(
+            ["trial1_fold0_svdd.ckpt", "trial1_fold0_sad.ckpt"]
+            + [f"trial1_scores_{mode}_{split}.csv" for mode, split in splits]
+            + [f"trial1_scatter_{mode}_{split}.{ext}" for mode, split in splits
+               for ext in ("csv", "svg")])
+        assert seen["json"] == [1] and seen["csv"] == {"1"}
+
+    def test_sad_trial_without_unlabeled_rows_exit_2(self, tmp_path, capsys):
+        # every row labeled: trial 1's train split leaves SAD no unlabeled row
+        result = data.generate_synthetic(data.SynthConfig(
+            n_rows=30, anomaly_rate=0.0, n_labeled=0, seed=0))
+        lob, labels = tmp_path / "lob.csv", tmp_path / "labels.txt"
+        data.write_lob_csv(lob, result.dataset.timestamps, result.book)
+        labels.write_text("".join(f"{row}\n" for row in range(30)))
+        code = cli.main(["run", "--config", write_config(tmp_path / "c.json", TINY_TRAIN),
+                         "--data", str(lob), "--labels", str(labels),
+                         "--out", str(tmp_path / "run"), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: main[sad]: no rows to train on\n"
+
+    def test_paper_scale_epochs(self, tmp_path, tiny_config, generated, monkeypatch):
+        configs = []
+
+        def run_experiment(dataset, cfg, **kwargs):
+            configs.append(cfg)
+            return []
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--paper-scale",))
+        assert code == 0
+        assert [(c.pretrain_epochs, c.main_epochs) for c in configs] == [(1000, 10_000)]
+        train = json.load(open(out / "run_manifest.json"))["config"]["train"]
+        assert (train["pretrain_epochs"], train["main_epochs"]) == (1000, 10_000)
+        assert not (out / "results.json").exists()  # no trial ended: no tables
 
     def test_manifest_records_environment(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
@@ -660,6 +733,23 @@ class TestReport:
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize("command, message", [
+        ("generate", "[Errno 17] File exists"), ("run", "[Errno 21] Is a directory"),
+        ("score", "[Errno 21] Is a directory"), ("report", "[Errno 21] Is a directory")])
+    def test_os_error_exit_2(self, tmp_path, tiny_config, capsys, command, message):
+        # a directory where a file is read, a file where a directory is made
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+        a_dir.mkdir()
+        a_file.write_text("")
+        argv = {"generate": ["--config", tiny_config, "--out", str(a_file)],
+                "run": ["--config", tiny_config, "--data", str(a_dir),
+                        "--labels", str(a_file), "--out", str(tmp_path / "run")],
+                "score": ["--checkpoint", str(a_dir), "--data", str(a_file),
+                          "--out", str(tmp_path / "s.csv")],
+                "report": ["--results", str(a_dir), "--out", str(tmp_path / "rep")]}
+        assert cli.main([command, *argv[command]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_unknown_flag_exit_2(self, capsys):
         assert cli.main(["generate", "--config", "x", "--out", "y",

@@ -215,19 +215,19 @@ def _make_report(trial=1):
 
 class TestExport:
     def test_empty_reports(self, tmp_path):
-        evalx.export_report([], {}, tmp_path)
+        evalx.export_report([], tmp_path)
         rows = list(csv.reader(open(tmp_path / "results.csv")))
         assert rows == [["trial", "fold", "model", "split", "metric", "value"]]
         assert json.load(open(tmp_path / "results.json")) == []
 
     def test_one_trial_eight_metric_rows(self, tmp_path):
-        evalx.export_report([_make_report()], None, tmp_path)
+        evalx.export_report([_make_report()], tmp_path)
         rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
         assert len(rows) == 8  # 2 models x 2 splits x 2 tests
 
     def test_json_csv_cross_check(self, tmp_path):
         reports = [_make_report(1), _make_report(2)]
-        evalx.export_report(reports, None, tmp_path)
+        evalx.export_report(reports, tmp_path)
         docs = json.load(open(tmp_path / "results.json"))
         csv_rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
         for trial, fold, model, split, metric, value in csv_rows:
@@ -237,7 +237,7 @@ class TestExport:
     def test_not_applicable_written_as_na(self, tmp_path):
         rep = _make_report()
         rep.metrics["svdd"]["ratio_test"] = None
-        evalx.export_report([rep], None, tmp_path)
+        evalx.export_report([rep], tmp_path)
         rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
         na = [r for r in rows if r[2] == "svdd" and r[3] == "test" and r[4] == "ratio"]
         assert na[0][5] == "NA"
@@ -246,8 +246,8 @@ class TestExport:
         proj = rng.normal(size=(30, 2))
         is_labeled = np.zeros(30, dtype=bool)
         is_labeled[[3, 7]] = True
-        scatters = {(1, "sad", "train"): (proj, is_labeled)}
-        evalx.export_report([_make_report()], scatters, tmp_path, svg=True)
+        evalx.write_scatter(tmp_path / "trial1_scatter_sad_train", proj, is_labeled,
+                            svg=True)
         rows = list(csv.reader(open(tmp_path / "trial1_scatter_sad_train.csv")))
         assert rows[0] == ["pc1", "pc2", "is_labeled"]
         assert len(rows) == 31

@@ -191,6 +191,14 @@ class TestTrainMain:
                                         "sad", np.random.default_rng(1))
         assert ratio(trained) > before
 
+    def test_no_unlabeled_rows_refused(self, rng):
+        # every train row is labeled: an epoch has no batch to average over
+        model = nnet.mlp_init(0, (20, 16, 20))
+        labeled = LabeledBatch(rng.normal(size=(6, 20)), -np.ones(6))
+        with pytest.raises(DataError, match=r"main\[sad\]: no rows to train on"):
+            harness.train_main(model, Hypersphere(np.zeros(20)), np.empty((0, 20)),
+                               labeled, tiny_cfg(), "sad", np.random.default_rng(0))
+
     def test_bad_mode(self, rng):
         model = nnet.mlp_init(0, (20, 16, 20))
         with pytest.raises(ConfigError):
