@@ -171,8 +171,7 @@ def cmd_run(args) -> int:
     reports: list[evalx.TrialReport] = []
 
     def on_trial(res):
-        """Write the trial's files, then the tables of every trial ended so far."""
-        _save_trial(res, args.out, synth.schema, args.svg)
+        """Rewrite the tables for every trial ended so far."""
         reports.append(res.report)
         reports.sort(key=lambda r: r.trial)  # trials end out of order when jobs > 1
         evalx.export_report(reports, args.out)
@@ -188,8 +187,9 @@ def cmd_run(args) -> int:
         with open(os.path.join(args.out, "run_manifest.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
-        harness.run_experiment(dataset, train, modes=modes, jobs=jobs,
-                               ground_truth=gt, on_trial=on_trial)
+        harness.run_experiment(
+            dataset, train, modes=modes, jobs=jobs, ground_truth=gt, on_trial=on_trial,
+            save=lambda res: _save_trial(res, args.out, synth.schema, args.svg))
     return 0
 
 

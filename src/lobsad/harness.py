@@ -282,36 +282,38 @@ def resolve_jobs(jobs: int | None, cfg: TrainConfig) -> int:
     return min(jobs, cfg.n_repeats * cfg.k_folds)
 
 
-# a worker's dataset and ground truth, set once by `_init_worker`: fork hands
-# them over without pickling, so a task is only the trial's coordinates
+# a worker's dataset, ground truth and `save`, set once by `_init_worker`: fork
+# hands them over without pickling, so a task is only the trial's coordinates
 _WORKER_DATA: tuple = ()
 
 
-def _init_worker(dataset: Dataset, ground_truth: data_mod.GroundTruth | None) -> None:
+def _init_worker(*state) -> None:
     global _WORKER_DATA
-    _WORKER_DATA = (dataset, ground_truth)
+    _WORKER_DATA = state
 
 
-def _worker_trial(cfg, repeat, fold, folds, modes) -> TrialResult:
-    dataset, ground_truth = _WORKER_DATA
-    return run_trial(dataset, cfg, repeat, fold, folds, modes, ground_truth)
+def _worker_trial(*task) -> TrialResult:
+    dataset, ground_truth, save = _WORKER_DATA
+    result = run_trial(dataset, *task, ground_truth)
+    save(result)
+    return result
 
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
                    jobs: int | None = None,
                    ground_truth: data_mod.GroundTruth | None = None,
-                   on_trial=None) -> list[TrialResult]:
+                   save=lambda result: None, on_trial=None) -> list[TrialResult]:
     """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg)`
     processes: this one runs trials itself, in trial order, beside jobs - 1
     forked workers, each of which starts the next trial as its last one ends.
-    The results do not depend on `jobs`. `on_trial(result)` fires on the
-    calling thread once for each trial that ends without error, so callers
-    can write each trial's results before a later trial aborts. This
-    process's own trials reach it as they end. A worker's trial reaches it
-    only when this process's current trial ends or, once this process has
-    no trial left, when every running trial has ended. No trial starts after
-    the first failure; the trials already running finish and reach
-    `on_trial`, then the first error is raised."""
+    The results do not depend on `jobs`. `save(result)` runs in the trial's
+    own process as the trial ends, so its files are written beside the other
+    processes' training. Then `on_trial(result)` fires on the calling thread,
+    so callers can record each trial before a later trial aborts: at once for
+    this process's trials, and for a worker's when this process's current
+    trial ends or, with no trial left, when every running trial has ended.
+    No trial starts after the first failure; the trials already running
+    finish and reach `on_trial`, then the first error is raised."""
     jobs = resolve_jobs(jobs, cfg)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     tasks = deque((cfg, r, f, folds, tuple(modes))
@@ -325,7 +327,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
     # copy the process
     pool = contextlib.nullcontext() if jobs == 1 else ProcessPoolExecutor(
         max_workers=jobs - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(dataset, ground_truth))
+        initializer=_init_worker, initargs=(dataset, ground_truth, save))
 
     def fail(exc: BaseException) -> None:
         nonlocal error
@@ -368,6 +370,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
             while (task := take()) is not None:
                 try:
                     results.append(run_trial(dataset, *task, ground_truth))
+                    save(results[-1])
                 except Exception as exc:  # start no more; running trials finish
                     fail(exc)
                 else:

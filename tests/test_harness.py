@@ -386,6 +386,34 @@ class TestRunExperiment:
         assert sorted(int(p.stem) for p in tmp_path.glob("*.start")) == [1, 2]
         assert (tmp_path / "2.start").read_text() == str(os.getpid())
 
+    def test_save_runs_in_the_trials_process(self, tiny_synth, monkeypatch, tmp_path):
+        # each trial is saved by the process that ran it, before it reaches
+        # on_trial; a failed save is the run's error and skips on_trial
+        real_run_trial = harness.run_trial
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            trial = repeat * cfg.k_folds + fold + 1
+            (tmp_path / f"{trial}.ran").write_text(str(os.getpid()))
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+
+        def save(res):
+            if res.report.trial == 3:
+                raise OSError("disk full")
+            (tmp_path / f"{res.report.trial}.saved").write_text(str(os.getpid()))
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        delivered = []
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        with pytest.raises(OSError, match="disk full"):
+            harness.run_experiment(
+                tiny_synth.dataset, cfg, jobs=2, save=save,
+                on_trial=lambda r: delivered.append(
+                    (r.report.trial, (tmp_path / f"{r.report.trial}.saved").exists())))
+        saved = {int(p.stem): p.read_text() for p in tmp_path.glob("*.saved")}
+        assert saved and {int(p.stem): p.read_text() for p in tmp_path.glob("*.ran")
+                          if int(p.stem) in saved} == saved
+        assert len(set(saved.values())) == 2  # this process and the worker
+        assert 3 not in saved and sorted(delivered) == [(t, True) for t in sorted(saved)]
+
     def test_on_trial_runs_on_calling_thread(self, tiny_synth):
         threads = []
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
