@@ -15,8 +15,10 @@ Subcommands:
         Regenerate results.csv; for a run of both models, print SVDD vs SAD on
         the test split, per trial and, after a --ground-truth run, per archetype.
 
+Every file is written whole or not at all, through `data.replacing`: a
+command that fails or is killed leaves each output complete or as it was.
 Exit codes: 0 success, 1 runtime/divergence failure, 2 usage, config or data
-error, or a file that cannot be read or written.
+error, or a file that cannot be read (or is not UTF-8) or written.
 Config files are versioned JSON; unknown keys are rejected. Flags override
 config-file values; the resolved config is recorded in the run manifest.
 Set SAD_LOG=DEBUG|INFO|... to control logging.
@@ -25,7 +27,6 @@ Set SAD_LOG=DEBUG|INFO|... to control logging.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import logging
@@ -70,7 +71,7 @@ def _dataclass_from_dict(cls, section: dict, name: str):
 
 def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with data_mod.reading(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(
@@ -80,9 +81,10 @@ def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    if doc.get("version") != CONFIG_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:  # not True, not 1.0
         raise ConfigError(f"{path}: expected version {CONFIG_VERSION}, "
-                          f"got {doc.get('version')!r}")
+                          f"got {version!r}")
     unknown = set(doc) - {"version", "train", "synth"}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
@@ -184,8 +186,7 @@ def cmd_run(args) -> int:
                     "mode": args.mode, "jobs": jobs, "blas_threads": blas_threads,
                     "usable_cpus": harness.usable_cpus(),
                     "n_rows": dataset.n_rows, "n_labeled": dataset.n_labeled}
-        with open(os.path.join(args.out, "run_manifest.json"), "w",
-                  encoding="utf-8") as fh:
+        with data_mod.replacing(os.path.join(args.out, "run_manifest.json")) as fh:
             json.dump(manifest, fh, indent=2)
         harness.run_experiment(
             dataset, train, modes=modes, jobs=jobs, ground_truth=gt, on_trial=on_trial,
@@ -195,8 +196,7 @@ def cmd_run(args) -> int:
 
 def cmd_score(args) -> int:
     """Score the CSV block by block, so memory does not grow with its length.
-    The scores go to a temporary file beside --out, which replaces --out only
-    when every row has scored: a bad row leaves no scores file."""
+    --out is written whole or not at all: a bad row leaves it as it was."""
     model, meta = nnet.load_checkpoint(args.checkpoint)
     try:
         schema = data_mod.SchemaConfig(meta["feature_columns"])
@@ -204,31 +204,24 @@ def cmd_score(args) -> int:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
     norm = data_mod.Normalizer(mean=meta["norm_mean"], std=meta["norm_std"])
     sphere = objectives.Hypersphere(center=meta["center"])
-    tmp = f"{args.out}.{os.getpid()}.tmp"
-    try:
-        # at the one BLAS thread a run trains and scores at, so the scores
-        # equal the run's stored ones at any thread count set outside
-        with open(tmp, "w", encoding="utf-8", newline="") as fh, nnet.one_blas_thread():
-            fh.write("row,score\r\n")
-            first = 0
-            for _, features in data_mod.iter_lob_csv(args.data, schema):
-                scores = objectives.anomaly_score(
-                    model, data_mod.apply_normalizer(norm, features), sphere)
-                data_mod.write_csv_rows(fh, _score_line,
-                                        range(first, first + scores.size), scores)
-                first += scores.size
-                del features, scores  # freed before the next block is parsed
-        os.replace(tmp, args.out)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    # at the one BLAS thread a run trains and scores at, so the scores
+    # equal the run's stored ones at any thread count set outside
+    with data_mod.replacing(args.out) as fh, nnet.one_blas_thread():
+        fh.write("row,score\r\n")
+        first = 0
+        for _, features in data_mod.iter_lob_csv(args.data, schema):
+            scores = objectives.anomaly_score(
+                model, data_mod.apply_normalizer(norm, features), sphere)
+            data_mod.write_csv_rows(fh, _score_line,
+                                    range(first, first + scores.size), scores)
+            first += scores.size
+            del features, scores  # freed before the next block is parsed
     return 0
 
 
 def cmd_report(args) -> int:
     try:
-        with open(args.results, encoding="utf-8") as fh:
+        with data_mod.reading(args.results) as fh:
             docs = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.results}: malformed JSON at line {exc.lineno} "
@@ -242,6 +235,10 @@ def cmd_report(args) -> int:
                     and all(isinstance(m, dict) for m in rep.metrics.values())):
                 raise TypeError(f"trial {rep.trial}: metrics is not an object of "
                                 "per-model metric objects")
+            if not (isinstance(rep.trial, int) and isinstance(rep.fold, int)
+                    and set(rep.metrics) <= {"svdd", "sad"}):  # unquoted in results.csv
+                raise TypeError(f"trial {rep.trial!r}: trial and fold must be integers "
+                                "and each model svdd or sad")
             if not all(v is None or isinstance(v, (int, float))
                        for m in rep.metrics.values() for v in m.values()):
                 raise TypeError(f"trial {rep.trial}: a metric is not a number")

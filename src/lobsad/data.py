@@ -19,9 +19,11 @@ The generator's ground-truth sidecar is a CSV `row_index,archetype,labeled`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
+import os
 from itertools import islice
 from dataclasses import dataclass, field
 
@@ -239,7 +241,7 @@ def iter_lob_csv(path, schema: SchemaConfig | None = None):
     into the one before it: `objectives.embed` then forwards no chunk of a few
     rows, and each row scores as it does in the whole file."""
     schema = schema or SchemaConfig()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path, newline="") as fh:
         line = fh.readline()
         if not line:
             raise SchemaError(f"{path}: empty file")
@@ -272,9 +274,35 @@ def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
                    labeled_idx=np.array([], dtype=np.int64))
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A UTF-8 text handle, newlines untranslated, on `<path>.<pid>.tmp`, which
+    replaces `path` if the block ends without raising. Not fsynced: `path` is
+    whole or as it was when the process fails or is killed, not on power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:  # the temporary file is gone once it has replaced `path`
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+@contextlib.contextmanager
+def reading(path, newline=None):
+    """`path` open as UTF-8 text; a byte that is not UTF-8 raises a DataError
+    naming `path`."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def write_csv(path, header, line, *columns) -> None:
     """Write `header`, then the rows of `columns` through `write_csv_rows`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\r\n")
         write_csv_rows(fh, line, *columns)
 
@@ -282,7 +310,7 @@ def write_csv(path, header, line, *columns) -> None:
 def write_csv_rows(fh, line, *columns) -> None:
     """Write `line(*cells)` for each row of the row-aligned `columns`, whose
     cells arrive as Python scalars (a row of a 2-D column as a list). Lines end
-    in `\\r\\n`, as `csv.writer` ends them; callers format floats with `repr`,
+    in `\\r\\n`, as RFC 4180 ends them; callers format floats with `repr`,
     which reads back bit for bit.
 
     Rows are converted and written a block at a time: converting whole
@@ -304,7 +332,7 @@ def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
 def load_labels(path, dataset: Dataset) -> Dataset:
     """Attach labeled-anomaly row indices to a dataset."""
     idx = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -502,17 +530,15 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
 
 
 def write_labels(path, labeled_idx: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for i in labeled_idx:
             fh.write(f"{int(i)}\n")
 
 
 def write_ground_truth(path, gt: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "archetype", "labeled"])
-        for row, arch, lab in zip(gt.rows, gt.archetypes, gt.labeled):
-            writer.writerow([int(row), arch, int(lab)])
+    write_csv(path, ("row_index", "archetype", "labeled"),
+              lambda row, arch, lab: f"{int(row)},{arch},{int(lab)}",
+              gt.rows, gt.archetypes, gt.labeled)
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -520,7 +546,7 @@ def load_ground_truth(path) -> GroundTruth:
     archetype outside ARCHETYPES raises a DataError naming its 1-based data
     row; the caller checks the row indices against the data's length."""
     rows, archs, labeled = [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -8,7 +8,6 @@ averages the labeled anomalies' ranks; ties get fractional average ranks.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_csv
+from .data import replacing, write_csv
 from .errors import DataError, ShapeError
 
 # Metrics emitted to results.csv; normalized rank lives in results.json only.
@@ -152,23 +151,18 @@ def _fmt(value) -> str:
 
 
 def export_report(reports: list[TrialReport], out_dir) -> list[str]:
-    """Write results.csv and results.json; returns their paths."""
+    """Write results.json, then results.csv, which `lobsad report` rebuilds
+    from it; returns their paths (the CSV's first)."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "fold", "model", "split", "metric", "value"])
-        for rep in reports:
-            for model in sorted(rep.metrics):
-                for split in ("train", "test"):
-                    for metric in CSV_METRICS:
-                        value = rep.metrics[model].get(f"{metric}_{split}")
-                        writer.writerow([rep.trial, rep.fold, model, split,
-                                         metric, _fmt(value)])
-
     json_path = os.path.join(out_dir, "results.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with replacing(json_path) as fh:
         json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2)
+    csv_path = os.path.join(out_dir, "results.csv")
+    write_csv(csv_path, ("trial", "fold", "model", "split", "metric", "value"), str,
+              [f"{rep.trial},{rep.fold},{model},{split},{metric},"
+               f"{_fmt(rep.metrics[model].get(f'{metric}_{split}'))}"
+               for rep in reports for model in sorted(rep.metrics)
+               for split in ("train", "test") for metric in CSV_METRICS])
     return [csv_path, json_path]
 
 
@@ -210,5 +204,5 @@ def _write_scatter_svg(path, proj: np.ndarray, is_labeled: np.ndarray) -> None:
     for x, y in labeled_pts:  # drawn on top, there are far fewer of them
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="#ff7f0e"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import replacing
 from .errors import ConfigError, DataError, DivergenceError, LobSadError, ShapeError
 
 DEFAULT_DIMS = (20, 100, 100, 100, 20)
@@ -318,7 +319,7 @@ def save_checkpoint(model: MlpModel, path, *, center, norm_mean, norm_std,
                       for i, lp in enumerate(model.layers)],
            "center": _encode(center), "norm_mean": _encode(norm_mean),
            "norm_std": _encode(norm_std), "feature_columns": list(feature_columns)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh)
 
 

@@ -1,4 +1,6 @@
+import builtins
 import csv
+import errno
 import json
 import os
 import re
@@ -8,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lobsad import cli, data, harness, nnet, objectives
+from lobsad import cli, data, evalx, harness, nnet, objectives
 from lobsad.errors import DataError, DivergenceError
 
 
@@ -23,6 +25,14 @@ def write_config(path, train=None, synth=None):
 TINY_TRAIN = {"pretrain_epochs": 2, "main_epochs": 3, "batch_size": 32,
               "layer_dims": [20, 12, 20], "seed": 0}
 TINY_SYNTH = {"n_rows": 400, "anomaly_rate": 0.03, "n_labeled": 6, "seed": 0}
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(tmp_path):
+    """Every command, whether it succeeds or fails, leaves each of its outputs
+    whole or absent, and no temporary file."""
+    yield
+    assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.fixture
@@ -396,6 +406,7 @@ class TestRun:
         ("train", "ab", "'train' section must be an object, got 'ab'"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("synth.seed", -1, "seed must be >= 0, got -1"),
+        ("version", True, "expected version 1, got True"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
@@ -711,7 +722,9 @@ class TestReport:
         *('[{"trial": 1, "fold": 0, "repeat": 0, "runtime_s": %s, "metrics": {'
           '"svdd": {"ratio_test": 1, "rank_test": 1}, '
           '"sad": {"ratio_test": 1, "rank_test": 2}}}]' % runtime
-          for runtime in ('"x"', "null"))])
+          for runtime in ('"x"', "null")),
+        '[{"trial": "1,2", "fold": 0, "repeat": 0}]',
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"a,b": {}}}]'])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)
@@ -751,6 +764,99 @@ class TestUsage:
         assert cli.main([command, *argv[command]]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("command, flag", [
+        ("report", "--results"), ("run", "--config"), ("run", "--data"),
+        ("run", "--labels"), ("run", "--ground-truth")])
+    def test_non_utf8_input_exit_2_before_any_file(self, tmp_path, tiny_config,
+                                                   generated, capsys, command, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff" + (generated / "labels.txt").read_bytes())
+        out = tmp_path / "out"
+        argv = {"report": {},
+                "run": {"--config": tiny_config, "--data": str(generated / "lob.csv"),
+                        "--labels": str(generated / "labels.txt"),
+                        "--ground-truth": str(generated / "ground_truth.csv")}}[command]
+        argv |= {flag: str(bad), "--out": str(out)}
+        assert cli.main([command, *(part for item in argv.items() for part in item)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_unknown_flag_exit_2(self, capsys):
         assert cli.main(["generate", "--config", "x", "--out", "y",
                          "--frobnicate"]) == 2
+
+
+class _FullDisk:
+    """A text file that takes `room` more characters, then fails as a full
+    disk does."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._fh.write(text[:self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._room -= len(text)
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _run_until_manifest(path, generated):
+    args = cli.build_parser().parse_args([
+        "run", "--config", write_config(generated / "run.json", TINY_TRAIN, TINY_SYNTH),
+        "--data", str(generated / "lob.csv"), "--labels", str(generated / "labels.txt"),
+        "--out", str(path.parent)])
+    cli.cmd_run(args)
+
+
+# writer -> (the file it fails to write, a call that writes it)
+WRITERS = {
+    "write_csv": ("t.csv", lambda path, _: data.write_csv(
+        path, ("n",), str, np.arange(100))),
+    "write_labels": ("labels.txt", lambda path, _: data.write_labels(
+        path, np.arange(100))),
+    "write_ground_truth": ("gt.csv", lambda path, _: data.write_ground_truth(
+        path, data.GroundTruth(np.arange(30), ["spoof"] * 30, np.ones(30, bool)))),
+    "save_checkpoint": ("m.ckpt", lambda path, _: nnet.save_checkpoint(
+        nnet.mlp_init(0, (20, 12, 20)), path, center=np.zeros(20),
+        norm_mean=np.zeros(20), norm_std=np.ones(20),
+        feature_columns=data.DEFAULT_FEATURES)),
+    "write_scatter": ("s.svg", lambda path, _: evalx.write_scatter(
+        path.with_suffix(""), np.arange(60.0).reshape(30, 2), np.arange(30) % 7 == 0,
+        svg=True)),
+    "manifest": ("run/run_manifest.json", _run_until_manifest),
+}
+
+
+class TestWholeOrAbsent:
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_earlier_file(self, tmp_path, generated, monkeypatch,
+                                             writer):
+        # the disk fills up 10 characters into the file
+        name, write = WRITERS[writer]
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"earlier\r\n")
+        real_open = builtins.open
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh, 10) if "w" in mode and str(file).startswith(
+                str(path)) else fh
+        monkeypatch.setattr(builtins, "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            write(path, generated)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"earlier\r\n"
+        assert sorted(tmp_path.rglob("*.tmp")) == []

@@ -242,6 +242,17 @@ class TestExport:
         na = [r for r in rows if r[2] == "svdd" and r[3] == "test" and r[4] == "ratio"]
         assert na[0][5] == "NA"
 
+    def test_failed_rewrite_keeps_earlier_tables(self, tmp_path):
+        evalx.export_report([_make_report(1)], tmp_path)
+        bad = _make_report(2)
+        bad.config["unencodable"] = object()
+        with pytest.raises(TypeError):
+            evalx.export_report([_make_report(1), bad], tmp_path)
+        assert [d["trial"] for d in json.load(open(tmp_path / "results.json"))] == [1]
+        rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
+        assert {r[0] for r in rows} == {"1"}
+        assert sorted(tmp_path.glob("*.tmp")) == []
+
     def test_scatter_export(self, tmp_path, rng):
         proj = rng.normal(size=(30, 2))
         is_labeled = np.zeros(30, dtype=bool)
