@@ -6,9 +6,9 @@ Subcommands:
         Write a synthetic LOB CSV, a label file and a ground-truth sidecar.
     lobsad run --config cfg.json --data lob.csv --labels labels.txt --out DIR
         Full experiment: repeats x contiguous folds, both models, a run
-        manifest; as each trial ends, its checkpoints, score dumps and
-        scatters, and results.csv/results.json rewritten for every trial
-        ended so far.
+        manifest; as each model ends, its checkpoint, score dumps and
+        scatters, and as each trial ends, results.csv/results.json
+        rewritten for every trial ended so far.
     lobsad score --checkpoint ckpt --data lob.csv --out scores.csv
         Anomaly score for every row of a CSV using a trial checkpoint.
     lobsad report --results results.json --out DIR
@@ -134,8 +134,8 @@ def _score_line(row: int, score: float) -> str:
 
 def _save_trial(res: harness.TrialResult, out_dir: str,
                 schema: data_mod.SchemaConfig, svg: bool) -> None:
-    """Write every file of one trial: its checkpoints and, per (mode, split),
-    its score dump and its scatter."""
+    """Write every file of a trial's modes in `res`: their checkpoints and,
+    per (mode, split), its score dump and its scatter."""
     t = res.report.trial
     for mode, model in res.models.items():
         nnet.save_checkpoint(
@@ -155,9 +155,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     train, synth = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
-    jobs = harness.resolve_jobs(args.jobs, train)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
              "sad-only": ("sad",)}[args.mode]
+    jobs = harness.resolve_jobs(args.jobs, train, modes)
     os.makedirs(args.out, exist_ok=True)
 
     dataset = data_mod.load_lob_csv(args.data, synth.schema)
@@ -308,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--jobs", type=int, default=None,
-                     help="processes that run trials, this one included, each at "
-                          "one BLAS thread (default: the usable CPUs; never more "
-                          "than the trials); results do not depend on it")
+                     help="processes that train, this one included, each at one "
+                          "BLAS thread (default: the usable CPUs; never more than "
+                          "can all have a task); results do not depend on it")
     run.add_argument("--mode", choices=("both", "svdd-only", "sad-only"),
                      default="both")
     run.add_argument("--paper-scale", action="store_true",

@@ -281,7 +281,11 @@ def replacing(path):
     whole or as it was when the process fails or is killed, not on power loss."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:  # the temporary file is gone once it has replaced `path`

@@ -124,7 +124,7 @@ class TrialReport:
     repeat: int
     # model -> metric name -> value; None marks not-applicable (no labeled rows)
     metrics: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
+    runtime_s: float = 0.0  # the sum of its tasks' times: the pretrain and each mode's
     config: dict = field(default_factory=dict)
 
 
@@ -170,9 +170,9 @@ def write_scatter(stem, proj: np.ndarray, is_labeled: np.ndarray,
                   svg: bool = False) -> None:
     """Write `stem`.csv, one `pc1,pc2,is_labeled` row per point, and with
     `svg` also the same scatter as `stem`.svg."""
-    write_csv(f"{stem}.csv", ("pc1", "pc2", "is_labeled"),
-              lambda p, lab: f"{p[0]!r},{p[1]!r},{int(lab)}",
-              np.asarray(proj, dtype=np.float64), is_labeled)
+    proj = np.asarray(proj, dtype=np.float64)
+    write_csv(f"{stem}.csv", ("pc1", "pc2", "is_labeled"), "{!r},{!r},{:d}".format,
+              proj[:, 0], proj[:, 1], is_labeled)
     if svg:
         _write_scatter_svg(f"{stem}.svg", proj, is_labeled)
 

@@ -3,7 +3,8 @@ center initialization, one-class and semi-supervised main training, scoring,
 metrics and repeated trials.
 
 Within a trial the two models share the pretrained weights, the center and the
-minibatch order; the objective is the only thing that differs. Everything is
+minibatch order; the objective is the only thing that differs, so each mode's
+task may run in any process once the trial's pretrain task has. Everything is
 seeded, and `run_experiment` trains at one BLAS thread in every process, so a
 fixed seed gives bit-identical results whatever the number of processes, the
 CPU count or `OPENBLAS_NUM_THREADS`; only the BLAS build moves them.
@@ -13,13 +14,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+import heapq
+import logging
 import math
 import multiprocessing
 import os
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +34,9 @@ from .data import Dataset
 from .errors import ConfigError, DataError, DivergenceError
 from .nnet import MlpModel
 from .objectives import Hypersphere, LabeledBatch, SadHyper
+
+log = logging.getLogger("lobsad.harness")
+_TASK_ENDED = "trial %d %s ended in process %d after %.2fs"  # one INFO line per task
 
 MODES = ("svdd", "sad")
 
@@ -178,7 +184,7 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
 @dataclass
 class TrialResult:
     report: evalx.TrialReport
-    models: dict  # mode -> MlpModel
+    models: dict  # mode -> MlpModel: none from the pretrain task, one from a mode task
     sphere: Hypersphere
     normalizer: data_mod.Normalizer
     train_rows: np.ndarray  # global row indices
@@ -187,81 +193,100 @@ class TrialResult:
     projections: dict  # (mode, split) -> (proj (N,2), is_labeled (N,) bool)
     pretrain_losses: list[float] = field(default_factory=list)
     main_losses: dict = field(default_factory=dict)  # mode -> list[float]
+    pretrained: MlpModel | None = None  # the autoencoder every mode starts from
 
 
-def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
-              folds: tuple[tuple[int, int], ...], modes=MODES,
-              ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
+def run_pretrain(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
+                 folds: tuple[tuple[int, int], ...]) -> TrialResult:
+    """A trial's pretrain task: fit the normalizer on the train rows, pretrain
+    the autoencoder on them and set the center."""
     t0 = time.perf_counter()
-    lo, hi = folds[fold]
-    test_rows = np.arange(lo, hi)
     train_rows = np.concatenate(
         [np.arange(a, b) for i, (a, b) in enumerate(folds) if i != fold])
-
     norm = data_mod.fit_normalizer(dataset.features, train_rows)
-    feats = data_mod.apply_normalizer(norm, dataset.features)
-
-    labeled_global = dataset.labeled_idx
-    labeled_train = labeled_global[np.isin(labeled_global, train_rows)]
-
+    train = data_mod.apply_normalizer(norm, dataset.features[train_rows])
     model0 = nnet.mlp_init([cfg.seed, repeat, fold, 0], cfg.layer_dims)
     rng_pre = np.random.default_rng([cfg.seed, repeat, fold, 1])
-    pre_model, pre_losses = pretrain(model0, feats[train_rows], cfg, rng_pre)
-    sphere = objectives.init_center(pre_model, feats[train_rows])
+    pre_model, pre_losses = pretrain(model0, train, cfg, rng_pre)
+    sphere = objectives.init_center(pre_model, train)
+    report = evalx.TrialReport(
+        trial=repeat * len(folds) + fold + 1, fold=fold, repeat=repeat,
+        runtime_s=time.perf_counter() - t0, config=dataclasses.asdict(cfg) | {"modes": []})
+    log.info(_TASK_ENDED, report.trial, "pretrain", os.getpid(), report.runtime_s)
+    return TrialResult(report=report, models={}, sphere=sphere, normalizer=norm,
+                       train_rows=train_rows, test_rows=np.arange(*folds[fold]), scores={},
+                       projections={}, pretrain_losses=pre_losses, pretrained=pre_model)
 
-    sad_unlab_rows = train_rows[~np.isin(train_rows, labeled_train)]
-    lb = LabeledBatch(feats[labeled_train], -np.ones(labeled_train.size))
+
+def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
+             ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
+    """A trial's task for one mode: train it from the pretrain task's result
+    `pre`, then score, rank and project both splits."""
+    t0 = time.perf_counter()
+    feats = data_mod.apply_normalizer(pre.normalizer, dataset.features)
+    # same rng sub-seed for both modes: identical batch order, objective is
+    # the only variable
+    rng = np.random.default_rng([cfg.seed, pre.report.repeat, pre.report.fold, 2])
+    if mode == "svdd":
+        unlab, labeled = feats[pre.train_rows], LabeledBatch.empty(feats.shape[1])
+    else:
+        labeled_train = dataset.labeled_idx[np.isin(dataset.labeled_idx, pre.train_rows)]
+        unlab = feats[pre.train_rows[~np.isin(pre.train_rows, labeled_train)]]
+        labeled = LabeledBatch(feats[labeled_train], -np.ones(labeled_train.size))
+    model, losses = train_main(pre.pretrained, pre.sphere, unlab, labeled, cfg, mode, rng)
+    del unlab, labeled  # the embeddings below set peak memory: free these first
 
     # metric key prefix -> ground-truth rows: all of them, then each archetype's
     gt_subsets = {} if ground_truth is None else {"gt_": ground_truth.rows} | {
         f"gt_{name}_": ground_truth.rows[[a == name for a in ground_truth.archetypes]]
         for name in data_mod.ARCHETYPES}
 
-    trial_no = repeat * len(folds) + fold + 1
-    models, scores, projections, main_losses, metrics = {}, {}, {}, {}, {}
-    for mode in modes:
-        # same rng sub-seed for both modes: identical batch order, objective is
-        # the only variable
-        rng = np.random.default_rng([cfg.seed, repeat, fold, 2])
-        unlab = feats[train_rows] if mode == "svdd" else feats[sad_unlab_rows]
-        labeled = LabeledBatch.empty(feats.shape[1]) if mode == "svdd" else lb
-        model, losses = train_main(pre_model, sphere, unlab, labeled, cfg,
-                                   mode, rng)
-        models[mode] = model
-        main_losses[mode] = losses
+    # one embedding per split: scores, metrics and the PCA scatter all come
+    # from it, and the PCA basis is fitted on the train split only
+    scores, projections, metrics = {}, {}, {}
+    for split, rows in (("train", pre.train_rows), ("test", pre.test_rows)):
+        out = objectives.embed(model, feats[rows])
+        s = objectives.distance(out, pre.sphere)
+        scores[(mode, split)] = s
+        ranks = evalx.fractional_ranks_desc(s)  # one sort for every row subset
+        is_labeled = np.isin(rows, dataset.labeled_idx)
+        ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split)
+        metrics.update(evalx.metrics_for(ss, ranks))
+        for prefix, subset in gt_subsets.items():
+            gt_pos = np.nonzero(np.isin(rows, subset))[0]
+            gt_ss = evalx.ScoreSet(s, gt_pos, split=split)
+            metrics.update(
+                {prefix + k: v for k, v in evalx.metrics_for(gt_ss, ranks).items()})
+        if split == "train":
+            basis = evalx.pca_fit(out, k=2)
+        projections[(mode, split)] = (evalx.pca_project(basis, out), is_labeled)
+        del out  # the next split's forward passes set peak memory: free these first
 
-        # one embedding per split: scores, metrics and the PCA scatter all
-        # come from it, and the PCA basis is fitted on the train split only
-        mode_metrics = {}
-        for split, rows in (("train", train_rows), ("test", test_rows)):
-            out = objectives.embed(model, feats[rows])
-            s = objectives.distance(out, sphere)
-            scores[(mode, split)] = s
-            ranks = evalx.fractional_ranks_desc(s)  # one sort for every row subset
-            is_labeled = np.isin(rows, labeled_global)
-            ss = evalx.ScoreSet(s, np.nonzero(is_labeled)[0], split=split)
-            mode_metrics.update(evalx.metrics_for(ss, ranks))
-            for prefix, subset in gt_subsets.items():
-                gt_pos = np.nonzero(np.isin(rows, subset))[0]
-                gt_ss = evalx.ScoreSet(s, gt_pos, split=split)
-                mode_metrics.update(
-                    {prefix + k: v for k, v in evalx.metrics_for(gt_ss, ranks).items()})
-            if split == "train":
-                basis = evalx.pca_fit(out, k=2)
-            projections[(mode, split)] = (evalx.pca_project(basis, out), is_labeled)
-            del out  # the next split's forward passes set peak memory: free these first
-        metrics[mode] = mode_metrics
+    report = replace(pre.report, metrics={mode: metrics}, runtime_s=time.perf_counter() - t0,
+                     config=pre.report.config | {"modes": [mode]})
+    log.info(_TASK_ENDED, report.trial, mode, os.getpid(), report.runtime_s)
+    return replace(pre, report=report, models={mode: model}, scores=scores,
+                   projections=projections, main_losses={mode: losses})
 
-    report = evalx.TrialReport(
-        trial=trial_no, fold=fold, repeat=repeat, metrics=metrics,
-        runtime_s=time.perf_counter() - t0,
-        config=dataclasses.asdict(cfg) | {"modes": list(modes)},
-    )
-    return TrialResult(report=report, models=models, sphere=sphere,
-                       normalizer=norm, train_rows=train_rows,
-                       test_rows=test_rows, scores=scores,
-                       projections=projections, pretrain_losses=pre_losses,
-                       main_losses=main_losses)
+
+def _join(parts: list[TrialResult]) -> TrialResult:
+    """One trial's task results merged in order, its pretrain's first; its
+    runtime is the sum of the tasks' times."""
+    merged = {name: {k: v for part in parts for k, v in getattr(part, name).items()}
+              for name in ("models", "scores", "projections", "main_losses")}
+    first = parts[0].report
+    report = replace(first, runtime_s=sum(part.report.runtime_s for part in parts),
+                     metrics={k: v for part in parts for k, v in part.report.metrics.items()},
+                     config=first.config | {"modes": list(merged["models"])})
+    return replace(parts[0], report=report, **merged)
+
+
+def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
+              folds: tuple[tuple[int, int], ...], modes=MODES,
+              ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
+    """One trial in this process: its pretrain, then its `modes` in order."""
+    pre = run_pretrain(dataset, cfg, repeat, fold, folds)
+    return _join([pre] + [run_mode(dataset, cfg, pre, mode, ground_truth) for mode in modes])
 
 
 def usable_cpus() -> int:
@@ -272,18 +297,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_jobs(jobs: int | None, cfg: TrainConfig) -> int:
+def resolve_jobs(jobs: int | None, cfg: TrainConfig, modes=MODES) -> int:
     """The processes a run of `cfg` trains on: `jobs`, by default the usable
-    CPUs, and never more than the trials."""
+    CPUs, and never more than this one plus every other trial's mode tasks."""
     if jobs is None:
         jobs = usable_cpus()
     elif jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, cfg.n_repeats * cfg.k_folds)
+    return min(jobs, 1 + (cfg.n_repeats * cfg.k_folds - 1) * len(modes))
 
 
-# a worker's dataset, ground truth and `save`, set once by `_init_worker`: fork
-# hands them over without pickling, so a task is only the trial's coordinates
+# a worker's dataset, config, folds, ground truth and `save`, set once by
+# `_init_worker`: fork hands them over without pickling
 _WORKER_DATA: tuple = ()
 
 
@@ -292,92 +317,113 @@ def _init_worker(*state) -> None:
     _WORKER_DATA = state
 
 
-def _worker_trial(*task) -> TrialResult:
-    dataset, ground_truth, save = _WORKER_DATA
-    result = run_trial(dataset, *task, ground_truth)
-    save(result)
-    return result
+def _run_task(repeat: int, fold: int, pre: TrialResult | None, mode, state=None):
+    """A trial's pretrain task, or with `pre` its `mode` task, saved here."""
+    dataset, cfg, folds, ground_truth, save = state or _WORKER_DATA
+    if pre is None:
+        return run_pretrain(dataset, cfg, repeat, fold, folds)
+    save(part := run_mode(dataset, cfg, pre, mode, ground_truth))
+    return part
 
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
-                   jobs: int | None = None,
-                   ground_truth: data_mod.GroundTruth | None = None,
+                   jobs: int | None = None, ground_truth: data_mod.GroundTruth | None = None,
                    save=lambda result: None, on_trial=None) -> list[TrialResult]:
-    """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg)`
-    processes: this one runs trials itself, in trial order, beside jobs - 1
-    forked workers, each of which starts the next trial as its last one ends.
-    The results do not depend on `jobs`. `save(result)` runs in the trial's
-    own process as the trial ends, so its files are written beside the other
-    processes' training. Then `on_trial(result)` fires on the calling thread,
-    so callers can record each trial before a later trial aborts: at once for
-    this process's trials, and for a worker's when this process's current
-    trial ends or, with no trial left, when every running trial has ended.
-    No trial starts after the first failure; the trials already running
-    finish and reach `on_trial`, then the first error is raised."""
-    jobs = resolve_jobs(jobs, cfg)
+    """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg,
+    modes)` processes: this one, which runs trial 1 (at jobs=1 every trial)
+    whole through `run_trial`, beside jobs - 1 forked workers; the results do
+    not depend on `jobs`. `save(result)` runs in the process that ran a task,
+    as it ends. A trial reaches `on_trial(result)` on the calling thread, its
+    modes merged in `modes` order, once its last mode has ended. No task
+    starts after the first failure; the running ones finish, the trials they
+    complete reach `on_trial`, then the first error is raised."""
+    jobs, on_trial = resolve_jobs(jobs, cfg, modes), on_trial or (lambda result: None)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
-    tasks = deque((cfg, r, f, folds, tuple(modes))
-                  for r in range(cfg.n_repeats) for f in range(cfg.k_folds))
-    lock, error = threading.Lock(), None
-    finished = queue.SimpleQueue()  # the workers' futures, as their trials end
-    results: list[TrialResult] = []
+    state = (dataset, cfg, folds, ground_truth, save)
+    # a free process takes the ready task of the lowest trial, so that a trial's
+    # modes run side by side and none is left alone at the end: its pretrain,
+    # then its modes, SAD first as its batches also carry the labeled rows
+    ready = [((r, f, 0), (r, f, None, None))  # (key, (repeat, fold, pretrain's result, mode))
+             for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
+    parts, results = {}, []
+    lock, error, idle = threading.RLock(), None, jobs - 1
+    ended = queue.SimpleQueue()  # the workers' (task, future), as each task ends
     # fork: the workers get the dataset without a pickle and inherit the one
-    # BLAS thread. The pool forks all of them at the first submit, from this
-    # thread, so `resolve_jobs` caps them: a worker with no trial would only
-    # copy the process
+    # BLAS thread. The pool forks them all at the first submit, from this
+    # thread, so `resolve_jobs` caps them: a worker with no task only costs memory
     pool = contextlib.nullcontext() if jobs == 1 else ProcessPoolExecutor(
         max_workers=jobs - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(dataset, ground_truth, save))
+        initializer=_init_worker, initargs=state)
 
-    def fail(exc: BaseException) -> None:
-        nonlocal error
-        with lock:
-            error = error or exc
-
-    def take():  # this process's next task, or None once none may start
-        with lock:
-            return tasks.popleft() if tasks and error is None else None
-
-    def feed(done=None) -> None:
-        """Give a worker the next task; the pool calls this as a worker's trial ends."""
-        nonlocal error
-        if done is not None:
-            if done.exception() is not None:
-                fail(done.exception())
-            finished.put(done)
+    def feed() -> None:  # give each free worker the first ready task
+        nonlocal error, idle
         with lock:  # held across submit: a task taken is a future submitted
-            if not tasks or error is not None:
-                return
-            try:
-                fut = pool.submit(_worker_trial, *tasks.popleft())
-            except Exception as exc:  # a worker died, or an error shuts the pool
-                error = error or exc
-                return
-        fut.add_done_callback(feed)
-
-    def deliver_finished() -> None:
-        while not finished.empty():
-            fut = finished.get()
-            if fut.exception() is None:
-                results.append(fut.result())
-                if on_trial is not None:
-                    on_trial(results[-1])
-
-    with nnet.one_blas_thread():
-        with pool:  # its shutdown waits for the running trials and refuses new ones
-            for _ in range(jobs - 1):
-                feed()
-            while (task := take()) is not None:
+            while idle and error is None and ready:
+                task = heapq.heappop(ready)[1]
                 try:
-                    results.append(run_trial(dataset, *task, ground_truth))
+                    fut = pool.submit(_run_task, *task)
+                except Exception as exc:  # a worker died, or an error shuts the pool
+                    error = exc
+                    return
+                idle -= 1
+                fut.add_done_callback(functools.partial(worker_ended, task))
+
+    def worker_ended(task, fut) -> None:  # on the pool's thread
+        nonlocal error, idle
+        with lock:
+            idle += 1
+            error = error or fut.exception()
+            if error is None and task[2] is None:
+                modes_ready(task, fut.result())
+            ended.put((task, fut))
+            feed()
+
+    def modes_ready(task, pre: TrialResult) -> None:  # the pretrain `task` has ended
+        with lock:
+            for mode in modes:
+                heapq.heappush(ready, ((*task[:2], mode != "sad"), (*task[:2], pre, mode)))
+            feed()
+
+    def take():  # (this process's next task or None, whether a worker task is unseen)
+        with lock:
+            task = heapq.heappop(ready)[1] if error is None and ready else None
+            return task, idle < jobs - 1 or not ended.empty()
+
+    def mode_ended(task, part: TrialResult) -> None:
+        done = parts.setdefault(task[:2], {})
+        done[task[3]] = part
+        if len(done) == len(modes):
+            del parts[task[:2]]
+            results.append(_join([task[2]] + [done[mode] for mode in modes]))
+            on_trial(results[-1])
+
+    def deliver(wait: bool) -> None:  # the workers' ended tasks; `wait` for one first
+        while wait or not ended.empty():
+            wait, (task, fut) = False, ended.get()
+            if fut.exception() is None and task[2] is not None:
+                mode_ended(task, fut.result())
+
+    with nnet.one_blas_thread(), pool:  # the pool's shutdown waits for running tasks
+        task, busy = take()  # trial 1, run whole here
+        feed()
+        while task is not None or busy:
+            try:
+                if task is None:
+                    deliver(wait=True)
+                elif task[2] is None and (jobs == 1 or task[:2] == (0, 0)):
+                    results.append(run_trial(dataset, cfg, *task[:2], folds, modes,
+                                             ground_truth))
                     save(results[-1])
-                except Exception as exc:  # start no more; running trials finish
-                    fail(exc)
+                    on_trial(results[-1])
+                elif task[2] is None:  # its modes may go to a free worker
+                    modes_ready(task, _run_task(*task, state))
                 else:
-                    if on_trial is not None:
-                        on_trial(results[-1])
-                deliver_finished()
-        deliver_finished()  # the pool has shut down: every worker's future is here
+                    mode_ended(task, _run_task(*task, state))
+                deliver(wait=False)
+            except Exception as exc:  # start no more; the running tasks finish
+                with lock:
+                    error = error or exc
+            task, busy = take()
     if error is not None:
         raise error
     results.sort(key=lambda r: r.report.trial)

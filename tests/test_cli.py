@@ -4,6 +4,8 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -191,52 +193,80 @@ class TestRun:
 
     def test_parallel_divergence_fails_fast(self, tmp_path, tiny_config, generated,
                                             capsys, monkeypatch):
-        # six trials on two processes: the worker runs trial 1, this process
-        # trial 2, which diverges after trial 1 has finished; later trials are
-        # slow. The worker is forked after the patch, so it runs this patched
-        # `harness.run_trial` too.
+        # six trials on two processes. This process runs trial 1 whole while
+        # the worker runs trial 2's pretrain, SAD and SVDD, which is slow;
+        # trial 1 ends once that SVDD has started. This process then takes
+        # trial 3's pretrain and SAD, which diverges. The worker is forked
+        # after the patches, so it runs the patched task functions too.
         marks = tmp_path / "marks"
         marks.mkdir()
-        real_run_trial = harness.run_trial
+        real_run_pretrain, real_run_mode = harness.run_pretrain, harness.run_mode
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
-            trial = repeat * cfg.k_folds + fold + 1
-            (marks / f"{trial}.start").write_text(str(os.getpid()))
-            if trial == 2:
+        def mark(phase, trial):
+            (marks / f"{phase}{trial}.start").write_text(str(os.getpid()))
+            return trial
+
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
+            mark("pretrain", repeat * cfg.k_folds + fold + 1)
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+
+        def run_mode(dataset, cfg, pre, mode, *rest):
+            trial = mark(mode, pre.report.trial)
+            if (trial, mode) == (1, "sad"):
                 deadline = time.monotonic() + 60
-                while not (marks / "1.done").exists() and time.monotonic() < deadline:
+                while not (marks / "svdd2.start").exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                time.sleep(1.0)  # lets trial 1's result reach the parent first
-                raise DivergenceError("trial 2 diverged")
-            if trial > 2:
-                time.sleep(2.0)
-            res = real_run_trial(dataset, cfg, repeat, fold, *rest)
-            (marks / f"{trial}.done").touch()
-            return res
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+            elif (trial, mode) == (2, "svdd"):
+                time.sleep(2.0)  # still running when trial 3's SAD diverges
+            elif (trial, mode) == (3, "sad"):
+                raise DivergenceError("trial 3 diverged")
+            return real_run_mode(dataset, cfg, pre, mode, *rest)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", "2"))
         assert code == 1
-        assert "trial 2 diverged" in capsys.readouterr().err
-        # trial 3 took trial 1's worker; no trial started after the failure
-        assert sorted(int(p.stem) for p in marks.glob("*.start")) == [1, 2, 3]
-        assert (marks / "2.start").read_text() == str(os.getpid())
-        assert (marks / "3.start").read_text() == (marks / "1.start").read_text()
-        # trial 3 was running when trial 2 failed: it finishes and is kept
-        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1, 3]
+        assert "trial 3 diverged" in capsys.readouterr().err
+        # no task started after the failure
+        started = {p.stem: p.read_text() for p in marks.glob("*.start")}
+        assert sorted(started) == sorted(["pretrain1", "svdd1", "sad1", "pretrain2", "sad2",
+                                          "svdd2", "pretrain3", "sad3"])
+        assert started["sad3"] == started["pretrain3"] == started["sad1"] == str(os.getpid())
+        assert started["svdd2"] == started["pretrain2"] != str(os.getpid())
+        # trial 2's SVDD was running when trial 3 failed: it finishes and the
+        # trial is kept
+        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1, 2]
         assert (out / "trial1_fold0_sad.ckpt").exists()
-        assert (out / "trial3_fold2_sad.ckpt").exists()
+        assert (out / "trial2_fold1_svdd.ckpt").exists()
+        assert not list(out.glob("trial3_*"))
+
+    def test_info_log_has_one_line_per_task(self, tmp_path, tiny_config, generated):
+        # the run's schedule, read from its log: every task, in every process
+        out = tmp_path / "run"
+        env = dict(os.environ, SAD_LOG="INFO", PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lobsad.cli", "run", "--config", tiny_config,
+             "--data", str(generated / "lob.csv"), "--labels", str(generated / "labels.txt"),
+             "--out", str(out), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ends = re.findall(r"^INFO lobsad\.harness: trial (\d) (\w+) ended in process "
+                          r"(\d+) after \d+\.\d\ds$", proc.stderr, re.MULTILINE)
+        assert sorted((int(t), phase) for t, phase, _ in ends) == sorted(
+            (t, phase) for t in range(1, 7) for phase in ("pretrain", "svdd", "sad"))
+        assert len({pid for _, _, pid in ends}) == 2
 
     def test_failed_trial_flushes_finished_trials(self, tmp_path, tiny_config,
                                                   generated, capsys, monkeypatch):
         # any error, not only divergence, leaves the results of the trials before it
-        real_run_trial = harness.run_trial
+        real_run_pretrain = harness.run_pretrain
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
             if repeat * cfg.k_folds + fold + 1 == 2:
                 raise DataError("trial 2 failed")
-            return real_run_trial(dataset, cfg, repeat, fold, *rest)
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
         assert code == 2
         assert "error: trial 2 failed" in capsys.readouterr().err
@@ -305,10 +335,14 @@ class TestRun:
         assert code == 0
         manifest = json.load(open(out / "run_manifest.json"))
         assert manifest["usable_cpus"] == harness.usable_cpus()
-        assert manifest["jobs"] == min(harness.usable_cpus(), 6)
+        # at most this process and both mode tasks of the five other trials
+        assert manifest["jobs"] == min(harness.usable_cpus(), 11)
         assert manifest["blas_threads"] == (None if nnet.blas_threads() is None else 1)
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", "64"))
+        assert json.load(open(out / "run_manifest.json"))["jobs"] == 11
+        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
+                                       ("--jobs", "64", "--mode", "svdd-only"))
         assert json.load(open(out / "run_manifest.json"))["jobs"] == 6
 
     def test_manifest_blas_threads_null_when_unset(self, tmp_path, tiny_config,
@@ -781,6 +815,15 @@ class TestUsage:
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_missing_out_directory_named_exit_2(self, tmp_path, capsys):
+        # the error names the file asked for, not the temporary file beside it
+        lob, ckpt = score_inputs(tmp_path, 40)
+        out = tmp_path / "missing" / "s.csv"
+        assert cli.main(score_argv(ckpt, lob, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert ".tmp" not in err
 
     def test_unknown_flag_exit_2(self, capsys):
         assert cli.main(["generate", "--config", "x", "--out", "y",

@@ -253,6 +253,20 @@ class TestExport:
         assert {r[0] for r in rows} == {"1"}
         assert sorted(tmp_path.glob("*.tmp")) == []
 
+    def test_scatter_csv_bytes_match_row_formatting(self, tmp_path, rng):
+        # the reference formats each row of the 2-D projection on its own;
+        # more rows than one write block, and floats whose repr has a sign, an
+        # exponent or neither
+        proj = rng.normal(size=(5000, 2)) * 10.0 ** rng.integers(-20, 20, size=(5000, 1))
+        proj[:3] = [[-0.0, 1e-05], [1e+16, 0.0], [-1e+16, -1e-05]]
+        is_labeled = rng.random(5000) < 0.1
+        evalx.write_scatter(tmp_path / "s", proj, is_labeled)
+        want = "pc1,pc2,is_labeled\r\n" + "".join(
+            f"{p[0]!r},{p[1]!r},{int(lab)}\r\n" for p, lab in zip(proj.tolist(), is_labeled))
+        assert (tmp_path / "s.csv").read_bytes() == want.encode()
+        assert (tmp_path / "s.csv").read_bytes().startswith(
+            b"pc1,pc2,is_labeled\r\n-0.0,1e-05,0\r\n1e+16,0.0,")
+
     def test_scatter_export(self, tmp_path, rng):
         proj = rng.normal(size=(30, 2))
         is_labeled = np.zeros(30, dtype=bool)

@@ -254,19 +254,42 @@ class TestRunExperiment:
         assert by_fold[1]["svdd"]["ratio_train"] is not None
 
     def test_parallel_matches_sequential(self, tiny_synth):
-        # every trial's scores and metrics, bit for bit, wherever it ran
+        # every trial's scores and metrics, bit for bit, wherever its tasks
+        # ran; 64 is capped at 11 processes, one per task that can run at once
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
         seq = harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
-        for jobs in (2, 3):
+        for jobs in (2, 3, 64):
             par = harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
             assert [r.report.trial for r in par] == [1, 2, 3, 4, 5, 6]
             for a, b in zip(seq, par, strict=True):
                 assert a.report.metrics == b.report.metrics
+                assert list(b.report.metrics) == ["svdd", "sad"]  # in `modes` order
+                assert a.report.config == b.report.config
                 assert a.scores.keys() == b.scores.keys()
                 for key, scores in a.scores.items():
                     assert scores.tobytes() == b.scores[key].tobytes()
                 for mode, model in a.models.items():
                     assert model.params.tobytes() == b.models[mode].params.tobytes()
+                assert a.pretrain_losses == b.pretrain_losses
+                assert a.main_losses == b.main_losses
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_pretrain_runs_once_per_trial(self, tiny_synth, monkeypatch, tmp_path, jobs):
+        # a marker file per pretrain call, from whichever process made it
+        real_run_pretrain = harness.run_pretrain
+
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
+            trial = repeat * cfg.k_folds + fold + 1
+            (tmp_path / f"{trial}.{os.getpid()}.{time.monotonic_ns()}").touch()
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
+        markers = [p.name.split(".") for p in tmp_path.iterdir()]
+        assert sorted(int(trial) for trial, _, _ in markers) == [1, 2, 3, 4, 5, 6]
+        # with workers, they take trial 2's pretrain at least
+        assert ({pid for _, pid, _ in markers} == {str(os.getpid())}) == (jobs == 1)
+        assert len(results) == 6
 
     def test_trial_embeds_each_split_once(self, tiny_synth, monkeypatch):
         # train rows once for the center, then each split once per model:
@@ -337,7 +360,8 @@ class TestRunExperiment:
 
     def test_pool_capped_at_trial_count(self, tiny_synth, monkeypatch):
         # a fork-context pool starts every worker it is given at the first
-        # submit; this process runs trials too, so 2 trials need 1 worker
+        # submit; this process runs trial 1, so 2 trials need a worker per
+        # mode task of trial 2: 2 for both modes, 1 for one
         made, pool = [], harness.ProcessPoolExecutor
 
         def recording_pool(max_workers, **kwargs):
@@ -346,96 +370,144 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
         results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=64)
-        assert made == [1]
+        assert made == [2]
         assert [r.report.trial for r in results] == [1, 2]
+        results = harness.run_experiment(tiny_synth.dataset, cfg, modes=("svdd",), jobs=64)
+        assert made == [2, 1]
+        assert [list(r.models) for r in results] == [["svdd"]] * 2
         harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
-        assert made == [1]  # one process needs no pool
+        assert made == [2, 1]  # one process needs no pool
 
     def test_default_jobs(self, monkeypatch):
         monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
         assert harness.resolve_jobs(None, tiny_cfg()) == 4
-        assert harness.resolve_jobs(None, tiny_cfg(n_repeats=1, k_folds=2)) == 2
+        # 2 trials: this process on trial 1, and trial 2's two mode tasks
+        assert harness.resolve_jobs(None, tiny_cfg(n_repeats=1, k_folds=2)) == 3
+        assert harness.resolve_jobs(None, tiny_cfg(n_repeats=1, k_folds=2),
+                                    ("svdd",)) == 2
         assert harness.resolve_jobs(3, tiny_cfg()) == 3
+        assert harness.resolve_jobs(64, tiny_cfg()) == 11
+        assert harness.resolve_jobs(64, tiny_cfg(), ("sad",)) == 6
         monkeypatch.undo()
         assert harness.usable_cpus() >= 1
 
     def test_own_trial_failure_drains_workers(self, tiny_synth, monkeypatch,
                                               tmp_path):
-        # two processes: a worker runs trial 1 while this process runs trial 2,
-        # which fails; trial 1 was running, so it finishes and is delivered,
-        # and no later trial starts
-        real_run_trial = harness.run_trial
+        # two processes, four trials: this process runs trial 1 while the
+        # worker runs trial 2's pretrain, SAD and SVDD. Trial 1's SAD fails
+        # once trial 2's SVDD has started; that task was running, so it
+        # finishes and trial 2 is delivered, and no later task starts
+        real_run_pretrain, real_run_mode = harness.run_pretrain, harness.run_mode
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
-            trial = repeat * cfg.k_folds + fold + 1
-            (tmp_path / f"{trial}.start").write_text(str(os.getpid()))
-            if trial == 2:
+        def mark(phase, trial):
+            (tmp_path / f"{phase}{trial}").write_text(str(os.getpid()))
+            return trial
+
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
+            mark("pretrain", repeat * cfg.k_folds + fold + 1)
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+
+        def run_mode(dataset, cfg, pre, mode, *rest):
+            trial = mark(mode, pre.report.trial)
+            if (trial, mode) == (1, "sad"):
                 deadline = time.monotonic() + 60
-                while not (tmp_path / "1.start").exists() and time.monotonic() < deadline:
+                while not (tmp_path / "svdd2").exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                raise DataError("trial 2 failed")
-            time.sleep(1.0)  # still running when trial 2 fails
-            return real_run_trial(dataset, cfg, repeat, fold, *rest)
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+                raise DataError("trial 1 failed")
+            if (trial, mode) == (2, "svdd"):
+                time.sleep(1.0)  # still running when trial 1 fails
+            return real_run_mode(dataset, cfg, pre, mode, *rest)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
         delivered = []
-        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
-        with pytest.raises(DataError, match="trial 2 failed"):
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, k_folds=2)
+        with pytest.raises(DataError, match="trial 1 failed"):
             harness.run_experiment(tiny_synth.dataset, cfg, jobs=2,
                                    on_trial=lambda r: delivered.append(r.report.trial))
-        assert delivered == [1]
-        assert sorted(int(p.stem) for p in tmp_path.glob("*.start")) == [1, 2]
-        assert (tmp_path / "2.start").read_text() == str(os.getpid())
+        assert delivered == [2]
+        started = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert sorted(started) == ["pretrain1", "pretrain2", "sad1", "sad2", "svdd1",
+                                   "svdd2"]
+        assert started["sad1"] == str(os.getpid()) != started["svdd2"]
+        assert started["svdd2"] == started["pretrain2"]
 
     def test_save_runs_in_the_trials_process(self, tiny_synth, monkeypatch, tmp_path):
-        # each trial is saved by the process that ran it, before it reaches
-        # on_trial; a failed save is the run's error and skips on_trial
-        real_run_trial = harness.run_trial
+        # each mode is saved by the process that ran it, before its trial
+        # reaches on_trial; a failed save is the run's error and keeps its
+        # trial from on_trial
+        real_run_mode = harness.run_mode
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
-            trial = repeat * cfg.k_folds + fold + 1
-            (tmp_path / f"{trial}.ran").write_text(str(os.getpid()))
-            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+        def run_mode(dataset, cfg, pre, mode, *rest):
+            trial = pre.report.trial
+            (tmp_path / f"{trial}_{mode}.ran").write_text(str(os.getpid()))
+            return real_run_mode(dataset, cfg, pre, mode, *rest)
 
         def save(res):
-            if res.report.trial == 3:
+            trial = res.report.trial
+            if trial == 6:  # the last trial, once the other process has saved too
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and all(
+                        p.read_text() == str(os.getpid()) for p in tmp_path.glob("*.saved")):
+                    time.sleep(0.01)
                 raise OSError("disk full")
-            (tmp_path / f"{res.report.trial}.saved").write_text(str(os.getpid()))
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+            for mode in res.models:
+                (tmp_path / f"{trial}_{mode}.saved").write_text(str(os.getpid()))
+        monkeypatch.setattr(harness, "run_mode", run_mode)
         delivered = []
+
+        def on_trial(res):
+            t = res.report.trial
+            delivered.append((t, all((tmp_path / f"{t}_{mode}.saved").exists()
+                                     for mode in ("svdd", "sad"))))
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
         with pytest.raises(OSError, match="disk full"):
-            harness.run_experiment(
-                tiny_synth.dataset, cfg, jobs=2, save=save,
-                on_trial=lambda r: delivered.append(
-                    (r.report.trial, (tmp_path / f"{r.report.trial}.saved").exists())))
-        saved = {int(p.stem): p.read_text() for p in tmp_path.glob("*.saved")}
-        assert saved and {int(p.stem): p.read_text() for p in tmp_path.glob("*.ran")
-                          if int(p.stem) in saved} == saved
+            harness.run_experiment(tiny_synth.dataset, cfg, jobs=2, save=save,
+                                   on_trial=on_trial)
+        saved = {p.stem: p.read_text() for p in tmp_path.glob("*.saved")}
+        ran = {p.stem: p.read_text() for p in tmp_path.glob("*.ran")}
+        assert saved and all(ran[key] == pid for key, pid in saved.items())
         assert len(set(saved.values())) == 2  # this process and the worker
-        assert 3 not in saved and sorted(delivered) == [(t, True) for t in sorted(saved)]
+        complete = [t for t in range(1, 7) if {f"{t}_svdd", f"{t}_sad"} <= saved.keys()]
+        assert 6 not in complete and sorted(delivered) == [(t, True) for t in complete]
 
-    def test_on_trial_runs_on_calling_thread(self, tiny_synth):
-        threads = []
+    def test_on_trial_runs_on_calling_thread(self, tiny_synth, monkeypatch, tmp_path):
+        # also for the trials whose mode tasks ended in a worker
+        threads, real_run_mode = [], harness.run_mode
+
+        def run_mode(*args):
+            (tmp_path / f"{os.getpid()}.{time.monotonic_ns()}").touch()
+            return real_run_mode(*args)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
         harness.run_experiment(tiny_synth.dataset, cfg, jobs=3,
                                on_trial=lambda r: threads.append(threading.get_ident()))
         assert threads == [threading.get_ident()] * 6
+        pids = {p.name.split(".")[0] for p in tmp_path.iterdir()}
+        assert str(os.getpid()) in pids and len(pids) > 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_blas_thread_while_training(self, tiny_synth, monkeypatch, jobs):
-        # every process trains at one thread; the caller's count comes back,
-        # after an error too
+        # every task trains at one thread, in every process; the caller's
+        # count comes back, after an error too
         if nnet.blas_threads() is None:
             pytest.skip("no settable OpenBLAS in this process")
-        real_run_trial = harness.run_trial
+        real_run_pretrain, real_run_mode = harness.run_pretrain, harness.run_mode
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
+        def at_one_thread():
             if nnet.blas_threads() != 1:
-                raise AssertionError(f"trial ran at {nnet.blas_threads()} threads")
+                raise AssertionError(f"a task ran at {nnet.blas_threads()} threads")
+
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
+            at_one_thread()
             if repeat * cfg.k_folds + fold + 1 == 3:
                 raise DataError("trial 3 failed")
-            return real_run_trial(dataset, cfg, repeat, fold, *rest)
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+
+        def run_mode(*args):
+            at_one_thread()
+            return real_run_mode(*args)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
         before = nnet.blas_threads()
         _, set_threads = nnet._openblas()
         set_threads(2)
