@@ -373,7 +373,9 @@ def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != norm.mean.shape[0]:
         raise DataError(
             f"feature dim {features.shape[1]} != normalizer dim {norm.mean.shape[0]}")
-    return (features - norm.mean) / norm.std
+    out = features - norm.mean
+    out /= norm.std  # in place: `(x - m) / s` would hold x's size three times over
+    return out
 
 
 # --- synthetic generator ------------------------------------------------------

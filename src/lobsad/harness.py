@@ -183,12 +183,15 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
 
 @dataclass
 class TrialResult:
+    """A trial's result, or one task's part of it. A mode task's part, as
+    `_run_task` sends it back, leaves the pretrain's fields (sphere,
+    normalizer, rows, pretrain_losses, pretrained) None or empty."""
     report: evalx.TrialReport
     models: dict  # mode -> MlpModel: none from the pretrain task, one from a mode task
-    sphere: Hypersphere
-    normalizer: data_mod.Normalizer
-    train_rows: np.ndarray  # global row indices
-    test_rows: np.ndarray
+    sphere: Hypersphere | None
+    normalizer: data_mod.Normalizer | None
+    train_rows: np.ndarray | None  # global row indices
+    test_rows: np.ndarray | None
     scores: dict  # (mode, split) -> np.ndarray aligned with train_rows/test_rows
     projections: dict  # (mode, split) -> (proj (N,2), is_labeled (N,) bool)
     pretrain_losses: list[float] = field(default_factory=list)
@@ -223,18 +226,21 @@ def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
     """A trial's task for one mode: train it from the pretrain task's result
     `pre`, then score, rank and project both splits."""
     t0 = time.perf_counter()
-    feats = data_mod.apply_normalizer(pre.normalizer, dataset.features)
+
+    def normalized(rows):  # only the rows a use needs, never all of them
+        return data_mod.apply_normalizer(pre.normalizer, dataset.features[rows])
     # same rng sub-seed for both modes: identical batch order, objective is
     # the only variable
     rng = np.random.default_rng([cfg.seed, pre.report.repeat, pre.report.fold, 2])
     if mode == "svdd":
-        unlab, labeled = feats[pre.train_rows], LabeledBatch.empty(feats.shape[1])
+        unlab = normalized(pre.train_rows)
+        labeled = LabeledBatch.empty(dataset.features.shape[1])
     else:
         labeled_train = dataset.labeled_idx[np.isin(dataset.labeled_idx, pre.train_rows)]
-        unlab = feats[pre.train_rows[~np.isin(pre.train_rows, labeled_train)]]
-        labeled = LabeledBatch(feats[labeled_train], -np.ones(labeled_train.size))
+        unlab = normalized(pre.train_rows[~np.isin(pre.train_rows, labeled_train)])
+        labeled = LabeledBatch(normalized(labeled_train), -np.ones(labeled_train.size))
     model, losses = train_main(pre.pretrained, pre.sphere, unlab, labeled, cfg, mode, rng)
-    del unlab, labeled  # the embeddings below set peak memory: free these first
+    del unlab, labeled  # freed first: the train split's embedding below sets the peak
 
     # metric key prefix -> ground-truth rows: all of them, then each archetype's
     gt_subsets = {} if ground_truth is None else {"gt_": ground_truth.rows} | {
@@ -245,7 +251,7 @@ def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
     # from it, and the PCA basis is fitted on the train split only
     scores, projections, metrics = {}, {}, {}
     for split, rows in (("train", pre.train_rows), ("test", pre.test_rows)):
-        out = objectives.embed(model, feats[rows])
+        out = objectives.embed(model, normalized(rows))  # freed as embed returns
         s = objectives.distance(out, pre.sphere)
         scores[(mode, split)] = s
         ranks = evalx.fractional_ranks_desc(s)  # one sort for every row subset
@@ -270,8 +276,10 @@ def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
 
 
 def _join(parts: list[TrialResult]) -> TrialResult:
-    """One trial's task results merged in order, its pretrain's first; its
-    runtime is the sum of the tasks' times."""
+    """One trial's task results merged in order, its pretrain's first: the
+    pretrain fields (sphere, normalizer, rows, losses and autoencoder) come
+    from that first part, each mode's fields from its own. The runtime is the
+    sum of the tasks' times."""
     merged = {name: {k: v for part in parts for k, v in getattr(part, name).items()}
               for name in ("models", "scores", "projections", "main_losses")}
     first = parts[0].report
@@ -323,7 +331,9 @@ def _run_task(repeat: int, fold: int, pre: TrialResult | None, mode, state=None)
     if pre is None:
         return run_pretrain(dataset, cfg, repeat, fold, folds)
     save(part := run_mode(dataset, cfg, pre, mode, ground_truth))
-    return part
+    # the caller holds `pre`, so only this mode's data goes back
+    return replace(part, sphere=None, normalizer=None, train_rows=None, test_rows=None,
+                   pretrain_losses=[], pretrained=None)
 
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,

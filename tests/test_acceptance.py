@@ -7,6 +7,7 @@ minutes; everything else is fast.
 
 import csv
 import json
+import resource
 import time
 
 import numpy as np
@@ -38,8 +39,12 @@ def desk_run():
     results = harness.run_experiment(synth.dataset, cfg,
                                      on_trial=lambda r: threads.add(nnet.blas_threads()))
     elapsed = time.perf_counter() - t0
+    # the pool's workers are reaped when the run returns; ru_maxrss is in KiB
+    workers_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     conftest.DESK_RUN.append(f"jobs={harness.resolve_jobs(None, cfg)}, blas_threads="
-                             f"{','.join(map(str, threads))}, {elapsed:.1f}s")
+                             f"{','.join(map(str, threads))}, {elapsed:.1f}s, max RSS "
+                             f"of the children reaped so far in this session "
+                             f"{workers_kib / 1024:.1f} MiB")
     return results, elapsed
 
 

@@ -1,4 +1,5 @@
 import os
+import pickle
 import threading
 import time
 
@@ -272,6 +273,31 @@ class TestRunExperiment:
                     assert model.params.tobytes() == b.models[mode].params.tobytes()
                 assert a.pretrain_losses == b.pretrain_losses
                 assert a.main_losses == b.main_losses
+                # `_join` takes the rows and the autoencoder from the pretrain
+                assert a.train_rows.tobytes() == b.train_rows.tobytes()
+                assert a.pretrained.params.tobytes() == b.pretrained.params.tobytes()
+
+    @pytest.mark.parametrize("mode", harness.MODES)
+    def test_mode_task_sends_back_only_its_mode(self, tiny_synth, mode):
+        # what a worker pickles back: no row index and no autoencoder, which
+        # the calling process holds in the pretrain's part; `save` still gets
+        # them, for the files it writes
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        saved, dataset = [], tiny_synth.dataset
+        state = (dataset, cfg, contiguous_kfold(dataset.n_rows, cfg.k_folds), None,
+                 saved.append)
+        pre = harness._run_task(0, 1, None, None, state)
+        blob = pickle.dumps(harness._run_task(0, 1, pre, mode, state))
+        for array in (pre.train_rows, pre.test_rows, pre.pretrained.params):
+            assert array.tobytes() not in blob
+        part = pickle.loads(blob)
+        for name in ("train_rows", "test_rows", "pretrained", "sphere", "normalizer"):
+            assert getattr(part, name) is None, name
+        assert part.pretrain_losses == []
+        assert part.models.keys() == part.main_losses.keys() == {mode}
+        assert part.scores.keys() == part.projections.keys() == {
+            (mode, "train"), (mode, "test")}
+        assert saved[0].train_rows is pre.train_rows and saved[0].normalizer is pre.normalizer
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_pretrain_runs_once_per_trial(self, tiny_synth, monkeypatch, tmp_path, jobs):

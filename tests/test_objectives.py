@@ -11,7 +11,7 @@ from conftest import (
     relative_error,
     sample_safe_model_batch,
 )
-from lobsad import nnet, objectives
+from lobsad import data, harness, nnet, objectives
 from lobsad.errors import ConfigError, DataError, ShapeError
 from lobsad.objectives import Hypersphere, LabeledBatch, SadHyper
 
@@ -333,3 +333,46 @@ class TestEmbedMemory:
             tracemalloc.stop()
         assert out.shape == (rows, model.output_dim)
         assert peak < output + 1.25 * activations, (peak - output) / activations
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestRunModeMemory:
+    @pytest.mark.parametrize("mode", harness.MODES)
+    def test_peak_is_two_train_splits_and_one_chunk(self, rng, mode):
+        # a mode task normalizes only the rows it uses: its peak is the
+        # train split's normalized rows and their embedding, plus one chunk
+        # of activations; a copy of all rows, normalized, would add one
+        # feature matrix more. 30k rows outweigh a chunk's activations
+        n, dims = 30_000, nnet.DEFAULT_DIMS
+        dataset = data.Dataset(rng.normal(size=(n, dims[0])), np.arange(n),
+                               np.arange(0, n, 1000))
+        cfg = harness.TrainConfig(pretrain_epochs=0, main_epochs=1)
+        folds = harness.contiguous_kfold(n, cfg.k_folds)
+        with nnet.one_blas_thread():
+            pre = harness.run_pretrain(dataset, cfg, 0, 0, folds)
+            part, peak = traced_peak(harness.run_mode, dataset, cfg, pre, mode)
+        assert part.scores[(mode, "train")].size == pre.train_rows.size
+        train = pre.train_rows.size * dims[0] * 8
+        activations = objectives._CHUNK * sum(dims[1:]) * 8
+        assert peak < 2 * train + 1.5 * activations, peak / dataset.features.nbytes
+
+
+class TestApplyNormalizerMemory:
+    def test_bits_input_and_one_output_array(self, rng):
+        x = rng.normal(loc=3.0, scale=2.5, size=(20_000, 20))
+        norm = data.fit_normalizer(x, np.arange(5_000))
+        before = x.copy()
+        z, peak = traced_peak(data.apply_normalizer, norm, x)
+        assert z.tobytes() == ((x - norm.mean) / norm.std).tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert peak < 1.1 * x.nbytes, peak / x.nbytes
