@@ -151,8 +151,6 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     train, synth = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),

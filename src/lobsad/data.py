@@ -97,49 +97,34 @@ class Normalizer:
     std: np.ndarray  # (d,), > 0 everywhere (constant features forced to 1)
 
 
-def _validate_book_row(row: np.ndarray, row_no: int) -> None:
-    """`row` holds the 40 book columns in BOOK_COLUMNS order."""
-    if not np.isfinite(row).all():
-        raise DataError(f"row {row_no}: non-finite value")
-    bid_px = row[0:N_LEVELS]
-    bid_sz = row[N_LEVELS:2 * N_LEVELS]
-    ask_px = row[2 * N_LEVELS:3 * N_LEVELS]
-    ask_sz = row[3 * N_LEVELS:4 * N_LEVELS]
-    if np.any(np.diff(bid_px) >= 0):
-        raise DataError(f"row {row_no}: bid prices not strictly decreasing")
-    if np.any(np.diff(ask_px) <= 0):
-        raise DataError(f"row {row_no}: ask prices not strictly increasing")
-    if ask_px[0] <= bid_px[0]:
-        raise DataError(f"row {row_no}: crossed book (best bid {bid_px[0]} >= best ask {ask_px[0]})")
-    if np.any(bid_sz <= 0) or np.any(ask_sz <= 0):
-        raise DataError(f"row {row_no}: non-positive size")
+def _book_error(book: np.ndarray, ts: np.ndarray, prev_ts,
+                first: int) -> tuple[int, str] | None:
+    """(1-based row, message) of the first row that breaks a rule, with the
+    message of the first rule in the table that it breaks, or None. The rows
+    are data rows `first + 1`..: `book` holds their 40 book columns in
+    BOOK_COLUMNS order, `ts` their stamps, and `prev_ts` the stamp of the row
+    before them, None when there is none.
 
-
-def _first_bad_row(book: np.ndarray, ts: np.ndarray, prev_ts) -> int | None:
-    """0-based index of the first row that `_validate_book_row` rejects or
-    whose timestamp is below the one before it (`prev_ts` before row 0; None
-    when there is no row before), or None.
-
-    One boolean mask per check, over the whole (N, 40) table."""
-    bid_px = book[:, 0:N_LEVELS]
-    bid_sz = book[:, N_LEVELS:2 * N_LEVELS]
-    ask_px = book[:, 2 * N_LEVELS:3 * N_LEVELS]
-    ask_sz = book[:, 3 * N_LEVELS:4 * N_LEVELS]
-    bad = ~np.isfinite(book).all(axis=1)
-    bad |= (np.diff(bid_px, axis=1) >= 0).any(axis=1)
-    bad |= (np.diff(ask_px, axis=1) <= 0).any(axis=1)
-    bad |= ask_px[:, 0] <= bid_px[:, 0]
-    bad |= (bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1)
-    bad[1:] |= ts[1:] < ts[:-1]
-    if prev_ts is not None:
-        bad[0] |= ts[0] < prev_ts
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
-
-
-def _order_error(path, row_no: int, ts, prev_ts) -> DataError:
-    return DataError(f"{path}: row {row_no}: timestamp {ts} is below the row "
-                     f"before it ({prev_ts})")
+    Each rule is one boolean mask over the whole table."""
+    bid_px, bid_sz = book[:, :N_LEVELS], book[:, N_LEVELS:2 * N_LEVELS]
+    ask_px, ask_sz = book[:, 2 * N_LEVELS:3 * N_LEVELS], book[:, 3 * N_LEVELS:]
+    # each row's predecessor's stamp; with none, the first row is its own
+    before = np.concatenate((ts[:1] if prev_ts is None else [prev_ts], ts))[:ts.size]
+    rules = (
+        (~np.isfinite(book).all(axis=1), "non-finite value"),
+        ((np.diff(bid_px, axis=1) >= 0).any(axis=1), "bid prices not strictly decreasing"),
+        ((np.diff(ask_px, axis=1) <= 0).any(axis=1), "ask prices not strictly increasing"),
+        (ask_px[:, 0] <= bid_px[:, 0], "crossed book (best bid {bid} >= best ask {ask})"),
+        ((bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1), "non-positive size"),
+        (ts < before, "timestamp {ts} is below the row before it ({prev})"),
+    )
+    hits = np.flatnonzero(np.any([mask for mask, _ in rules], axis=0))
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    what = next(what for mask, what in rules if mask[i])
+    return first + i + 1, what.format(bid=bid_px[i, 0], ask=ask_px[i, 0], ts=ts[i],
+                                      prev=before[i])
 
 
 def _parse_block(lines: list[str], col_of: dict) -> tuple[np.ndarray, np.ndarray] | None:
@@ -149,7 +134,7 @@ def _parse_block(lines: list[str], col_of: dict) -> tuple[np.ndarray, np.ndarray
 
     Returns None when this parse cannot vouch for the lines: a cell numpy
     rejects (quoted, empty, short row, `#` line, a timestamp outside int64) or
-    a line it skipped (blank). The row-wise parser then decides."""
+    a line it skipped (blank). `_parse_rows` then converts them."""
     try:
         records = np.loadtxt(lines, dtype=_RECORD, ndmin=1, delimiter=",", comments=None,
                              usecols=[col_of[c] for c in CSV_COLUMNS])
@@ -164,35 +149,34 @@ def _parse_block(lines: list[str], col_of: dict) -> tuple[np.ndarray, np.ndarray
     return records["ts"], book
 
 
-def _parse_rows(path, lines: list[str], col_of: dict, first: int, blank: int | None,
-                prev_ts) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise reference parser of data lines, the first of which is data row
-    `first + 1`: the first bad row raises, with its 1-based number. Blank lines
-    after the last data line are not rows; one before it is a bad row, and so
-    is the blank row `blank` of an earlier block. `prev_ts` is the timestamp of
-    the row before the first line."""
-    ts_list, book_rows = [], []
+def _parse_rows(lines: list[str], col_of: dict, first: int, blank: int | None):
+    """(timestamps, book, failure) of data lines converted row-wise, the first
+    of which is data row `first + 1`: the rows before the first line that
+    cannot be converted, and that line's (1-based row, reason), or None when
+    every line converts. Blank lines after the last data line are not rows;
+    one before it fails, and so does the blank row `blank` of an earlier
+    block. The rows are not checked against the book's rules."""
+    ts_list, book_rows, failure = [], [], None
     for row_no, raw in enumerate(csv.reader(lines), start=first + 1):
         if not raw:
             blank = blank or row_no
             continue
         if blank:  # a data line follows a blank one: the blank one fails
-            row_no, raw = blank, []
+            failure = blank, "blank line before the last data row"
+            break
         try:
             ts = int(raw[col_of["ts"]])
-            vals = np.array([float(raw[col_of[c]]) for c in BOOK_COLUMNS])
+            vals = [float(raw[col_of[c]]) for c in BOOK_COLUMNS]
         except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: row {row_no}: unparsable cell ({exc})") from None
+            failure = row_no, f"unparsable cell ({exc})"
+            break
         if not _INT64_MIN <= ts <= _INT64_MAX:
-            raise DataError(f"{path}: row {row_no}: timestamp {ts} outside int64")
-        _validate_book_row(vals, row_no)
-        if prev_ts is not None and ts < prev_ts:
-            raise _order_error(path, row_no, ts, prev_ts)
-        prev_ts = ts
+            failure = row_no, f"timestamp {ts} outside int64"
+            break
         ts_list.append(ts)
         book_rows.append(vals)
-    book = np.array(book_rows).reshape(len(book_rows), len(BOOK_COLUMNS))
-    return np.array(ts_list, dtype=np.int64), book
+    book = np.array(book_rows, dtype=np.float64).reshape(len(book_rows), len(BOOK_COLUMNS))
+    return np.array(ts_list, dtype=np.int64), book, failure
 
 
 def _read_block(path, lines: list[str], col_of: dict, first: int, blank: int | None,
@@ -200,15 +184,15 @@ def _read_block(path, lines: list[str], col_of: dict, first: int, blank: int | N
     """Validated (timestamps, book) of the data lines of one block, the first
     of which is data row `first + 1`, by numpy or, when numpy cannot vouch for
     them or the blank row `blank` of an earlier block precedes them, row-wise.
-    The first bad row raises, as `_parse_rows` over the whole file raises it."""
+    `prev_ts` is the stamp of the row before the block. The first bad row
+    raises a DataError naming `path`, the row and its first broken rule or
+    conversion failure, as the row-wise parser over the whole file names it."""
     parsed = None if blank else _parse_block(lines, col_of)
-    if parsed is None:
-        return _parse_rows(path, lines, col_of, first, blank, prev_ts)
-    ts, book = parsed
-    bad = _first_bad_row(book, ts, prev_ts)
-    if bad is not None:  # the book's error first, as in `_parse_rows`
-        _validate_book_row(book[bad], first + bad + 1)
-        raise _order_error(path, first + bad + 1, ts[bad], ts[bad - 1] if bad else prev_ts)
+    ts, book, failure = (*parsed, None) if parsed else _parse_rows(lines, col_of, first, blank)
+    # the converted rows all come before a line that failed to convert
+    error = _book_error(book, ts, prev_ts, first) or failure
+    if error:
+        raise DataError(f"{path}: row {error[0]}: {error[1]}")
     return ts, book
 
 

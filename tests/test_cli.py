@@ -363,7 +363,8 @@ class TestRun:
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", jobs))
         assert code == 2
-        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        # refused by harness.resolve_jobs, which cmd_run calls before writing
+        assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
 
     def test_archetype_metrics_match_brute_force(self, tmp_path, tiny_config,

@@ -262,6 +262,43 @@ VALIDATION_DEFECTS = {
 PARSE_DEFECTS = ("unparsable", "blank", "comment", "short", "ts_overflow")
 
 
+def reference_rule_error(row, ts, prev_ts):
+    """The first rule that a book row (its 40 floats in BOOK_COLUMNS order)
+    with stamp `ts` breaks, or None; `prev_ts` is the stamp of the row before
+    it, None for the first row. The rules of data._book_error, stated row by
+    row and apart from it, as an oracle."""
+    bid_px, bid_sz, ask_px, ask_sz = row[0:10], row[10:20], row[20:30], row[30:40]
+    if not np.isfinite(row).all():
+        return "non-finite value"
+    if np.any(np.diff(bid_px) >= 0):
+        return "bid prices not strictly decreasing"
+    if np.any(np.diff(ask_px) <= 0):
+        return "ask prices not strictly increasing"
+    if ask_px[0] <= bid_px[0]:
+        return f"crossed book (best bid {bid_px[0]} >= best ask {ask_px[0]})"
+    if np.any(bid_sz <= 0) or np.any(ask_sz <= 0):
+        return "non-positive size"
+    if prev_ts is not None and ts < prev_ts:
+        return f"timestamp {ts} is below the row before it ({prev_ts})"
+    return None
+
+
+def reference_error(path, lines):
+    """The error the loader must raise for a file at `path` of `lines` (header
+    first, every cell convertible), found row by row with
+    reference_rule_error, or None."""
+    header, *rows = csv.reader(lines)
+    prev_ts = None
+    for row_no, raw in enumerate(rows, start=1):
+        ts = int(raw[header.index("ts")])
+        what = reference_rule_error(
+            np.array([float(raw[header.index(c)]) for c in data.BOOK_COLUMNS]), ts, prev_ts)
+        if what:
+            return f"{path}: row {row_no}: {what}"
+        prev_ts = ts
+    return None
+
+
 def random_table(rng, n):
     """(ts, book) of `n` well-formed rows with full-precision prices and
     nanosecond stamps up to 2**62."""
@@ -332,6 +369,27 @@ def lob_files(draw, defects=(None,)):
     return lines, newline, data.SchemaConfig(tuple(features)), kind, row
 
 
+@st.composite
+def multi_defect_files(draw):
+    """Lines of a random LOB CSV with 2-3 defects of distinct kinds, each a
+    broken book rule or a stamp below the row before, often several in one
+    row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    ts, book = random_table(rng, n)
+    kinds = draw(st.lists(st.sampled_from((*VALIDATION_DEFECTS, "ts_order")),
+                          min_size=2, max_size=3, unique=True))
+    first = draw(st.integers(1, n - 1))  # row 0 has no row before it to be below
+    rows = [first] + [draw(st.one_of(st.just(first), st.integers(1, n - 1)))
+                      for _ in kinds[1:]]
+    for kind, row in zip(kinds, rows):
+        if kind == "ts_order":
+            ts[row] = ts[row - 1] - int(rng.integers(1, 10**7))
+        else:
+            inject(rng, book, row, kind)
+    return lob_lines(ts, book, data.CSV_COLUMNS, repr)
+
+
 def write_lines(path, lines, newline):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(newline.join(lines) + newline)
@@ -399,18 +457,31 @@ class TestLoaderOracle:
     @settings(max_examples=60, deadline=None)
     def test_invalid_book_same_error(self, case):
         lines, newline, schema, kind, row = case
-        for fast, ref, fell_back in load_at_each_block_size(lines, newline, schema)[1]:
+        path, outcomes = load_at_each_block_size(lines, newline, schema)
+        for fast, ref, fell_back in outcomes:
             assert not fell_back  # the whole-block checks found it
-            assert fast == ref
-            assert fast.startswith(f"row {row + 1}: {VALIDATION_DEFECTS[kind]}")
+            assert fast == ref == reference_error(path, lines)
+            assert fast.startswith(f"{path}: row {row + 1}: {VALIDATION_DEFECTS[kind]}")
+
+    @given(lines=multi_defect_files())
+    @settings(max_examples=150, deadline=None)
+    def test_several_defects_name_first_row_and_rule(self, lines):
+        # the first bad row, and of the rules it breaks the first in
+        # reference_rule_error's order, at every block size
+        path, outcomes = load_at_each_block_size(lines, "\n", data.SchemaConfig())
+        want = reference_error(path, lines)
+        assert want is not None
+        for fast, ref, fell_back in outcomes:
+            assert not fell_back
+            assert fast == ref == want
 
     @given(case=lob_files(PARSE_DEFECTS))
     @settings(max_examples=60, deadline=None)
     def test_odd_lines_same_error(self, case):
         lines, newline, schema, kind, row = case
         path, outcomes = load_at_each_block_size(lines, newline, schema)
-        detail = ("timestamp 99999999999999999999 outside int64"
-                  if kind == "ts_overflow" else "unparsable cell")
+        detail = {"ts_overflow": "timestamp 99999999999999999999 outside int64",
+                  "blank": "blank line before the last data row"}.get(kind, "unparsable cell")
         for fast, ref, fell_back in outcomes:
             assert fell_back
             assert fast == ref
@@ -449,8 +520,9 @@ class TestLoaderOracle:
         lines = path.read_text().splitlines()
         monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
         write_lines(path, lines[:3] + ["", ""] + lines[3:] + ["", ""], "\n")
-        with pytest.raises(DataError, match=r"row 3: unparsable cell \(list index"):
+        with pytest.raises(DataError) as exc:
             data.load_lob_csv(path)
+        assert str(exc.value) == f"{path}: row 3: blank line before the last data row"
         write_lines(path, lines[:3] + ["", "", ""], "\r\n")
         assert_same_dataset(data.load_lob_csv(path), data.Dataset(
             book[:2, :20], ts[:2], np.array([], dtype=np.int64)))
@@ -470,7 +542,7 @@ class TestLoaderOracle:
         want = (f"{path}: row {row}: timestamp {ts[row - 1]} is below the row "
                 f"before it ({ts[row - 2]})")
         if row == 8:
-            want = "row 8: crossed book"
+            want = f"{path}: row 8: crossed book"
         with pytest.raises(DataError) as exc:
             data.load_lob_csv(path)
         assert str(exc.value).startswith(want)
