@@ -13,6 +13,7 @@ CPU count or `OPENBLAS_NUM_THREADS`; only the BLAS build moves them.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import heapq
@@ -168,16 +169,15 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
               math.ceil(cfg.batch_size * m / (n + m))) if m else 0
     if cfg.main_epochs == 0:
         return model, []
-    pool = np.concatenate([unlabeled, labeled.features]) if m else unlabeled
     hyper = cfg.sad_hyper()
 
     def step(model, rows):
-        y = None
-        if m:
+        batch, y = unlabeled[rows], None
+        if m:  # gathered per batch, so the rows are never copied whole
             pick = rng.integers(0, m, size=m_b)
-            rows = np.concatenate([rows, n + pick])
+            batch = np.concatenate([batch, labeled.features[pick]])
             y = labeled.labels[pick]
-        return objectives.loss_and_grads(model, pool[rows], sphere.center, y, hyper)
+        return objectives.loss_and_grads(model, batch, sphere.center, y, hyper)
     return _train(model, n, cfg.main_epochs, cfg, rng, f"main[{mode}]", step)
 
 
@@ -315,6 +315,21 @@ def resolve_jobs(jobs: int | None, cfg: TrainConfig, modes=MODES) -> int:
     return min(jobs, 1 + (cfg.n_repeats * cfg.k_folds - 1) * len(modes))
 
 
+def _one_malloc_arena() -> None:
+    """Have glibc's malloc serve every thread of this process from one arena,
+    by `mallopt(M_ARENA_MAX, 1)`; a no-op where no loaded library exports
+    `mallopt`. The pool's threads pickle and unpickle the tasks' arrays: in
+    arenas of their own, the memory those free is never reused by this
+    thread. The setting is process-wide, and glibc fixes the arena limit
+    once: a thread that already has an arena keeps it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no loaded library exports it
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX, from <malloc.h>
+
+
 # a worker's dataset, config, folds, ground truth and `save`, set once by
 # `_init_worker`: fork hands them over without pickling
 _WORKER_DATA: tuple = ()
@@ -338,15 +353,18 @@ def _run_task(repeat: int, fold: int, pre: TrialResult | None, mode, state=None)
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
                    jobs: int | None = None, ground_truth: data_mod.GroundTruth | None = None,
-                   save=lambda result: None, on_trial=None) -> list[TrialResult]:
+                   save=lambda result: None, on_trial=None) -> None:
     """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg,
     modes)` processes: this one, which runs trial 1 (at jobs=1 every trial)
     whole through `run_trial`, beside jobs - 1 forked workers; the results do
     not depend on `jobs`. `save(result)` runs in the process that ran a task,
     as it ends. A trial reaches `on_trial(result)` on the calling thread, its
-    modes merged in `modes` order, once its last mode has ended. No task
-    starts after the first failure; the running ones finish, the trials they
-    complete reach `on_trial`, then the first error is raised."""
+    modes merged in `modes` order, once its last mode has ended. That is the
+    only way out for a result: none is kept after `on_trial` returns, and the
+    run returns None. With workers, this process first keeps to one malloc
+    arena (`_one_malloc_arena`). No task starts after the first failure; the
+    running ones finish, the trials they complete reach `on_trial`, then the
+    first error is raised."""
     jobs, on_trial = resolve_jobs(jobs, cfg, modes), on_trial or (lambda result: None)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     state = (dataset, cfg, folds, ground_truth, save)
@@ -355,12 +373,14 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
     # then its modes, SAD first as its batches also carry the labeled rows
     ready = [((r, f, 0), (r, f, None, None))  # (key, (repeat, fold, pretrain's result, mode))
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
-    parts, results = {}, []
+    parts = {}
     lock, error, idle = threading.RLock(), None, jobs - 1
     ended = queue.SimpleQueue()  # the workers' (task, future), as each task ends
     # fork: the workers get the dataset without a pickle and inherit the one
     # BLAS thread. The pool forks them all at the first submit, from this
     # thread, so `resolve_jobs` caps them: a worker with no task only costs memory
+    if jobs > 1:  # before the pool's threads first allocate
+        _one_malloc_arena()
     pool = contextlib.nullcontext() if jobs == 1 else ProcessPoolExecutor(
         max_workers=jobs - 1, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=state)
@@ -404,8 +424,7 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
         done[task[3]] = part
         if len(done) == len(modes):
             del parts[task[:2]]
-            results.append(_join([task[2]] + [done[mode] for mode in modes]))
-            on_trial(results[-1])
+            on_trial(_join([task[2]] + [done[mode] for mode in modes]))
 
     def deliver(wait: bool) -> None:  # the workers' ended tasks; `wait` for one first
         while wait or not ended.empty():
@@ -421,10 +440,10 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
                 if task is None:
                     deliver(wait=True)
                 elif task[2] is None and (jobs == 1 or task[:2] == (0, 0)):
-                    results.append(run_trial(dataset, cfg, *task[:2], folds, modes,
-                                             ground_truth))
-                    save(results[-1])
-                    on_trial(results[-1])
+                    trial = run_trial(dataset, cfg, *task[:2], folds, modes, ground_truth)
+                    save(trial)
+                    on_trial(trial)
+                    del trial  # not held while the next task runs
                 elif task[2] is None:  # its modes may go to a free worker
                     modes_ready(task, _run_task(*task, state))
                 else:
@@ -436,5 +455,3 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
             task, busy = take()
     if error is not None:
         raise error
-    results.sort(key=lambda r: r.report.trial)
-    return results

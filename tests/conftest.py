@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lobsad import data, evalx, nnet, objectives
+from lobsad import data, evalx, harness, nnet, objectives
 
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
-# the desk-scale experiment's processes, BLAS threads and wall time, likewise
+# the desk-scale experiment's processes, BLAS threads, wall time and peak RSS, likewise
 DESK_RUN: list[str] = []
 
 
@@ -61,6 +61,19 @@ def sample_safe_model_batch(rng, dims, batch_rows=4, min_preact=1e-4):
         if min(np.abs(z).min() for z in preacts) > min_preact:
             return model, batch
     raise AssertionError("could not sample a kink-safe model/batch")
+
+
+def run_trials(dataset, cfg, on_trial=None, **kwargs) -> list:
+    """`harness.run_experiment`'s trials, collected as they reach its
+    `on_trial` (then passed on to `on_trial`, when given) and sorted by trial."""
+    results = []
+
+    def collect(result):
+        results.append(result)
+        if on_trial is not None:
+            on_trial(result)
+    harness.run_experiment(dataset, cfg, on_trial=collect, **kwargs)
+    return sorted(results, key=lambda r: r.report.trial)
 
 
 def record_fits(monkeypatch) -> dict:

@@ -36,14 +36,16 @@ def desk_run():
     scfg = data.SynthConfig()  # 60,000 rows, 0.2% anomalies, 30 labeled
     synth = data.generate_synthetic(scfg)
     cfg, threads = harness.TrainConfig(), set()
-    results = harness.run_experiment(synth.dataset, cfg,
-                                     on_trial=lambda r: threads.add(nnet.blas_threads()))
+    results = conftest.run_trials(synth.dataset, cfg,
+                                  on_trial=lambda r: threads.add(nnet.blas_threads()))
     elapsed = time.perf_counter() - t0
     # the pool's workers are reaped when the run returns; ru_maxrss is in KiB
+    self_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     workers_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     conftest.DESK_RUN.append(f"jobs={harness.resolve_jobs(None, cfg)}, blas_threads="
                              f"{','.join(map(str, threads))}, {elapsed:.1f}s, max RSS "
-                             f"of the children reaped so far in this session "
+                             f"of this process so far {self_kib / 1024:.1f} MiB and of "
+                             f"the children reaped so far in this session "
                              f"{workers_kib / 1024:.1f} MiB")
     return results, elapsed
 
@@ -186,7 +188,7 @@ class TestCriterion6FoldProperties:
         synth = data.generate_synthetic(scfg)
         fits = conftest.record_fits(monkeypatch)
         # the spies see only this process's calls, so no trial runs in a worker
-        results = harness.run_experiment(
+        results = conftest.run_trials(
             synth.dataset,
             harness.TrainConfig(pretrain_epochs=1, main_epochs=2,
                                 batch_size=32, layer_dims=(20, 8, 20),

@@ -320,7 +320,6 @@ class TestRun:
 
         def run_experiment(dataset, cfg, **kwargs):
             configs.append(cfg)
-            return []
         monkeypatch.setattr(harness, "run_experiment", run_experiment)
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--paper-scale",))

@@ -1,14 +1,17 @@
+import ctypes
 import os
 import pickle
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_leaks, record_fits
+from conftest import fit_leaks, record_fits, run_trials
 from lobsad import data, evalx, harness, nnet, objectives
 from lobsad.errors import ConfigError, DataError
 from lobsad.harness import TrainConfig, contiguous_kfold
@@ -171,6 +174,27 @@ class TestTrainMain:
         assert losses == hand_losses
         assert np.array_equal(trained.params, expected.params)
 
+    def test_sad_keeps_no_copy_of_its_rows(self, rng):
+        # SAD gathers each batch's labeled rows, so its traced peak is SVDD's
+        # plus at most a few batches, not a second copy of the rows
+        dims = (20, 16, 20)
+        x = rng.normal(size=(20_000, 20))
+        labeled = LabeledBatch(rng.normal(size=(30, 20)), -np.ones(30))
+        cfg = tiny_cfg(main_epochs=1, batch_size=64, layer_dims=dims)
+        model, sphere = nnet.mlp_init(0, dims), Hypersphere(rng.normal(size=20))
+        peaks = {}
+        for mode in ("svdd", "sad"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                harness.train_main(model, sphere, x, labeled, cfg, mode,
+                                   np.random.default_rng(1))
+                peaks[mode] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        batch_bytes = cfg.batch_size * x.shape[1] * x.itemsize
+        assert peaks["sad"] <= peaks["svdd"] + 4 * batch_bytes, (peaks, x.nbytes)
+
     def test_labeled_cluster_pushed_out(self, rng):
         # 2-cluster toy: training on labels must raise the labeled cluster's
         # score ratio relative to before training
@@ -210,7 +234,7 @@ class TestTrainMain:
 
 class TestRunExperiment:
     def test_six_trials_and_shape(self, tiny_synth):
-        results = harness.run_experiment(tiny_synth.dataset, tiny_cfg())
+        results = run_trials(tiny_synth.dataset, tiny_cfg())
         assert len(results) == 6
         assert [r.report.trial for r in results] == [1, 2, 3, 4, 5, 6]
         for r in results:
@@ -225,15 +249,14 @@ class TestRunExperiment:
 
     def test_deterministic_reports(self, tiny_synth):
         cfg = tiny_cfg(n_repeats=1)
-        a = harness.run_experiment(tiny_synth.dataset, cfg)
-        b = harness.run_experiment(tiny_synth.dataset, cfg)
+        a = run_trials(tiny_synth.dataset, cfg)
+        b = run_trials(tiny_synth.dataset, cfg)
         assert [r.report.metrics for r in a] == [r.report.metrics for r in b]
 
     def test_no_leakage_into_fitting(self, tiny_synth, monkeypatch):
         fits = record_fits(monkeypatch)
         # the spies see only this process's calls, so no trial runs in a worker
-        results = harness.run_experiment(tiny_synth.dataset,
-                                         tiny_cfg(n_repeats=1), jobs=1)
+        results = run_trials(tiny_synth.dataset, tiny_cfg(n_repeats=1), jobs=1)
         # one normalizer per trial, one PCA basis per trial and model
         assert [len(fits["normalizer"]), len(fits["pca"])] == [3, 6]
         assert fit_leaks(fits, results, tiny_synth.dataset.features) == 0
@@ -245,9 +268,7 @@ class TestRunExperiment:
         ds = result.dataset
         ds = data.Dataset(ds.features, ds.timestamps,
                           labeled_idx=np.array([5, 20, 40]))
-        results = harness.run_experiment(ds, tiny_cfg(main_epochs=2,
-                                                      pretrain_epochs=1,
-                                                      n_repeats=1))
+        results = run_trials(ds, tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1))
         by_fold = {r.report.fold: r.report.metrics for r in results}
         assert by_fold[0]["svdd"]["ratio_test"] is not None
         assert by_fold[1]["svdd"]["ratio_test"] is None
@@ -258,9 +279,9 @@ class TestRunExperiment:
         # every trial's scores and metrics, bit for bit, wherever its tasks
         # ran; 64 is capped at 11 processes, one per task that can run at once
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
-        seq = harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
+        seq = run_trials(tiny_synth.dataset, cfg, jobs=1)
         for jobs in (2, 3, 64):
-            par = harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
+            par = run_trials(tiny_synth.dataset, cfg, jobs=jobs)
             assert [r.report.trial for r in par] == [1, 2, 3, 4, 5, 6]
             for a, b in zip(seq, par, strict=True):
                 assert a.report.metrics == b.report.metrics
@@ -276,6 +297,46 @@ class TestRunExperiment:
                 # `_join` takes the rows and the autoencoder from the pretrain
                 assert a.train_rows.tobytes() == b.train_rows.tobytes()
                 assert a.pretrained.params.tobytes() == b.pretrained.params.tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_finished_trial_kept(self, tiny_synth, jobs):
+        # a trial's scores and projections die once `on_trial` drops them,
+        # before the next trial reaches it, and the run returns nothing
+        refs, live_before = [], []
+
+        def on_trial(result):
+            live_before.append(sum(ref() is not None for ref in refs))
+            arrays = [*result.scores.values()]
+            for proj, is_labeled in result.projections.values():
+                arrays += [proj, is_labeled]
+            refs.extend(weakref.ref(a) for a in arrays)
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
+        assert harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs,
+                                      on_trial=on_trial) is None
+        assert live_before == [0] * 6
+        assert len(refs) == 6 * 12 and all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("missing", [OSError, AttributeError])
+    def test_without_mallopt_same_results(self, tiny_synth, monkeypatch, missing):
+        # where no library exports mallopt, the arena setting is skipped
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1)
+        want = run_trials(tiny_synth.dataset, cfg, jobs=2)
+        real_cdll, looked_up = ctypes.CDLL, []
+
+        def no_mallopt(name, *args, **kwargs):  # the BLAS's libraries still load
+            if name is not None:
+                return real_cdll(name, *args, **kwargs)
+            looked_up.append(missing)
+            if missing is OSError:
+                raise OSError("cannot load")
+            return object()  # a library without the symbol
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        got = run_trials(tiny_synth.dataset, cfg, jobs=2)
+        assert looked_up == [missing]
+        assert [r.report.metrics for r in got] == [r.report.metrics for r in want]
+        for a, b in zip(want, got, strict=True):
+            for key, scores in a.scores.items():
+                assert scores.tobytes() == b.scores[key].tobytes()
 
     @pytest.mark.parametrize("mode", harness.MODES)
     def test_mode_task_sends_back_only_its_mode(self, tiny_synth, mode):
@@ -310,7 +371,7 @@ class TestRunExperiment:
             return real_run_pretrain(dataset, cfg, repeat, fold, folds)
         monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1)
-        results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
+        results = run_trials(tiny_synth.dataset, cfg, jobs=jobs)
         markers = [p.name.split(".") for p in tmp_path.iterdir()]
         assert sorted(int(trial) for trial, _, _ in markers) == [1, 2, 3, 4, 5, 6]
         # with workers, they take trial 2's pretrain at least
@@ -342,8 +403,7 @@ class TestRunExperiment:
 
     def test_ground_truth_metrics_added(self, tiny_synth):
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1, n_repeats=1)
-        results = harness.run_experiment(
-            tiny_synth.dataset, cfg, ground_truth=tiny_synth.ground_truth)
+        results = run_trials(tiny_synth.dataset, cfg, ground_truth=tiny_synth.ground_truth)
         metrics = results[0].report.metrics["svdd"]
         assert "gt_ratio_test" in metrics and "gt_rank_train" in metrics
         for name in data.ARCHETYPES:
@@ -395,10 +455,10 @@ class TestRunExperiment:
             return pool(max_workers=max_workers, **kwargs)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
         cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
-        results = harness.run_experiment(tiny_synth.dataset, cfg, jobs=64)
+        results = run_trials(tiny_synth.dataset, cfg, jobs=64)
         assert made == [2]
         assert [r.report.trial for r in results] == [1, 2]
-        results = harness.run_experiment(tiny_synth.dataset, cfg, modes=("svdd",), jobs=64)
+        results = run_trials(tiny_synth.dataset, cfg, modes=("svdd",), jobs=64)
         assert made == [2, 1]
         assert [list(r.models) for r in results] == [["svdd"]] * 2
         harness.run_experiment(tiny_synth.dataset, cfg, jobs=1)
@@ -543,7 +603,7 @@ class TestRunExperiment:
                 harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)
             assert nnet.blas_threads() == 2
             cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=2)
-            assert len(harness.run_experiment(tiny_synth.dataset, cfg, jobs=jobs)) == 2
+            assert len(run_trials(tiny_synth.dataset, cfg, jobs=jobs)) == 2
             assert nnet.blas_threads() == 2
         finally:
             set_threads(before)
