@@ -318,8 +318,8 @@ def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
 
 
 def load_labels(path, dataset: Dataset) -> Dataset:
-    """Attach labeled-anomaly row indices to a dataset."""
-    idx = []
+    """Attach labeled-anomaly row indices to a dataset; the first bad line is named."""
+    idx, n = [], dataset.n_rows
     with reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -329,9 +329,9 @@ def load_labels(path, dataset: Dataset) -> Dataset:
                 idx.append(int(line))
             except ValueError:
                 raise DataError(f"{path}: line {line_no}: expected an integer") from None
-    bad = [i for i in idx if i < 0 or i >= dataset.n_rows]
-    if bad:
-        raise DataError(f"{path}: label index out of range: {bad[:5]}")
+            if not 0 <= idx[-1] < n:
+                raise DataError(f"{path}: line {line_no}: label index {idx[-1]} "
+                                f"out of range 0..{n - 1}")
     uniq = np.unique(np.array(idx, dtype=np.int64))
     if uniq.size < len(idx):
         log.warning("%s: %d duplicate label indices dropped", path, len(idx) - uniq.size)
@@ -401,6 +401,8 @@ class SynthConfig:
         for name in ("mid_vol_ticks", "size_log_sigma"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not math.isfinite(self.size_log_mean):
+            raise ConfigError(f"size_log_mean must be finite, got {self.size_log_mean}")
         jumps = self.flash_jump_ticks
         if not (len(jumps) == 2 and all(isinstance(j, int) for j in jumps)
                 and 0 <= jumps[0] <= jumps[1]):
@@ -507,6 +509,9 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     bid_px = (mid[:, None] - levels[None, :]) * cfg.tick_size
     ask_px = (mid[:, None] + levels[None, :]) * cfg.tick_size
     book = np.hstack([bid_px, bid_sz, ask_px, ask_sz])
+    if not np.isfinite(book).all():  # sizes past float64: `run` would refuse the file
+        raise ConfigError(f"the book's sizes overflow float64 at size_log_mean "
+                          f"{cfg.size_log_mean} and size_log_sigma {cfg.size_log_sigma}")
 
     cadence_ns = 10_000_000  # 10 ms
     jitter = rng.integers(0, cadence_ns // 2, size=n)

@@ -72,7 +72,6 @@ class TrainConfig:
     eta: float = 1.0
     dist_eps: float = 1e-6
     layer_dims: tuple[int, ...] = nnet.DEFAULT_DIMS
-    min_labeled_per_batch: int = 1  # labeled oversampling floor for SAD batches
     k_folds: int = 3
     n_repeats: int = 2
 
@@ -85,8 +84,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.k_folds < 2 or self.n_repeats < 1:
             raise ConfigError(f"k_folds must be >= 2 and n_repeats >= 1, got "
                               f"{self.k_folds} and {self.n_repeats}")
@@ -165,8 +164,7 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     n = unlabeled.shape[0]
     m = len(labeled) if mode == "sad" else 0
-    m_b = max(cfg.min_labeled_per_batch,
-              math.ceil(cfg.batch_size * m / (n + m))) if m else 0
+    m_b = max(1, math.ceil(cfg.batch_size * m / (n + m))) if m else 0
     if cfg.main_epochs == 0:
         return model, []
     hyper = cfg.sad_hyper()

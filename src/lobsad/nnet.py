@@ -2,14 +2,15 @@
 
 Everything is float64. A model's parameters are one flat vector, `params`,
 in the order W0, b0, W1, b1, ...; its `layers` are (weights, bias) views into
-that vector, and a gradient is a flat vector in the same order. Only
-`_layer_views` knows the offsets. There is one forward pass (`_forward`), one
-backward pass (`_backward`) and one Adam update (`_adam_update`), which the
-training loops also run, in place on their own copy of `params`. The public
-`forward`, `backward` and `adam_step` never mutate their inputs. The tape is
-the tuple of each layer's input, one array per layer. Activations follow from
-position: hidden layers are ReLU and the last is linear, so hidden layer i's
-mask is `tape[i + 1] > 0`, which is z > 0.
+that vector; a gradient, and a checkpoint's `params`, are flat vectors in the
+same order. Only `_layer_views` knows the offsets. There is one forward pass
+(`_forward`), one backward pass (`_backward`) and one Adam update
+(`_adam_update`), which the training loops also run, in place on their own
+copy of `params`. The public `forward`, `backward` and `adam_step` never
+mutate their inputs. The tape is the tuple of each layer's input, one array
+per layer. Activations follow from position, and no file names them: hidden
+layers are ReLU and the last is linear, so hidden layer i's mask is
+`tape[i + 1] > 0`, which is z > 0.
 
 Adam (Kingma & Ba, ICLR 2015, section 2) keeps m = b1 m + g and v = b2 v + g^2,
 the textbook moments over 1 - b1 and 1 - b2, and folds both bias corrections
@@ -37,7 +38,7 @@ from .errors import ConfigError, DataError, DivergenceError, LobSadError, ShapeE
 
 DEFAULT_DIMS = (20, 100, 100, 100, 20)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -97,12 +98,6 @@ def _layer_views(flat: np.ndarray, dims: tuple[int, ...]) -> tuple[LayerParams, 
     return tuple(layers)
 
 
-def _activation(i: int, n_layers: int) -> str:
-    """ReLU on every layer except the last, which is linear: the checkpoint's
-    name for what `_forward` does at position i."""
-    return "linear" if i == n_layers - 1 else "relu"
-
-
 @dataclass
 class AdamState:
     """Moment accumulators over the flat parameter vector.
@@ -125,11 +120,13 @@ def adam_init(model: MlpModel) -> AdamState:
 
 
 def check_layer_dims(layer_dims) -> tuple[int, ...]:
-    """`layer_dims` as ints, refused unless it has >= 2 entries, each an integer >= 1."""
+    """`layer_dims` as ints, refused unless it has >= 2 entries, each an integer
+    >= 1 and not a bool."""
     dims = tuple(layer_dims)
     if len(dims) < 2:
         raise ConfigError(f"layer_dims needs >= 2 entries, got {dims}")
-    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+               for d in dims):
         raise ConfigError(f"layer dims must be integers >= 1, got {dims}")
     return tuple(int(d) for d in dims)
 
@@ -308,17 +305,15 @@ def _decode(obj: dict) -> np.ndarray:
 
 def save_checkpoint(model: MlpModel, path, *, center, norm_mean, norm_std,
                     feature_columns) -> None:
-    """Write a trial checkpoint: one version-2 JSON document with the model's
-    `layer_dims` and `layers`, the hypersphere `center`, the normalizer's
+    """Write a trial checkpoint: one version-3 JSON document with the model's
+    `layer_dims` and flat `params`, the hypersphere `center`, the normalizer's
     `norm_mean` and `norm_std`, and the `feature_columns` by name. Arrays are
     base64 little-endian float64, so a round trip is bit-exact. Nothing is
     checked here; `load_checkpoint` checks every field."""
     doc = {"version": CHECKPOINT_VERSION, "layer_dims": list(model.layer_dims),
-           "layers": [{"weights": _encode(lp.weights), "bias": _encode(lp.bias),
-                       "activation": _activation(i, len(model.layers))}
-                      for i, lp in enumerate(model.layers)],
-           "center": _encode(center), "norm_mean": _encode(norm_mean),
-           "norm_std": _encode(norm_std), "feature_columns": list(feature_columns)}
+           "params": _encode(model.params), "center": _encode(center),
+           "norm_mean": _encode(norm_mean), "norm_std": _encode(norm_std),
+           "feature_columns": list(feature_columns)}
     with replacing(path) as fh:
         json.dump(doc, fh)
 
@@ -328,23 +323,9 @@ def _read_checkpoint(doc) -> tuple[MlpModel, dict]:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not read" + (
-            "; re-run `lobsad run` to write version 2" if version == 1 else ""))
-    dims, layers = check_layer_dims(doc["layer_dims"]), doc["layers"]
-    if len(dims) != len(layers) + 1:
-        raise ShapeError(f"layer_dims {dims} does not fit {len(layers)} layers: it "
-                         f"needs {len(layers) + 1} entries")
-    arrays = []
-    for i, l in enumerate(layers):  # `_forward` knows only ReLU, then a linear last layer
-        want = _activation(i, len(layers))
-        if l["activation"] != want:
-            raise ConfigError(f"layer {i}: activation {l['activation']!r}, expected {want!r}")
-        w, b = _decode(l["weights"]), _decode(l["bias"])
-        if w.shape != (dims[i + 1], dims[i]):
-            raise ShapeError(f"layer {i}: weights {w.shape} != ({dims[i + 1]}, {dims[i]})")
-        if b.shape != (dims[i + 1],):
-            raise ShapeError(f"layer {i}: bias {b.shape} != ({dims[i + 1]},)")
-        arrays += [w.ravel(), b]
-    model = MlpModel(params=np.concatenate(arrays), layer_dims=dims)
+            "; re-run `lobsad run` to write version 3" if version in (1, 2) else ""))
+    model = MlpModel(params=_decode(doc["params"]),
+                     layer_dims=check_layer_dims(doc["layer_dims"]))
     model.validate()
     meta = {}
     for key, width in (("center", model.output_dim), ("norm_mean", model.input_dim),
@@ -373,7 +354,7 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     Every field is checked against the model first: a file that is not JSON,
     a missing or mistyped field, a shape that does not fit the model, a
     non-finite value, `norm_std` <= 0, a column count other than the input
-    width, or a version other than 2 raises ConfigError naming `path`.
+    width, or a version other than 3 raises ConfigError naming `path`.
     """
     try:
         with open(path, encoding="utf-8") as fh:

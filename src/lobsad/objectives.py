@@ -46,8 +46,8 @@ class SadHyper:
     eps: float = 1e-6  # guard inside the inverted distance
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ConfigError(f"eta must be > 0 and finite, got {self.eta}")
         if not (0 < self.eps <= 1e-3):
             raise ConfigError(f"eps must be in (0, 1e-3], got {self.eps}")
 

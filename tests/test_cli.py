@@ -99,6 +99,9 @@ class TestGenerate:
         ("start_price", 0, "start_price must be finite and > 0"),
         ("start_price", 2.0 ** 51, "start_price / tick_size below 2**53, got 2251799813685248"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("size_log_mean", float("nan"), "size_log_mean must be finite, got nan"),
+        ("size_log_mean", float("inf"), "size_log_mean must be finite, got inf"),
+        ("size_log_mean", 800, "the book's sizes overflow float64 at size_log_mean 800"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -441,6 +444,10 @@ class TestRun:
         ("seed", -1, "seed must be >= 0, got -1"),
         ("synth.seed", -1, "seed must be >= 0, got -1"),
         ("version", True, "expected version 1, got True"),
+        ("eta", float("inf"), "eta must be > 0 and finite, got inf"),
+        ("weight_decay", float("inf"), "weight_decay must be >= 0 and finite, got inf"),
+        ("layer_dims", [20, True, 20], "layer dims must be integers >= 1"),
+        ("min_labeled_per_batch", 1, "unknown keys in 'train' section"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
@@ -485,11 +492,17 @@ def _without(field):
     return lambda doc: json.dumps({k: v for k, v in doc.items() if k != field})
 
 
+def _params(edit):
+    """An edit of the saved document's flat `params` vector."""
+    return lambda doc: json.dumps(
+        doc | {"params": nnet._encode(edit(nnet._decode(doc["params"])))})
+
+
 # (checkpoint fields passed to save_checkpoint, edit of the saved document)
 BAD_CHECKPOINTS = [
     pytest.param({}, lambda doc: "{not json", id="not-json"),
     *(pytest.param({}, _without(field), id=f"no-{field}") for field in
-      ("layers", "center", "norm_mean", "norm_std", "feature_columns")),
+      ("params", "center", "norm_mean", "norm_std", "feature_columns")),
     pytest.param({"center": np.zeros(5)}, None, id="center-5-wide"),
     pytest.param({"norm_mean": np.zeros(7)}, None, id="mean-7-wide"),
     pytest.param({"norm_std": np.zeros(20)}, None, id="std-zero"),
@@ -498,6 +511,8 @@ BAD_CHECKPOINTS = [
                  id="unknown-column"),
     pytest.param({"feature_columns": data.DEFAULT_FEATURES[:19]}, None,
                  id="19-names"),
+    pytest.param({}, _params(lambda p: p[:-1]), id="params-1-short"),
+    pytest.param({}, _params(lambda p: p.reshape(2, -1)), id="params-2d"),
 ]
 
 
@@ -596,24 +611,6 @@ class TestScore:
                          "--data", str(bad), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert "row 5: timestamp" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("layer, activation", [(0, "tanh"), (0, "linear"),
-                                                   (1, "relu")])
-    def test_wrong_activation_exit_2(self, tmp_path, generated, capsys,
-                                     layer, activation):
-        # the forward pass knows only ReLU hidden layers and a linear output
-        ckpt = tmp_path / "act.ckpt"
-        nnet.save_checkpoint(nnet.mlp_init(0, (20, 12, 20)), ckpt, center=np.ones(20),
-                             norm_mean=np.zeros(20), norm_std=np.ones(20),
-                             feature_columns=data.DEFAULT_FEATURES)
-        doc = json.loads(ckpt.read_text())
-        doc["layers"][layer]["activation"] = activation
-        ckpt.write_text(json.dumps(doc))
-        code = cli.main(["score", "--checkpoint", str(ckpt),
-                         "--data", str(generated / "lob.csv"),
-                         "--out", str(tmp_path / "s.csv")])
-        assert code == 2
-        assert f"layer {layer}: activation '{activation}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_rows, blocks", [
         (3 * data._BLOCK_ROWS + 7, [data._BLOCK_ROWS] * 2 + [data._BLOCK_ROWS + 7]),

@@ -2,6 +2,7 @@ import csv
 import io
 import logging
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -114,6 +115,11 @@ class TestLabels:
         path = tmp_path / "labels.txt"
         path.write_text("3\n")
         with pytest.raises(DataError, match="out of range"):
+            data.load_labels(path, ds)
+        # the first bad line is named, as every other ingest error names it
+        path.write_text("# labels\n1\n99999\n-3\n")
+        with pytest.raises(DataError, match=(
+                f"^{re.escape(str(path))}: line 3: label index 99999 out of range 0..2$")):
             data.load_labels(path, ds)
 
     def test_duplicates_deduplicated_with_warning(self, tmp_path, caplog):

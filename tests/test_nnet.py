@@ -37,15 +37,6 @@ class TestInit:
         assert shapes == [(100, 20), (100, 100), (100, 100), (20, 100)]
         assert model.input_dim == 20 and model.output_dim == 20
 
-    def test_activations(self, tmp_path):
-        # activations follow from position; the checkpoint names them
-        path = tmp_path / "m.ckpt"
-        nnet.save_checkpoint(nnet.mlp_init(7), path, center=np.zeros(20),
-                             norm_mean=np.zeros(20), norm_std=np.ones(20),
-                             feature_columns=["c"] * 20)
-        doc = json.loads(path.read_text())
-        assert [l["activation"] for l in doc["layers"]] == ["relu"] * 3 + ["linear"]
-
     def test_deterministic(self):
         a, b = nnet.mlp_init(7), nnet.mlp_init(7)
         for la, lb in zip(a.layers, b.layers):
@@ -80,7 +71,7 @@ class TestInit:
         copy.params[:] = 0.0
         assert all(not lp.weights.any() and not lp.bias.any() for lp in copy.layers)
 
-    @pytest.mark.parametrize("dims", [(), (5,), (3, 0, 2), (3, -1)])
+    @pytest.mark.parametrize("dims", [(), (5,), (3, 0, 2), (3, -1), (3, True, 2)])
     def test_bad_dims(self, dims):
         with pytest.raises(ConfigError):
             nnet.mlp_init(0, dims)
@@ -361,7 +352,7 @@ class TestCheckpoint:
         assert meta["feature_columns"] == tuple(fields["feature_columns"])
 
     def test_file_bytes_pinned(self, tmp_path):
-        # the version-2 file of a fixed model, byte for byte
+        # the version-3 file of a fixed model, byte for byte
         path = tmp_path / "m.ckpt"
         nnet.save_checkpoint(nnet.mlp_init(7, (4, 3, 2)), path,
                              center=np.array([0.5, -0.25]),
@@ -369,7 +360,7 @@ class TestCheckpoint:
                              norm_std=np.array([0.5, 1.0, 2.0, 4.0]),
                              feature_columns=["a", "b", "c", "d"])
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "4c751e90eeb7ead6d61f01ce4b3db968ddf4801407b4cfc7d0bb5bbef70aa65e")
+            "23a18d3dd709800fd63ffd94c80e67975a59667f5821fdc23e0465b5d0edb329")
 
     def test_version_check(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
@@ -381,14 +372,23 @@ class TestCheckpoint:
             nnet.load_checkpoint(path)
 
     def test_version_1_refused_with_rerun_message(self, tmp_path, rng):
-        # the version-1 layout: the trial's arrays in a generic "extra" dict
-        path = tmp_path / "v1.ckpt"
-        save_trial_checkpoint(nnet.mlp_init(0, (2, 2)), path, rng)
-        v2 = json.loads(path.read_text())
-        path.write_text(json.dumps({
-            "version": 1, "layer_dims": v2["layer_dims"], "bias_enabled": True,
-            "seed": 0, "layers": v2["layers"],
-            "extra": {k: v2[k] for k in ("center", "norm_mean", "norm_std")}}))
-        with pytest.raises(ConfigError, match="re-run `lobsad run`") as err:
-            nnet.load_checkpoint(path)
-        assert str(path) in str(err.value)
+        # version 2 spelt each layer out; version 1 also kept the trial's
+        # arrays in a generic "extra" dict. Both are refused, not read.
+        path = tmp_path / "old.ckpt"
+        model = nnet.mlp_init(0, (2, 3, 2))
+        save_trial_checkpoint(model, path, rng)
+        v3 = json.loads(path.read_text())
+        layers = [{"weights": nnet._encode(lp.weights), "bias": nnet._encode(lp.bias),
+                   "activation": act} for lp, act in zip(model.layers, ("relu", "linear"))]
+        meta = {k: v3[k] for k in ("center", "norm_mean", "norm_std")}
+        v1 = {"version": 1, "layer_dims": v3["layer_dims"], "bias_enabled": True,
+              "seed": 0, "layers": layers, "extra": meta}
+        v2 = {"version": 2, "layer_dims": v3["layer_dims"], "layers": layers, **meta,
+              "feature_columns": v3["feature_columns"]}
+        for doc in (v1, v2):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=(
+                    f"checkpoint version {doc['version']} is not read; "
+                    "re-run `lobsad run` to write version 3")) as err:
+                nnet.load_checkpoint(path)
+            assert str(path) in str(err.value)
