@@ -110,14 +110,15 @@ def _book_error(book: np.ndarray, ts: np.ndarray, prev_ts,
     ask_px, ask_sz = book[:, 2 * N_LEVELS:3 * N_LEVELS], book[:, 3 * N_LEVELS:]
     # each row's predecessor's stamp; with none, the first row is its own
     before = np.concatenate((ts[:1] if prev_ts is None else [prev_ts], ts))[:ts.size]
-    rules = (
-        (~np.isfinite(book).all(axis=1), "non-finite value"),
-        ((np.diff(bid_px, axis=1) >= 0).any(axis=1), "bid prices not strictly decreasing"),
-        ((np.diff(ask_px, axis=1) <= 0).any(axis=1), "ask prices not strictly increasing"),
-        (ask_px[:, 0] <= bid_px[:, 0], "crossed book (best bid {bid} >= best ask {ask})"),
-        ((bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1), "non-positive size"),
-        (ts < before, "timestamp {ts} is below the row before it ({prev})"),
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf: the first rule names those rows
+        rules = (
+            (~np.isfinite(book).all(axis=1), "non-finite value"),
+            ((np.diff(bid_px, axis=1) >= 0).any(axis=1), "bid prices not strictly decreasing"),
+            ((np.diff(ask_px, axis=1) <= 0).any(axis=1), "ask prices not strictly increasing"),
+            (ask_px[:, 0] <= bid_px[:, 0], "crossed book (best bid {bid} >= best ask {ask})"),
+            ((bid_sz <= 0).any(axis=1) | (ask_sz <= 0).any(axis=1), "non-positive size"),
+            (ts < before, "timestamp {ts} is below the row before it ({prev})"),
+        )
     hits = np.flatnonzero(np.any([mask for mask, _ in rules], axis=0))
     if not hits.size:
         return None
@@ -453,16 +454,20 @@ def _episode_plan(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[int,
     return episodes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN are refused below
 def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     """Tick-rounded mid-price random walk with 10 levels per side and injected
     spoof / layering / flash-move episodes; deterministic for a fixed seed."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_rows
 
-    steps = np.rint(rng.normal(0.0, cfg.mid_vol_ticks, size=n)).astype(np.int64)
-    mid0 = int(round(cfg.start_price / cfg.tick_size))
-    mid = mid0 + np.concatenate(([0], np.cumsum(steps[1:])))
-    mid = np.maximum(mid, N_LEVELS + 2)  # keep all bid levels positive
+    # a float64 walk, checked before the int64 cast: prices stay distinct below 2**52 ticks
+    steps = np.rint(rng.normal(0.0, cfg.mid_vol_ticks, size=n))
+    mid = round(cfg.start_price / cfg.tick_size) + np.concatenate(([0.0], np.cumsum(steps[1:])))
+    top = float(np.abs(mid).max()) + cfg.flash_jump_ticks[1] + N_LEVELS  # largest price index
+    if not (top < 2.0 ** 52 and math.isfinite(top * cfg.tick_size)):
+        raise ConfigError(f"mid_vol_ticks {cfg.mid_vol_ticks} walks past 2**52 ticks, to {top:.4g}")
+    mid = np.maximum(mid.astype(np.int64), N_LEVELS + 2)  # keep all bid levels positive
 
     bid_sz = np.maximum(
         np.rint(rng.lognormal(cfg.size_log_mean, cfg.size_log_sigma, size=(n, N_LEVELS))), 1.0)

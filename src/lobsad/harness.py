@@ -52,13 +52,9 @@ def contiguous_kfold(n_rows: int, k: int) -> tuple[tuple[int, int], ...]:
         raise ConfigError(f"k must be >= 2, got {k}")
     if n_rows < k:
         raise ConfigError(f"n_rows={n_rows} < k={k}")
-    base, extra = divmod(n_rows, k)
-    ranges, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return tuple(ranges)
+    base, extra = divmod(n_rows, k)  # the first `extra` ranges take one more row
+    stops = [(i + 1) * base + min(i + 1, extra) for i in range(k)]
+    return tuple(zip([0] + stops[:-1], stops))
 
 
 @dataclass(frozen=True)
@@ -123,14 +119,14 @@ def _train(model: MlpModel, n: int, epochs: int, cfg: TrainConfig,
     model.validate()
     model = nnet.set_flat_params(model, model.params)
     state = nnet.adam_init(model)
-    decay = cfg.weight_decay * state.decay_mask if cfg.weight_decay else None
     losses: list[float] = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             loss, grads = step(model, perm[lo:lo + cfg.batch_size])
-            nnet._adam_update(model.params, grads, state, cfg.lr, decay)
+            nnet._adam_update(model.params, grads, state, cfg.lr, cfg.weight_decay,
+                              model.layer_dims)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)

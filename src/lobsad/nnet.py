@@ -3,14 +3,14 @@
 Everything is float64. A model's parameters are one flat vector, `params`,
 in the order W0, b0, W1, b1, ...; its `layers` are (weights, bias) views into
 that vector; a gradient, and a checkpoint's `params`, are flat vectors in the
-same order. Only `_layer_views` knows the offsets. There is one forward pass
-(`_forward`), one backward pass (`_backward`) and one Adam update
-(`_adam_update`), which the training loops also run, in place on their own
-copy of `params`. The public `forward`, `backward` and `adam_step` never
-mutate their inputs. The tape is the tuple of each layer's input, one array
-per layer. Activations follow from position, and no file names them: hidden
-layers are ReLU and the last is linear, so hidden layer i's mask is
-`tape[i + 1] > 0`, which is z > 0.
+same order. Only `_layout` knows the offsets, computed once per `layer_dims`.
+There is one forward pass (`_forward`), one backward pass (`_backward`) and
+one Adam update (`_adam_update`), which the training loops also run, in place
+on their own copy of `params`. The public `forward`, `backward` and
+`adam_step` never mutate their inputs. The tape is the tuple of each layer's
+input, one array per layer. Activations follow from position, and no file
+names them: hidden layers are ReLU and the last is linear, so hidden layer
+i's mask is `tape[i + 1] > 0`, which is z > 0.
 
 Adam (Kingma & Ba, ICLR 2015, section 2) keeps m = b1 m + g and v = b2 v + g^2,
 the textbook moments over 1 - b1 and 1 - b2, and folds both bias corrections
@@ -27,6 +27,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import ctypes
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -57,7 +58,13 @@ class MlpModel:
     layers: tuple[LayerParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", _layer_views(self.params, self.layer_dims))
+        size, slots = _layout(self.layer_dims)
+        if self.params.shape != (size,):
+            raise ShapeError(f"parameters of shape {self.params.shape} do not fit "
+                             f"layer_dims {self.layer_dims}, which need ({size},)")
+        object.__setattr__(self, "layers", tuple(
+            LayerParams(weights=self.params[w].reshape(shape), bias=self.params[b])
+            for w, b, shape in slots))
 
     def __reduce__(self):
         # pickle the vector alone: stored views would come back as detached copies
@@ -82,41 +89,30 @@ class MlpModel:
             raise DataError("non-finite parameters")
 
 
-def _layer_views(flat: np.ndarray, dims: tuple[int, ...]) -> tuple[LayerParams, ...]:
-    """Each layer's (weights, bias) as views into the flat vector `flat`, laid
-    out W0, b0, W1, b1, ...: the one place that knows the offsets."""
-    size = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims, dims[1:]))
-    if flat.shape != (size,):
-        raise ShapeError(f"parameters of shape {flat.shape} do not fit layer_dims "
-                         f"{dims}, which need ({size},)")
-    layers, off = [], 0
+@functools.cache
+def _layout(dims: tuple[int, ...]) -> tuple[int, tuple[tuple[slice, slice, tuple], ...]]:
+    """The size of a flat vector laid out W0, b0, W1, b1, ... and each layer's
+    (weight slice, bias slice, weight shape): the one place that knows the offsets."""
+    slots, off = [], 0
     for d_in, d_out in zip(dims, dims[1:]):
-        w = flat[off:off + d_out * d_in].reshape(d_out, d_in)
-        off += d_out * d_in
-        layers.append(LayerParams(weights=w, bias=flat[off:off + d_out]))
-        off += d_out
-    return tuple(layers)
+        end = off + d_out * d_in
+        slots.append((slice(off, end), slice(end, end + d_out), (d_out, d_in)))
+        off = end + d_out
+    return off, tuple(slots)
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators over the flat parameter vector.
-
-    `decay_mask` is 1 on weight-matrix entries and 0 on biases so L2 decay
-    never touches biases.
-    """
+    """Moment accumulators over the flat parameter vector. They hold no layout:
+    `_adam_update` takes the layer dims to decay weights only."""
 
     m: np.ndarray  # first moment / (1 - beta1), flat
     v: np.ndarray  # second moment / (1 - beta2), flat
-    decay_mask: np.ndarray
     t: int = 0
 
 
 def adam_init(model: MlpModel) -> AdamState:
-    mask = np.zeros(model.n_params())
-    for lp in _layer_views(mask, model.layer_dims):
-        lp.weights[...] = 1.0
-    return AdamState(m=np.zeros(mask.size), v=np.zeros(mask.size), decay_mask=mask)
+    return AdamState(m=np.zeros(model.n_params()), v=np.zeros(model.n_params()))
 
 
 def check_layer_dims(layer_dims) -> tuple[int, ...]:
@@ -176,10 +172,11 @@ def _backward(model: MlpModel, tape: tuple[np.ndarray, ...],
     """The backward pass into one fresh vector laid out like `model.params`;
     each mask goes in place on a fresh `np.dot`."""
     grads = np.empty(model.n_params())
-    views, dz = _layer_views(grads, model.layer_dims), grad_outputs
-    for i in range(len(views) - 1, -1, -1):
-        np.dot(dz.T, tape[i], out=views[i].weights)
-        np.sum(dz, axis=0, out=views[i].bias)
+    slots, dz = _layout(model.layer_dims)[1], grad_outputs
+    for i in range(len(slots) - 1, -1, -1):
+        w, b, shape = slots[i]
+        np.dot(dz.T, tape[i], out=grads[w].reshape(shape))
+        np.add.reduce(dz, axis=0, out=grads[b])
         if i > 0:  # layer i's input is the output of a ReLU layer
             dz = np.dot(dz, model.layers[i].weights)
             dz *= tape[i] > 0.0
@@ -202,16 +199,18 @@ def backward(model: MlpModel, tape: tuple[np.ndarray, ...],
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, st: AdamState, lr: float,
-                 decay: np.ndarray | None) -> None:
-    """One Adam update of the flat parameters `p`, in place on `p` and `st`.
-    `decay` is `weight_decay * st.decay_mask`, or None; `g` is used as scratch."""
+                 weight_decay: float, dims: tuple[int, ...]) -> None:
+    """One Adam update of the flat parameters `p`, laid out for layer dims
+    `dims`, in place on `p` and `st`. L2 decay adds `weight_decay * p` to `g`
+    on the weight slices only; `g` is used as scratch."""
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradients in adam_step")
     st.t += 1
-    if decay is not None:
-        g += decay * p
+    if weight_decay:
+        for w, _, _ in _layout(dims)[1]:
+            g[w] += weight_decay * p[w]
     st.m *= ADAM_BETA1
     st.m += g
     st.v *= ADAM_BETA2
@@ -233,8 +232,7 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState, lr: float,
     if g.shape != p.shape:
         raise ShapeError(f"gradients of shape {g.shape} != parameters {p.shape}")
     new_state = replace(state, m=state.m.copy(), v=state.v.copy())
-    decay = weight_decay * state.decay_mask if weight_decay else None
-    _adam_update(p, g, new_state, lr, decay)
+    _adam_update(p, g, new_state, lr, weight_decay, model.layer_dims)
     return MlpModel(params=p, layer_dims=model.layer_dims), new_state
 
 

@@ -102,13 +102,13 @@ def loss_head(out: np.ndarray, target: np.ndarray, y: np.ndarray | None = None,
         raise ShapeError(f"output dim {out.shape[1]} != target dim {target.shape[-1]}")
     diff = out - target
     sq = diff * diff
-    loss = float(np.sum(sq[:total - m]) / total)
-    w = np.full(total, 1.0 / total)
+    loss = float(np.add.reduce(sq[:total - m], axis=None) / total)
     if m:
-        d2 = np.sum(sq[total - m:], axis=1) + hyper.eps
-        loss += float(hyper.eta / total * np.sum(d2 ** y))
-        w[total - m:] = (hyper.eta / total) * y * d2 ** (y - 1.0)
-    return loss, (2.0 * w)[:, None] * diff
+        d2 = np.add.reduce(sq[total - m:], axis=1) + hyper.eps
+        loss += float(hyper.eta / total * np.add.reduce(d2 ** y))
+        diff[total - m:] *= (2.0 * ((hyper.eta / total) * y * d2 ** (y - 1.0)))[:, None]
+    diff[:total - m] *= 2.0 / total
+    return loss, diff
 
 
 def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,

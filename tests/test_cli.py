@@ -102,6 +102,10 @@ class TestGenerate:
         ("size_log_mean", float("nan"), "size_log_mean must be finite, got nan"),
         ("size_log_mean", float("inf"), "size_log_mean must be finite, got inf"),
         ("size_log_mean", 800, "the book's sizes overflow float64 at size_log_mean 800"),
+        # past 2**52 ticks adjacent prices may round together; past 2**63 the
+        # int64 cast is invalid and the walk was pinned at its floor
+        ("mid_vol_ticks", 1e17, "mid_vol_ticks 1e+17 walks past 2**52 ticks"),
+        ("mid_vol_ticks", 1e30, "mid_vol_ticks 1e+30 walks past 2**52 ticks"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):

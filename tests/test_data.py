@@ -243,6 +243,21 @@ class TestGenerator:
         assert np.all(np.diff(ds.timestamps) >= 0)
         assert ds.labeled_idx.min() >= 0 and ds.labeled_idx.max() < ds.n_rows
 
+    @given(seed=st.integers(0, 1000), log_vol=st.floats(10.0, 20.0),
+           tick=st.sampled_from([0.25, 0.1, 0.3, 7.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_walk_refused_or_readable(self, seed, log_vol, tick):
+        # a walk near 2**52 ticks: `generate` refuses it, or `run` accepts its book
+        cfg = data.SynthConfig(n_rows=300, anomaly_rate=0.05, n_labeled=0, seed=seed,
+                               tick_size=tick, start_price=100 * tick,
+                               mid_vol_ticks=10.0 ** log_vol)
+        try:
+            result = data.generate_synthetic(cfg)
+        except ConfigError as exc:
+            assert "walks past 2**52 ticks" in str(exc)
+            return
+        assert data._book_error(result.book, result.dataset.timestamps, None, 0) is None
+
 
 class TestGroundTruthSidecar:
     def test_round_trip(self, tmp_path):
@@ -329,7 +344,8 @@ def inject(rng, book, row, kind):
     elif kind == "ask_order":
         book[row, 20 + k] = book[row, 20 + k - 1]
     elif kind == "crossed":
-        book[row, 0:10] += book[row, 20] - book[row, 0] + rng.choice([0.0, 0.5])
+        with np.errstate(invalid="ignore"):  # inf - inf on a row made non-finite already
+            book[row, 0:10] += book[row, 20] - book[row, 0] + rng.choice([0.0, 0.5])
     else:
         book[row, rng.choice([10, 30]) + k] = rng.choice([0.0, -1.0])
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestBackward:
         out, tape = nnet.forward(model, x)
         grads = nnet.backward(model, tape, np.ones_like(out))
         expected = np.tile(x.sum(axis=0), (2, 1))
-        (layer,) = nnet._layer_views(grads, model.layer_dims)
+        (layer,) = nnet.set_flat_params(model, grads).layers
         assert np.allclose(layer.weights, expected)
         assert np.allclose(layer.bias, [2.0, 2.0])
 
@@ -227,7 +228,7 @@ class TestTapeOracle:
         out, tape = nnet.forward(model, x)
         grads = nnet.backward(model, tape, grad_out)
         assert np.array_equal(out, ref_out)
-        for g, (rw, rb) in zip(nnet._layer_views(grads, model.layer_dims), ref_grads,
+        for g, (rw, rb) in zip(nnet.set_flat_params(model, grads).layers, ref_grads,
                                strict=True):
             assert np.array_equal(g.weights, rw) and np.array_equal(g.bias, rb)
         assert len(tape) == len(model.layers)
@@ -298,6 +299,35 @@ class TestAdam:
             p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
             np.testing.assert_allclose(model.params, p, rtol=1e-12, atol=0)
         assert state.t == 200
+
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (5, 7, 7, 3)])
+    def test_decay_bitwise_equal_to_mask_reference(self, rng, dims):
+        # the update with decay as `g + (wd * mask) * p`, mask 1 on weights and
+        # 0 on biases; elementwise numpy only, so the bits hold on every build.
+        # Some bias gradients are exactly +0.0 and some -0.0: a masked bias
+        # term, 0.0 * p, may flip such a zero's sign, and that sign must never
+        # reach the parameters
+        model = nnet.mlp_init(3, dims)
+        mask = np.concatenate([np.full(n, float(i % 2 == 0)) for lp in model.layers
+                               for i, n in enumerate((lp.weights.size, lp.bias.size))])
+        bias = np.flatnonzero(mask == 0.0)
+        lr, wd, b1, b2, eps = 1e-2, 0.3, nnet.ADAM_BETA1, nnet.ADAM_BETA2, nnet.ADAM_EPS
+        p = model.params.copy()
+        m, v = np.zeros(p.size), np.zeros(p.size)
+        state = nnet.adam_init(model)
+        for t in range(1, 251):
+            g = rng.normal(size=p.size)
+            pick = rng.permutation(bias)[:bias.size // 2]
+            g[pick] = np.where(rng.random(pick.size) < 0.5, 0.0, -0.0)
+            model, state = nnet.adam_step(model, g, state, lr=lr, weight_decay=wd)
+            g = g + (wd * mask) * p
+            m = b1 * m + g
+            v = b2 * v + g * g
+            k = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+            p = p - (m / (np.sqrt(v) + eps * k)) * (lr * (1.0 - b1) / (1.0 - b1 ** t) * k)
+            assert model.params.tobytes() == p.tobytes(), f"step {t}"
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert (p[bias] < 0).any() and (p[bias] > 0).any()  # 0.0 * p took both signs
 
     def test_inputs_unchanged(self, rng):
         # `_adam_update` uses the gradient vector as scratch space

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -216,6 +216,40 @@ class TestSadLoss:
             SadHyper(eps=0.0)
         with pytest.raises(ConfigError):
             SadHyper(eps=1e-2)
+
+
+def reference_loss_head(out, target, y=None, hyper=None):
+    """`loss_head` as a full weight vector times the differences, with np.sum:
+    the formula that the in-place scaling must reproduce bit for bit."""
+    total = out.shape[0]
+    m = 0 if y is None else y.size
+    diff = out - target
+    sq = diff * diff
+    loss = float(np.sum(sq[:total - m]) / total)
+    w = np.full(total, 1.0 / total)
+    if m:
+        d2 = np.sum(sq[total - m:], axis=1) + hyper.eps
+        loss += float(hyper.eta / total * np.sum(d2 ** y))
+        w[total - m:] = (hyper.eta / total) * y * d2 ** (y - 1.0)
+    return loss, (2.0 * w)[:, None] * diff
+
+
+class TestLossHeadOracle:
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 70), m=st.integers(0, 9),
+           per_row_target=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_weight_vector_formula(self, seed, n, m, per_row_target):
+        # elementwise numpy only, no BLAS call: these bits hold on every build
+        assume(n + m > 0)
+        r = np.random.default_rng(seed)
+        out = r.normal(size=(n + m, 5)) * r.uniform(0.01, 10.0)
+        target = r.normal(size=(n + m, 5) if per_row_target else 5)
+        y = r.permutation(np.resize([-1.0, 1.0], m)) if m else None  # both signs
+        hyper = SadHyper(eta=float(r.uniform(0.1, 3.0)), eps=1e-6) if m else None
+        loss, grad = objectives.loss_head(out, target, y, hyper)
+        ref_loss, ref_grad = reference_loss_head(out, target, y, hyper)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestAnomalyScore:
