@@ -44,15 +44,15 @@ log = logging.getLogger("lobsad.cli")
 
 CONFIG_VERSION = 1
 
-# field type -> the JSON types of a config value for it (never a bool), and their name
+# field type -> the JSON types of a value for it (never a bool), and their name
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), tuple: ((list,), "a list"),
-               data_mod.SchemaConfig: ((list,), "a list")}
+               dict: ((dict,), "an object"), data_mod.SchemaConfig: ((list,), "a list")}
 
 
 def _dataclass_from_dict(cls, section: dict, name: str):
-    """`cls` from a config section whose values' JSON types fit its fields;
-    every list becomes a tuple, whose elements `cls` checks."""
+    """`cls` from a config section or a results.json trial whose values' JSON
+    types fit its fields; every list becomes a tuple, whose elements `cls` checks."""
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' section must be an object, got {section!r}")
     hints = typing.get_type_hints(cls)
@@ -90,6 +90,9 @@ def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
     train = _dataclass_from_dict(harness.TrainConfig, doc.get("train", {}), "train")
     synth = _dataclass_from_dict(data_mod.SynthConfig, doc.get("synth", {}), "synth")
+    if len(synth.schema.feature_columns) != train.layer_dims[0]:  # the network's input
+        raise ConfigError(f"{path}: {len(synth.schema.feature_columns)} feature columns "
+                          f"do not fit layer_dims[0] = {train.layer_dims[0]}")
     return train, synth
 
 
@@ -156,10 +159,10 @@ def cmd_run(args) -> int:
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
              "sad-only": ("sad",)}[args.mode]
     jobs = harness.resolve_jobs(args.jobs, train, modes)
-    os.makedirs(args.out, exist_ok=True)
 
     dataset = data_mod.load_lob_csv(args.data, synth.schema)
     dataset = data_mod.load_labels(args.labels, dataset)
+    harness.contiguous_kfold(dataset.n_rows, train.k_folds)  # refused before any file
     gt = None
     if args.ground_truth:
         gt = data_mod.load_ground_truth(args.ground_truth)
@@ -177,6 +180,7 @@ def cmd_run(args) -> int:
         evalx.export_report(reports, args.out)
         log.info("trial %d done in %.1fs", res.report.trial, res.report.runtime_s)
 
+    os.makedirs(args.out, exist_ok=True)
     with nnet.one_blas_thread() as blas_threads:  # as run_experiment trains
         manifest = {"config": _config_snapshot(train, synth),
                     "data": os.path.abspath(args.data),
@@ -227,22 +231,16 @@ def cmd_report(args) -> int:
     try:
         if not isinstance(docs, list):
             raise TypeError("top level must be a list of trials")
-        reports = [evalx.TrialReport(**d) for d in docs]
+        reports = [_dataclass_from_dict(evalx.TrialReport, d, f"entry {i}")
+                   for i, d in enumerate(docs, 1)]
         for rep in reports:
-            if not (isinstance(rep.metrics, dict)
-                    and all(isinstance(m, dict) for m in rep.metrics.values())):
-                raise TypeError(f"trial {rep.trial}: metrics is not an object of "
-                                "per-model metric objects")
-            if not (isinstance(rep.trial, int) and isinstance(rep.fold, int)
-                    and set(rep.metrics) <= {"svdd", "sad"}):  # unquoted in results.csv
-                raise TypeError(f"trial {rep.trial!r}: trial and fold must be integers "
-                                "and each model svdd or sad")
-            if not all(v is None or isinstance(v, (int, float))
-                       for m in rep.metrics.values() for v in m.values()):
-                raise TypeError(f"trial {rep.trial}: a metric is not a number")
-            if not isinstance(rep.runtime_s, (int, float)):
-                raise TypeError(f"trial {rep.trial}: runtime_s is not a number")
-    except TypeError as exc:  # a trial that is not an object, a bad key or value
+            if not (set(rep.metrics) <= {"svdd", "sad"} and all(  # unquoted in results.csv
+                    isinstance(m, dict) and all(v is None or type(v) in (int, float)
+                                                for v in m.values())
+                    for m in rep.metrics.values())):
+                raise TypeError(f"trial {rep.trial}: metrics must map svdd or sad to an "
+                                "object of numbers")
+    except (TypeError, ConfigError) as exc:  # not an object, a bad key or value
         raise ConfigError(f"{args.results}: not a list of trial reports: {exc}") from None
     evalx.export_report(reports, args.out)
     if reports and all({"svdd", "sad"} <= set(r.metrics) for r in reports):

@@ -86,6 +86,8 @@ class TrainConfig:
             raise ConfigError(f"k_folds must be >= 2 and n_repeats >= 1, got "
                               f"{self.k_folds} and {self.n_repeats}")
         nnet.check_layer_dims(self.layer_dims)  # fail before any work starts
+        if self.pretrain_epochs:
+            objectives.check_autoencoder(self.layer_dims)
         self.sad_hyper()
 
     def sad_hyper(self) -> SadHyper:
@@ -139,7 +141,7 @@ def pretrain(model: MlpModel, train_features: np.ndarray, cfg: TrainConfig,
     """Autoencoder phase: minimize mean squared reconstruction error."""
     if cfg.pretrain_epochs == 0:
         return model, []
-    objectives.check_autoencoder(model)
+    objectives.check_autoencoder(model.layer_dims)
 
     def step(model, rows):
         batch = train_features[rows]
@@ -177,19 +179,19 @@ def train_main(model: MlpModel, sphere: Hypersphere, unlabeled: np.ndarray,
 
 @dataclass
 class TrialResult:
-    """A trial's result, or one task's part of it. A mode task's part, as
-    `_run_task` sends it back, leaves the pretrain's fields (sphere,
-    normalizer, rows, pretrain_losses, pretrained) None or empty."""
+    """A trial's result, or one task's part of it: the pretrain task's part
+    leaves the mode fields (models to main_losses) empty, a mode task's part
+    the pretrain's (sphere to pretrained) None or empty; `_join` merges them."""
     report: evalx.TrialReport
-    models: dict  # mode -> MlpModel: none from the pretrain task, one from a mode task
-    sphere: Hypersphere | None
-    normalizer: data_mod.Normalizer | None
-    train_rows: np.ndarray | None  # global row indices
-    test_rows: np.ndarray | None
-    scores: dict  # (mode, split) -> np.ndarray aligned with train_rows/test_rows
-    projections: dict  # (mode, split) -> (proj (N,2), is_labeled (N,) bool)
-    pretrain_losses: list[float] = field(default_factory=list)
+    models: dict = field(default_factory=dict)  # mode -> MlpModel
+    scores: dict = field(default_factory=dict)  # (mode, split) -> np.ndarray, by split rows
+    projections: dict = field(default_factory=dict)  # (mode, split) -> (proj, is_labeled)
     main_losses: dict = field(default_factory=dict)  # mode -> list[float]
+    sphere: Hypersphere | None = None
+    normalizer: data_mod.Normalizer | None = None
+    train_rows: np.ndarray | None = None  # global row indices
+    test_rows: np.ndarray | None = None
+    pretrain_losses: list[float] = field(default_factory=list)
     pretrained: MlpModel | None = None  # the autoencoder every mode starts from
 
 
@@ -208,17 +210,17 @@ def run_pretrain(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
     sphere = objectives.init_center(pre_model, train)
     report = evalx.TrialReport(
         trial=repeat * len(folds) + fold + 1, fold=fold, repeat=repeat,
-        runtime_s=time.perf_counter() - t0, config=dataclasses.asdict(cfg) | {"modes": []})
+        runtime_s=time.perf_counter() - t0, config=dataclasses.asdict(cfg))
     log.info(_TASK_ENDED, report.trial, "pretrain", os.getpid(), report.runtime_s)
-    return TrialResult(report=report, models={}, sphere=sphere, normalizer=norm,
-                       train_rows=train_rows, test_rows=np.arange(*folds[fold]), scores={},
-                       projections={}, pretrain_losses=pre_losses, pretrained=pre_model)
+    return TrialResult(report=report, sphere=sphere, normalizer=norm, train_rows=train_rows,
+                       test_rows=np.arange(*folds[fold]), pretrain_losses=pre_losses,
+                       pretrained=pre_model)
 
 
 def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
              ground_truth: data_mod.GroundTruth | None = None) -> TrialResult:
     """A trial's task for one mode: train it from the pretrain task's result
-    `pre`, then score, rank and project both splits."""
+    `pre`, then score, rank and project both splits; its part holds only them."""
     t0 = time.perf_counter()
 
     def normalized(rows):  # only the rows a use needs, never all of them
@@ -262,18 +264,17 @@ def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
         projections[(mode, split)] = (evalx.pca_project(basis, out), is_labeled)
         del out  # the next split's forward passes set peak memory: free these first
 
-    report = replace(pre.report, metrics={mode: metrics}, runtime_s=time.perf_counter() - t0,
-                     config=pre.report.config | {"modes": [mode]})
+    report = replace(pre.report, metrics={mode: metrics}, runtime_s=time.perf_counter() - t0)
     log.info(_TASK_ENDED, report.trial, mode, os.getpid(), report.runtime_s)
-    return replace(pre, report=report, models={mode: model}, scores=scores,
-                   projections=projections, main_losses={mode: losses})
+    return TrialResult(report=report, models={mode: model}, scores=scores,
+                       projections=projections, main_losses={mode: losses})
 
 
 def _join(parts: list[TrialResult]) -> TrialResult:
     """One trial's task results merged in order, its pretrain's first: the
     pretrain fields (sphere, normalizer, rows, losses and autoencoder) come
     from that first part, each mode's fields from its own. The runtime is the
-    sum of the tasks' times."""
+    sum of the tasks' times, and the config's "modes" lists the modes merged."""
     merged = {name: {k: v for part in parts for k, v in getattr(part, name).items()}
               for name in ("models", "scores", "projections", "main_losses")}
     first = parts[0].report
@@ -335,30 +336,31 @@ def _init_worker(*state) -> None:
 
 
 def _run_task(repeat: int, fold: int, pre: TrialResult | None, mode, state=None):
-    """A trial's pretrain task, or with `pre` its `mode` task, saved here."""
+    """A trial's pretrain task, or with `pre` its `mode` task, saved here joined
+    to `pre`; the caller holds `pre`, so only the mode's own part goes back."""
     dataset, cfg, folds, ground_truth, save = state or _WORKER_DATA
     if pre is None:
         return run_pretrain(dataset, cfg, repeat, fold, folds)
-    save(part := run_mode(dataset, cfg, pre, mode, ground_truth))
-    # the caller holds `pre`, so only this mode's data goes back
-    return replace(part, sphere=None, normalizer=None, train_rows=None, test_rows=None,
-                   pretrain_losses=[], pretrained=None)
+    part = run_mode(dataset, cfg, pre, mode, ground_truth)
+    save(_join([pre, part]))
+    return part
 
 
 def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
                    jobs: int | None = None, ground_truth: data_mod.GroundTruth | None = None,
                    save=lambda result: None, on_trial=None) -> None:
     """All repeats x folds at one BLAS thread, on `resolve_jobs(jobs, cfg,
-    modes)` processes: this one, which runs trial 1 (at jobs=1 every trial)
-    whole through `run_trial`, beside jobs - 1 forked workers; the results do
-    not depend on `jobs`. `save(result)` runs in the process that ran a task,
-    as it ends. A trial reaches `on_trial(result)` on the calling thread, its
-    modes merged in `modes` order, once its last mode has ended. That is the
-    only way out for a result: none is kept after `on_trial` returns, and the
-    run returns None. With workers, this process first keeps to one malloc
-    arena (`_one_malloc_arena`). No task starts after the first failure; the
-    running ones finish, the trials they complete reach `on_trial`, then the
-    first error is raised."""
+    modes)` processes: this one, which runs trial 1 whole through `run_trial`,
+    beside jobs - 1 forked workers. Each later trial is a pretrain task and a
+    task per mode, SAD taken first, each run by whichever process takes it;
+    the results do not depend on `jobs`. `save(result)` runs in the process
+    that ran a task, as it ends. A trial reaches `on_trial(result)` on the
+    calling thread, its modes merged in `modes` order, once its last mode has
+    ended. That is the only way out for a result: none is kept after
+    `on_trial` returns, and the run returns None. With workers, this process
+    first keeps to one malloc arena (`_one_malloc_arena`). No task starts
+    after the first failure; the running ones finish, the trials they
+    complete reach `on_trial`, then the first error is raised."""
     jobs, on_trial = resolve_jobs(jobs, cfg, modes), on_trial or (lambda result: None)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     state = (dataset, cfg, folds, ground_truth, save)
@@ -433,7 +435,8 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
             try:
                 if task is None:
                     deliver(wait=True)
-                elif task[2] is None and (jobs == 1 or task[:2] == (0, 0)):
+                # whole here: perfbench's traced run times run_trial in this process
+                elif task[2] is None and task[:2] == (0, 0):
                     trial = run_trial(dataset, cfg, *task[:2], folds, modes, ground_truth)
                     save(trial)
                     on_trial(trial)

@@ -75,13 +75,11 @@ class LabeledBatch:
         return LabeledBatch(np.zeros((0, dim)), np.zeros(0))
 
 
-def check_autoencoder(model: MlpModel) -> None:
-    """Reject a model that cannot reconstruct its own input."""
-    if model.input_dim != model.output_dim:
-        raise ConfigError(
-            f"autoencoder needs input dim == output dim, got "
-            f"{model.input_dim} vs {model.output_dim}"
-        )
+def check_autoencoder(layer_dims) -> None:
+    """Reject layer dims whose model cannot reconstruct its own input."""
+    if layer_dims[0] != layer_dims[-1]:
+        raise ConfigError(f"autoencoder needs input dim == output dim, got "
+                          f"{layer_dims[0]} vs {layer_dims[-1]}")
 
 
 def loss_head(out: np.ndarray, target: np.ndarray, y: np.ndarray | None = None,
@@ -123,7 +121,7 @@ def loss_and_grads(model: MlpModel, batch: np.ndarray, target: np.ndarray,
 
 def ae_loss(model: MlpModel, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared reconstruction error, (1/B) sum ||phi(x) - x||^2."""
-    check_autoencoder(model)
+    check_autoencoder(model.layer_dims)
     batch = nnet._as_batch(model, np.atleast_2d(batch))
     return loss_and_grads(model, batch, batch)
 

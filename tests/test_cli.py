@@ -27,6 +27,7 @@ def write_config(path, train=None, synth=None):
 TINY_TRAIN = {"pretrain_epochs": 2, "main_epochs": 3, "batch_size": 32,
               "layer_dims": [20, 12, 20], "seed": 0}
 TINY_SYNTH = {"n_rows": 400, "anomaly_rate": 0.03, "n_labeled": 6, "seed": 0}
+TEN_COLUMNS = [f"bid_{side}_{i}" for side in ("px", "sz") for i in range(1, 6)]
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +107,8 @@ class TestGenerate:
         # int64 cast is invalid and the walk was pinned at its floor
         ("mid_vol_ticks", 1e17, "mid_vol_ticks 1e+17 walks past 2**52 ticks"),
         ("mid_vol_ticks", 1e30, "mid_vol_ticks 1e+30 walks past 2**52 ticks"),
+        # data that `run` could not train on at this config's layer_dims
+        ("schema", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -285,18 +288,19 @@ class TestRun:
     def test_trial_files_on_disk_before_next_trial(self, tmp_path, tiny_config,
                                                    generated, monkeypatch):
         # a trial's files, and the tables that list it, are written as it
-        # ends: a run killed in trial 2 keeps all of trial 1
+        # ends: a run killed in trial 2, which starts with its pretrain task,
+        # keeps all of trial 1
         out = tmp_path / "run"
         seen = {}
-        real_run_trial = harness.run_trial
+        real_run_pretrain = harness.run_pretrain
 
-        def run_trial(dataset, cfg, repeat, fold, *rest):
+        def run_pretrain(dataset, cfg, repeat, fold, *rest):
             if repeat * cfg.k_folds + fold + 1 == 2:
                 seen["files"] = sorted(p.name for p in out.glob("trial1_*"))
                 seen["json"] = [d["trial"] for d in json.load(open(out / "results.json"))]
                 seen["csv"] = {r[0] for r in list(csv.reader(open(out / "results.csv")))[1:]}
-            return real_run_trial(dataset, cfg, repeat, fold, *rest)
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+            return real_run_pretrain(dataset, cfg, repeat, fold, *rest)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
         code, _ = run_experiment_cli(tmp_path, tiny_config, generated,
                                      ("--jobs", "1", "--svg"))
         assert code == 0
@@ -452,6 +456,10 @@ class TestRun:
         ("weight_decay", float("inf"), "weight_decay must be >= 0 and finite, got inf"),
         ("layer_dims", [20, True, 20], "layer dims must be integers >= 1"),
         ("min_labeled_per_batch", 1, "unknown keys in 'train' section"),
+        # configs that cannot train on the 400 rows of 20 feature columns
+        ("synth.schema", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
+        ("layer_dims", [20, 16, 10], "autoencoder needs input dim == output dim, got 20 vs 10"),
+        ("k_folds", 500, "n_rows=400 < k=500"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
@@ -466,7 +474,7 @@ class TestRun:
         code, out = run_experiment_cli(tmp_path, str(cfg), generated)
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not (out / "run_manifest.json").exists()
+        assert not out.exists()
 
 
 def score_inputs(tmp_path, n_rows, bad_last_row=False, **fields):
@@ -759,7 +767,13 @@ class TestReport:
           '"sad": {"ratio_test": 1, "rank_test": 2}}}]' % runtime
           for runtime in ('"x"', "null")),
         '[{"trial": "1,2", "fold": 0, "repeat": 0}]',
-        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"a,b": {}}}]'])
+        '[{"trial": 1, "fold": 0, "repeat": 0, "metrics": {"a,b": {}}}]',
+        # JSON booleans, which Python takes for integers, and a string
+        *('[{"trial": %s, "fold": %s, "repeat": %s, "runtime_s": %s, "metrics": {'
+          '"svdd": {"ratio_test": 1, "rank_test": 1}, '
+          '"sad": {"ratio_test": 1, "rank_test": %s}}}]' % fields
+          for fields in (("true", 0, 0, 1, 2), (1, "false", 0, 1, 2), (1, 0, 0, "true", 2),
+                         (1, 0, 0, 1, "false"), (1, 0, '"0"', 1, 2)))])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)

@@ -277,7 +277,8 @@ class TestRunExperiment:
 
     def test_parallel_matches_sequential(self, tiny_synth):
         # every trial's scores and metrics, bit for bit, wherever its tasks
-        # ran; 64 is capped at 11 processes, one per task that can run at once
+        # ran; 64 is capped at 11 processes, one per task that can run at once.
+        # The tasks themselves are held to `run_trial` by the test below
         cfg = tiny_cfg(main_epochs=2, pretrain_epochs=1)
         seq = run_trials(tiny_synth.dataset, cfg, jobs=1)
         for jobs in (2, 3, 64):
@@ -297,6 +298,71 @@ class TestRunExperiment:
                 # `_join` takes the rows and the autoencoder from the pretrain
                 assert a.train_rows.tobytes() == b.train_rows.tobytes()
                 assert a.pretrained.params.tobytes() == b.pretrained.params.tobytes()
+
+    def test_task_path_matches_run_trial(self, tiny_synth):
+        # trials after the first run as tasks at every `jobs`: each must equal
+        # `run_trial` of its (repeat, fold), bit for bit, whatever ran first
+        cfg = tiny_cfg(main_epochs=2, pretrain_epochs=2, k_folds=2)
+        folds = contiguous_kfold(tiny_synth.dataset.n_rows, cfg.k_folds)
+        ground_truth = tiny_synth.ground_truth
+
+        def arrays(r):
+            yield from (r.train_rows, r.test_rows, r.pretrained.params,
+                        r.sphere.center, r.normalizer.mean, r.normalizer.std)
+            yield from (model.params for model in r.models.values())
+            yield from r.scores.values()
+            for proj, is_labeled in r.projections.values():
+                yield from (proj, is_labeled)
+        got = run_trials(tiny_synth.dataset, cfg, jobs=1, ground_truth=ground_truth)
+        assert len(got) == 4
+        for a in got:
+            b = harness.run_trial(tiny_synth.dataset, cfg, a.report.repeat, a.report.fold,
+                                  folds, ground_truth=ground_truth)
+            assert a.report.trial == b.report.trial
+            assert a.report.metrics == b.report.metrics
+            assert list(a.report.metrics) == list(a.models) == ["svdd", "sad"]
+            assert a.report.config == b.report.config
+            assert a.report.config["modes"] == ["svdd", "sad"]
+            assert a.scores.keys() == b.scores.keys()
+            assert a.projections.keys() == b.projections.keys()
+            assert a.pretrain_losses == b.pretrain_losses and len(a.pretrain_losses) == 2
+            assert a.main_losses == b.main_losses
+            assert [len(v) for v in a.main_losses.values()] == [2, 2]
+            pairs = list(zip(arrays(a), arrays(b), strict=True))
+            assert len(pairs) == 6 + 2 + 4 + 8
+            for x, y in pairs:
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 64])
+    def test_trial_one_whole_in_calling_process(self, tiny_synth, monkeypatch,
+                                                tmp_path, jobs):
+        # perfbench's traced run reads `run_trial` and both `train_main`
+        # modes from the calling process: trial 1 runs whole there, at any
+        # `jobs`, and every later trial runs as tasks
+        real_run_trial, real_train_main = harness.run_trial, harness.train_main
+
+        def mark(name):  # from whichever process made the call
+            (tmp_path / f"{name}.{os.getpid()}.{time.monotonic_ns()}").touch()
+
+        def run_trial(dataset, cfg, repeat, fold, *rest):
+            mark(f"run_trial{repeat * cfg.k_folds + fold + 1}")
+            return real_run_trial(dataset, cfg, repeat, fold, *rest)
+
+        def train_main(*args):
+            mark(f"train_main_{args[5]}")
+            return real_train_main(*args)
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        monkeypatch.setattr(harness, "train_main", train_main)
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1)
+        assert len(run_trials(tiny_synth.dataset, cfg, jobs=jobs)) == 3
+        calls = [p.name.split(".")[:2] for p in tmp_path.iterdir()]
+        here = {name for name, pid in calls if pid == str(os.getpid())}
+        assert [(name, pid) for name, pid in calls if name.startswith("run_trial")] == [
+            ("run_trial1", str(os.getpid()))]
+        assert {"train_main_svdd", "train_main_sad"} <= here
+        assert sorted(name for name, _ in calls if name.startswith("train_main")) == (
+            ["train_main_sad"] * 3 + ["train_main_svdd"] * 3)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_finished_trial_kept(self, tiny_synth, jobs):
