@@ -71,12 +71,7 @@ def _dataclass_from_dict(cls, section: dict, name: str):
 
 def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
     try:
-        with data_mod.reading(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from None
+        doc = data_mod.read_json(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -222,18 +217,18 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with data_mod.reading(args.results) as fh:
-            docs = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.results}: malformed JSON at line {exc.lineno} "
-                          f"column {exc.colno}") from None
+    docs = data_mod.read_json(args.results)
     try:
         if not isinstance(docs, list):
             raise TypeError("top level must be a list of trials")
         reports = [_dataclass_from_dict(evalx.TrialReport, d, f"entry {i}")
                    for i, d in enumerate(docs, 1)]
+        seen = set()  # each trial's number and its (repeat, fold)
         for rep in reports:
+            if {rep.trial, (rep.repeat, rep.fold)} & seen:
+                raise TypeError(f"trial {rep.trial} (repeat {rep.repeat}, fold {rep.fold}) "
+                                "is listed twice")
+            seen |= {rep.trial, (rep.repeat, rep.fold)}
             if not (set(rep.metrics) <= {"svdd", "sad"} and all(  # unquoted in results.csv
                     isinstance(m, dict) and all(v is None or type(v) in (int, float)
                                                 for v in m.values())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import logging
 import math
 import os
@@ -287,6 +288,16 @@ def reading(path, newline=None):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The JSON document in `path`, read through `reading`; ConfigError if malformed."""
+    try:
+        with reading(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} column "
+                          f"{exc.colno}: {exc.msg}") from None
 
 
 def write_csv(path, header, line, *columns) -> None:

@@ -354,13 +354,14 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
     beside jobs - 1 forked workers. Each later trial is a pretrain task and a
     task per mode, SAD taken first, each run by whichever process takes it;
     the results do not depend on `jobs`. `save(result)` runs in the process
-    that ran a task, as it ends. A trial reaches `on_trial(result)` on the
-    calling thread, its modes merged in `modes` order, once its last mode has
-    ended. That is the only way out for a result: none is kept after
-    `on_trial` returns, and the run returns None. With workers, this process
-    first keeps to one malloc arena (`_one_malloc_arena`). No task starts
-    after the first failure; the running ones finish, the trials they
-    complete reach `on_trial`, then the first error is raised."""
+    that ran a task, as it ends. Every task's result goes through one handler,
+    `ended`, whichever process ran it; a trial, its modes merged in `modes`
+    order, then reaches `on_trial(result)`, called at one site, on the calling
+    thread. That is the only way out for a result: none is kept after it
+    returns, and the run returns None. With workers, this process first keeps
+    to one malloc arena (`_one_malloc_arena`). No task starts after the first
+    failure; the running ones finish, the trials they complete reach
+    `on_trial`, then the first error is raised."""
     jobs, on_trial = resolve_jobs(jobs, cfg, modes), on_trial or (lambda result: None)
     folds = contiguous_kfold(dataset.n_rows, cfg.k_folds)
     state = (dataset, cfg, folds, ground_truth, save)
@@ -369,9 +370,9 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
     # then its modes, SAD first as its batches also carry the labeled rows
     ready = [((r, f, 0), (r, f, None, None))  # (key, (repeat, fold, pretrain's result, mode))
              for r in range(cfg.n_repeats) for f in range(cfg.k_folds)]
-    parts = {}
+    parts = {}  # (repeat, fold) -> {mode: its ended task's part}
     lock, error, idle = threading.RLock(), None, jobs - 1
-    ended = queue.SimpleQueue()  # the workers' (task, future), as each task ends
+    done = queue.SimpleQueue()  # the ended trials, and a None as each worker task ends
     # fork: the workers get the dataset without a pickle and inherit the one
     # BLAS thread. The pool forks them all at the first submit, from this
     # thread, so `resolve_jobs` caps them: a worker with no task only costs memory
@@ -394,58 +395,53 @@ def run_experiment(dataset: Dataset, cfg: TrainConfig, modes=MODES,
                 idle -= 1
                 fut.add_done_callback(functools.partial(worker_ended, task))
 
+    def ended(task, result: TrialResult) -> None:  # all that a task ending means
+        with lock:
+            if task[2] is None:  # a pretrain: its modes are ready
+                for mode in modes:
+                    heapq.heappush(ready, ((*task[:2], mode != "sad"), (*task[:2], result, mode)))
+            else:  # a mode: the trial's last puts the trial on `done`
+                got = parts.setdefault(task[:2], {})
+                got[task[3]] = result
+                if len(got) == len(modes):
+                    del parts[task[:2]]
+                    done.put(_join([task[2]] + [got[mode] for mode in modes]))
+            feed()
+
     def worker_ended(task, fut) -> None:  # on the pool's thread
         nonlocal error, idle
         with lock:
             idle += 1
             error = error or fut.exception()
-            if error is None and task[2] is None:
-                modes_ready(task, fut.result())
-            ended.put((task, fut))
-            feed()
+            if fut.exception() is None:
+                ended(task, fut.result())
+            done.put(None)  # wakes a `deliver` that waits
 
-    def modes_ready(task, pre: TrialResult) -> None:  # the pretrain `task` has ended
-        with lock:
-            for mode in modes:
-                heapq.heappush(ready, ((*task[:2], mode != "sad"), (*task[:2], pre, mode)))
-            feed()
-
-    def take():  # (this process's next task or None, whether a worker task is unseen)
+    def take():  # (this process's next task or None, whether a worker or trial is pending)
         with lock:
             task = heapq.heappop(ready)[1] if error is None and ready else None
-            return task, idle < jobs - 1 or not ended.empty()
+            return task, idle < jobs - 1 or not done.empty()
 
-    def mode_ended(task, part: TrialResult) -> None:
-        done = parts.setdefault(task[:2], {})
-        done[task[3]] = part
-        if len(done) == len(modes):
-            del parts[task[:2]]
-            on_trial(_join([task[2]] + [done[mode] for mode in modes]))
-
-    def deliver(wait: bool) -> None:  # the workers' ended tasks; `wait` for one first
-        while wait or not ended.empty():
-            wait, (task, fut) = False, ended.get()
-            if fut.exception() is None and task[2] is not None:
-                mode_ended(task, fut.result())
+    def deliver(wait: bool) -> None:  # the ended trials; `wait` for one entry first
+        while wait or not done.empty():
+            wait, trial = False, done.get()
+            if trial is not None:
+                on_trial(trial)
 
     with nnet.one_blas_thread(), pool:  # the pool's shutdown waits for running tasks
         task, busy = take()  # trial 1, run whole here
         feed()
         while task is not None or busy:
             try:
-                if task is None:
-                    deliver(wait=True)
                 # whole here: perfbench's traced run times run_trial in this process
-                elif task[2] is None and task[:2] == (0, 0):
+                if task is not None and task[:2] == (0, 0):
                     trial = run_trial(dataset, cfg, *task[:2], folds, modes, ground_truth)
                     save(trial)
-                    on_trial(trial)
+                    done.put(trial)
                     del trial  # not held while the next task runs
-                elif task[2] is None:  # its modes may go to a free worker
-                    modes_ready(task, _run_task(*task, state))
-                else:
-                    mode_ended(task, _run_task(*task, state))
-                deliver(wait=False)
+                elif task is not None:
+                    ended(task, _run_task(*task, state))
+                deliver(wait=task is None)
             except Exception as exc:  # start no more; the running tasks finish
                 with lock:
                     error = error or exc

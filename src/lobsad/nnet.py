@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import replacing
+from .data import read_json, replacing
 from .errors import ConfigError, DataError, DivergenceError, LobSadError, ShapeError
 
 DEFAULT_DIMS = (20, 100, 100, 100, 20)
@@ -354,12 +354,10 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     non-finite value, `norm_std` <= 0, a column count other than the input
     width, or a version other than 3 raises ConfigError naming `path`.
     """
+    doc = read_json(path)  # its errors name `path` already
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _read_checkpoint(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not JSON: {exc}") from None
+        return _read_checkpoint(doc)
     except KeyError as exc:
         raise ConfigError(f"{path}: checkpoint lacks field {exc}") from None
-    except (TypeError, ValueError, LobSadError) as exc:  # incl. UnicodeDecodeError
+    except (TypeError, ValueError, LobSadError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -69,14 +69,17 @@ class TestGenerate:
             outs.append((out / "lob.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_malformed_json_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--config"), ("report", "--results"), ("score", "--checkpoint")])
+    def test_malformed_json_exit_2(self, tmp_path, capsys, command, flag):
+        # every JSON input is read by one reader, with one message
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1,\n  "train": {,}\n}')
-        code = cli.main(["generate", "--config", str(bad), "--out",
-                         str(tmp_path / "o")])
+        data_flag = ["--data", str(tmp_path / "lob.csv")] if command == "score" else []
+        code = cli.main([command, flag, str(bad), *data_flag, "--out", str(tmp_path / "o")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "line 2" in err
+        assert capsys.readouterr().err.startswith(f"error: {bad}: malformed JSON at line 2")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"bogus_knob": 1}, {})
@@ -773,7 +776,13 @@ class TestReport:
           '"svdd": {"ratio_test": 1, "rank_test": 1}, '
           '"sad": {"ratio_test": 1, "rank_test": %s}}}]' % fields
           for fields in (("true", 0, 0, 1, 2), (1, "false", 0, 1, 2), (1, 0, 0, "true", 2),
-                         (1, 0, 0, 1, "false"), (1, 0, '"0"', 1, 2)))])
+                         (1, 0, 0, 1, "false"), (1, 0, '"0"', 1, 2))),
+        # one trial listed twice: by its number, or by its repeat and fold
+        *('[%s]' % ", ".join('{"trial": %d, "fold": %d, "repeat": 0, "metrics": {'
+                             '"svdd": {"ratio_test": 1, "rank_test": 1}, '
+                             '"sad": {"ratio_test": 1, "rank_test": 2}}}' % trial_fold
+                             for trial_fold in pairs)
+          for pairs in (((1, 0), (1, 1)), ((1, 0), (2, 0))))])
     def test_malformed_results_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "results.json"
         path.write_text(doc)
@@ -815,13 +824,13 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, flag", [
         ("report", "--results"), ("run", "--config"), ("run", "--data"),
-        ("run", "--labels"), ("run", "--ground-truth")])
+        ("run", "--labels"), ("run", "--ground-truth"), ("score", "--checkpoint")])
     def test_non_utf8_input_exit_2_before_any_file(self, tmp_path, tiny_config,
                                                    generated, capsys, command, flag):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\xff" + (generated / "labels.txt").read_bytes())
         out = tmp_path / "out"
-        argv = {"report": {},
+        argv = {"report": {}, "score": {"--data": str(generated / "lob.csv")},
                 "run": {"--config": tiny_config, "--data": str(generated / "lob.csv"),
                         "--labels": str(generated / "labels.txt"),
                         "--ground-truth": str(generated / "ground_truth.csv")}}[command]

@@ -583,6 +583,57 @@ class TestRunExperiment:
         assert started["sad1"] == str(os.getpid()) != started["svdd2"]
         assert started["svdd2"] == started["pretrain2"]
 
+    def test_modes_handed_off_both_ways(self, tiny_synth, monkeypatch, tmp_path):
+        # two processes, four trials. This process runs trial 1 while the
+        # worker runs trial 2's pretrain and SAD; then it runs trial 2's SVDD,
+        # whose pretrain ran in the worker, and trial 3's pretrain, one of
+        # whose modes the worker runs. Every trial equals a one-process run's
+        cfg = tiny_cfg(main_epochs=1, pretrain_epochs=1, n_repeats=1, k_folds=4)
+        want = run_trials(tiny_synth.dataset, cfg, jobs=1)
+        real_run_pretrain, real_run_mode = harness.run_pretrain, harness.run_mode
+        here = str(os.getpid())
+
+        def mark(phase, trial):
+            (tmp_path / f"{phase}{trial}").write_text(str(os.getpid()))
+
+        def wait_for(*names):
+            deadline = time.monotonic() + 60
+            while (not all((tmp_path / name).exists() for name in names)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+
+        def run_pretrain(dataset, cfg, repeat, fold, folds):
+            trial = repeat * cfg.k_folds + fold + 1
+            mark("pretrain", trial)
+            if trial == 1:  # until the worker holds trial 2's SAD
+                wait_for("sad2")
+            return real_run_pretrain(dataset, cfg, repeat, fold, folds)
+
+        def run_mode(dataset, cfg, pre, mode, *rest):
+            trial = pre.report.trial
+            mark(mode, trial)
+            if (trial, mode) == (2, "sad"):  # until this process holds the rest
+                wait_for("svdd2", "pretrain3")
+            if trial == 3 and str(os.getpid()) == here:  # the worker takes the other
+                wait_for({"sad": "svdd3", "svdd": "sad3"}[mode])
+            return real_run_mode(dataset, cfg, pre, mode, *rest)
+        monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
+        got = run_trials(tiny_synth.dataset, cfg, jobs=2)
+        started = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert len(started) == 12
+        worker = started["pretrain2"]
+        assert worker != here == started["svdd2"]
+        assert started["pretrain3"] == here and worker in (started["sad3"], started["svdd3"])
+        assert [r.report.trial for r in got] == [1, 2, 3, 4]
+        for a, b in zip(want, got, strict=True):
+            assert a.report.metrics == b.report.metrics
+            assert a.scores.keys() == b.scores.keys() and a.models.keys() == b.models.keys()
+            for key, scores in a.scores.items():
+                assert scores.tobytes() == b.scores[key].tobytes()
+            for mode, model in a.models.items():
+                assert model.params.tobytes() == b.models[mode].params.tobytes()
+
     def test_save_runs_in_the_trials_process(self, tiny_synth, monkeypatch, tmp_path):
         # each mode is saved by the process that ran it, before its trial
         # reaches on_trial; a failed save is the run's error and keeps its
