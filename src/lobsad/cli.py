@@ -38,7 +38,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evalx, harness, nnet, objectives
-from .errors import ConfigError, DataError, DivergenceError, LobSadError
+from .errors import ConfigError, DivergenceError, LobSadError
 
 log = logging.getLogger("lobsad.cli")
 
@@ -70,10 +70,7 @@ def _dataclass_from_dict(cls, section: dict, name: str):
 
 
 def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
-    try:
-        doc = data_mod.read_json(path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    doc = data_mod.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     version = doc.get("version")
@@ -143,7 +140,7 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
     for (mode, split), scores in res.scores.items():
         rows = res.train_rows if split == "train" else res.test_rows
         data_mod.write_csv(os.path.join(out_dir, f"trial{t}_scores_{mode}_{split}.csv"),
-                           ("row", "score"), _score_line, rows, scores)
+                           ("row", "score"), _score_line, [(rows, scores)])
         evalx.write_scatter(os.path.join(out_dir, f"trial{t}_scatter_{mode}_{split}"),
                             *res.projections[(mode, split)], svg=svg)
 
@@ -158,13 +155,8 @@ def cmd_run(args) -> int:
     dataset = data_mod.load_lob_csv(args.data, synth.schema)
     dataset = data_mod.load_labels(args.labels, dataset)
     harness.contiguous_kfold(dataset.n_rows, train.k_folds)  # refused before any file
-    gt = None
-    if args.ground_truth:
-        gt = data_mod.load_ground_truth(args.ground_truth)
-        beyond = np.flatnonzero(gt.rows >= dataset.n_rows)
-        if beyond.size:
-            raise DataError(f"{args.ground_truth}: row {beyond[0] + 1}: row index "
-                            f"{gt.rows[beyond[0]]} >= {dataset.n_rows} data rows")
+    gt = (data_mod.load_ground_truth(args.ground_truth, dataset.n_rows)
+          if args.ground_truth else None)
 
     reports: list[evalx.TrialReport] = []
 
@@ -201,18 +193,19 @@ def cmd_score(args) -> int:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
     norm = data_mod.Normalizer(mean=meta["norm_mean"], std=meta["norm_std"])
     sphere = objectives.Hypersphere(center=meta["center"])
-    # at the one BLAS thread a run trains and scores at, so the scores
-    # equal the run's stored ones at any thread count set outside
-    with data_mod.replacing(args.out) as fh, nnet.one_blas_thread():
-        fh.write("row,score\r\n")
+
+    def scored():  # (row numbers, scores) of each block
         first = 0
         for _, features in data_mod.iter_lob_csv(args.data, schema):
             scores = objectives.anomaly_score(
                 model, data_mod.apply_normalizer(norm, features), sphere)
-            data_mod.write_csv_rows(fh, _score_line,
-                                    range(first, first + scores.size), scores)
+            yield range(first, first + scores.size), scores
             first += scores.size
             del features, scores  # freed before the next block is parsed
+    # at the one BLAS thread a run trains and scores at, so the scores
+    # equal the run's stored ones at any thread count set outside
+    with nnet.one_blas_thread():
+        data_mod.write_csv(args.out, ("row", "score"), _score_line, scored())
     return 0
 
 

@@ -151,14 +151,13 @@ def _parse_block(lines: list[str], col_of: dict) -> tuple[np.ndarray, np.ndarray
     return records["ts"], book
 
 
-def _parse_rows(lines: list[str], col_of: dict, first: int, blank: int | None):
+def _parse_rows(lines: list[str], col_of: dict, first: int):
     """(timestamps, book, failure) of data lines converted row-wise, the first
     of which is data row `first + 1`: the rows before the first line that
     cannot be converted, and that line's (1-based row, reason), or None when
     every line converts. Blank lines after the last data line are not rows;
-    one before it fails, and so does the blank row `blank` of an earlier
-    block. The rows are not checked against the book's rules."""
-    ts_list, book_rows, failure = [], [], None
+    one before it fails. The rows are not checked against the book's rules."""
+    ts_list, book_rows, failure, blank = [], [], None, None
     for row_no, raw in enumerate(csv.reader(lines), start=first + 1):
         if not raw:
             blank = blank or row_no
@@ -181,16 +180,15 @@ def _parse_rows(lines: list[str], col_of: dict, first: int, blank: int | None):
     return np.array(ts_list, dtype=np.int64), book, failure
 
 
-def _read_block(path, lines: list[str], col_of: dict, first: int, blank: int | None,
+def _read_block(path, lines: list[str], col_of: dict, first: int,
                 prev_ts) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (timestamps, book) of the data lines of one block, the first
-    of which is data row `first + 1`, by numpy or, when numpy cannot vouch for
-    them or the blank row `blank` of an earlier block precedes them, row-wise.
-    `prev_ts` is the stamp of the row before the block. The first bad row
-    raises a DataError naming `path`, the row and its first broken rule or
-    conversion failure, as the row-wise parser over the whole file names it."""
-    parsed = None if blank else _parse_block(lines, col_of)
-    ts, book, failure = (*parsed, None) if parsed else _parse_rows(lines, col_of, first, blank)
+    """Validated (timestamps, book) of one block's data lines, the first of
+    which is data row `first + 1`, by numpy or, when numpy cannot vouch for
+    them, row-wise; `prev_ts` is the stamp of the row before the block. The
+    first bad row raises a DataError naming `path`, the row and its first
+    broken rule or conversion failure, as the row-wise parser names it."""
+    parsed = _parse_block(lines, col_of)
+    ts, book, failure = (*parsed, None) if parsed else _parse_rows(lines, col_of, first)
     # the converted rows all come before a line that failed to convert
     error = _book_error(book, ts, prev_ts, first) or failure
     if error:
@@ -200,23 +198,20 @@ def _read_block(path, lines: list[str], col_of: dict, first: int, blank: int | N
 
 def _blocks(path, fh, col_of: dict, feat_cols: list[int]):
     """Yield the (timestamps, features) of each block of _BLOCK_ROWS lines
-    from the handle's position. Blank lines that end a block are not rows;
-    they fail once a data line follows, in this block or a later one."""
-    first, blank, prev_ts = 0, None, None  # lines before the block, pending blank row
+    from the handle's position. Blank lines that end a block are not rows:
+    the first of them is carried to the front of the next block, where
+    `_parse_rows` fails it if a data line follows, and the rest are dropped."""
+    first, held, prev_ts = 0, [], None  # lines before the block, its carried blank line
     while lines := list(islice(fh, _BLOCK_ROWS)):
-        n_lines = len(lines)
+        lines[:0], held = held, []
         while lines and lines[-1] in _BLANK_LINES:
-            lines.pop()
-        n_rows = len(lines)
-        if n_rows:
-            ts, book = _read_block(path, lines, col_of, first, blank, prev_ts)
-            prev_ts = ts[-1]
+            held = [lines.pop()]  # the last one popped is the first blank line
+        if lines:
+            ts, book = _read_block(path, lines, col_of, first, prev_ts)
+            first, prev_ts = first + len(lines), ts[-1]
             block = ts.copy(), book[:, feat_cols]
             del lines, ts, book  # a block keeps neither its text nor its records
             yield block
-        if n_rows < n_lines:
-            blank = blank or first + n_rows + 1
-        first += n_lines
 
 
 def iter_lob_csv(path, schema: SchemaConfig | None = None):
@@ -300,25 +295,22 @@ def read_json(path):
                           f"{exc.colno}: {exc.msg}") from None
 
 
-def write_csv(path, header, line, *columns) -> None:
-    """Write `header`, then the rows of `columns` through `write_csv_rows`."""
-    with replacing(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        write_csv_rows(fh, line, *columns)
+def write_csv(path, header, line, blocks) -> None:
+    """Write `header`, then `line(*cells)` for each row of each block in
+    `blocks`, an iterable of tuples of row-aligned columns whose cells arrive
+    as Python scalars (a row of a 2-D column as a list). A generator that
+    raises leaves the file as it was. Lines end in `\r\n`, as RFC 4180 ends
+    them; callers format floats with `repr`, which reads back bit for bit.
 
-
-def write_csv_rows(fh, line, *columns) -> None:
-    """Write `line(*cells)` for each row of the row-aligned `columns`, whose
-    cells arrive as Python scalars (a row of a 2-D column as a list). Lines end
-    in `\\r\\n`, as RFC 4180 ends them; callers format floats with `repr`,
-    which reads back bit for bit.
-
-    Rows are converted and written a block at a time: converting whole
+    Rows are converted and written _CSV_BLOCK_ROWS at a time: converting whole
     columns at once spreads their Python objects over the allocator's arenas
     and raises the peak RSS of `lobsad run` at 60k rows by about 7%."""
-    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        blocks = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
-        fh.write("\r\n".join([line(*cells) for cells in zip(*blocks)]) + "\r\n")
+    with replacing(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                cells = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
+                fh.write("\r\n".join([line(*row) for row in zip(*cells)]) + "\r\n")
 
 
 def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
@@ -326,7 +318,7 @@ def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
     if book.shape[1] != len(BOOK_COLUMNS):
         raise DataError(f"book must have {len(BOOK_COLUMNS)} columns, got {book.shape[1]}")
     write_csv(path, CSV_COLUMNS, lambda t, row: f"{t},{','.join(map(repr, row))}",
-              np.asarray(timestamps, dtype=np.int64), np.asarray(book, dtype=np.float64))
+              [(np.asarray(timestamps, dtype=np.int64), np.asarray(book, dtype=np.float64))])
 
 
 def load_labels(path, dataset: Dataset) -> Dataset:
@@ -469,6 +461,9 @@ def _episode_plan(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[int,
 def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     """Tick-rounded mid-price random walk with 10 levels per side and injected
     spoof / layering / flash-move episodes; deterministic for a fixed seed."""
+    # here, not in SynthConfig: `run` reads a schema of real data, where no side is spoofed
+    if not any(c.startswith(f"{cfg.spoof_side}_sz_") for c in cfg.schema.feature_columns):
+        raise ConfigError(f"spoof_side {cfg.spoof_side} has no size column in the schema")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_rows
 
@@ -549,13 +544,14 @@ def write_labels(path, labeled_idx: np.ndarray) -> None:
 def write_ground_truth(path, gt: GroundTruth) -> None:
     write_csv(path, ("row_index", "archetype", "labeled"),
               lambda row, arch, lab: f"{int(row)},{arch},{int(lab)}",
-              gt.rows, gt.archetypes, gt.labeled)
+              [(gt.rows, gt.archetypes, gt.labeled)])
 
 
-def load_ground_truth(path) -> GroundTruth:
-    """Read a `row_index,archetype,labeled` sidecar. A malformed row or an
-    archetype outside ARCHETYPES raises a DataError naming its 1-based data
-    row; the caller checks the row indices against the data's length."""
+def load_ground_truth(path, n_rows: int) -> GroundTruth:
+    """Read a `row_index,archetype,labeled` sidecar of data with `n_rows`
+    rows. The first malformed row, or the first whose archetype is outside
+    ARCHETYPES or whose index is past the data, raises a DataError naming its
+    1-based data row, as `load_labels` names its first bad line."""
     rows, archs, labeled = [], [], []
     with reading(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -568,12 +564,14 @@ def load_ground_truth(path) -> GroundTruth:
             try:
                 row, arch, lab = raw[:3]
                 row, lab = int(row), int(lab)
-                if not (0 <= row <= _INT64_MAX and arch in ARCHETYPES and lab in (0, 1)):
+                if not (row >= 0 and arch in ARCHETYPES and lab in (0, 1)):
                     raise ValueError
             except ValueError:
                 raise DataError(f"{path}: row {row_no}: expected a row index >= 0, "
                                 f"an archetype in {ARCHETYPES} and a 0/1 labeled "
                                 f"flag, got {raw}") from None
+            if row >= n_rows:
+                raise DataError(f"{path}: row {row_no}: row index {row} >= {n_rows} data rows")
             rows.append(row)
             archs.append(arch)
             labeled.append(bool(lab))

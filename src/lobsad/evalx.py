@@ -159,10 +159,10 @@ def export_report(reports: list[TrialReport], out_dir) -> list[str]:
         json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2)
     csv_path = os.path.join(out_dir, "results.csv")
     write_csv(csv_path, ("trial", "fold", "model", "split", "metric", "value"), str,
-              [f"{rep.trial},{rep.fold},{model},{split},{metric},"
-               f"{_fmt(rep.metrics[model].get(f'{metric}_{split}'))}"
-               for rep in reports for model in sorted(rep.metrics)
-               for split in ("train", "test") for metric in CSV_METRICS])
+              [([f"{rep.trial},{rep.fold},{model},{split},{metric},"
+                 f"{_fmt(rep.metrics[model].get(f'{metric}_{split}'))}"
+                 for rep in reports for model in sorted(rep.metrics)
+                 for split in ("train", "test") for metric in CSV_METRICS],)])
     return [csv_path, json_path]
 
 
@@ -172,7 +172,7 @@ def write_scatter(stem, proj: np.ndarray, is_labeled: np.ndarray,
     `svg` also the same scatter as `stem`.svg."""
     proj = np.asarray(proj, dtype=np.float64)
     write_csv(f"{stem}.csv", ("pc1", "pc2", "is_labeled"), "{!r},{!r},{:d}".format,
-              proj[:, 0], proj[:, 1], is_labeled)
+              [(proj[:, 0], proj[:, 1], is_labeled)])
     if svg:
         _write_scatter_svg(f"{stem}.svg", proj, is_labeled)
 

@@ -232,9 +232,9 @@ def run_mode(dataset: Dataset, cfg: TrainConfig, pre: TrialResult, mode: str,
         unlab = normalized(pre.train_rows)
         labeled = LabeledBatch.empty(dataset.features.shape[1])
     else:
-        labeled_train = dataset.labeled_idx[np.isin(dataset.labeled_idx, pre.train_rows)]
-        unlab = normalized(pre.train_rows[~np.isin(pre.train_rows, labeled_train)])
-        labeled = LabeledBatch(normalized(labeled_train), -np.ones(labeled_train.size))
+        lab = np.isin(pre.train_rows, dataset.labeled_idx)  # both ascending: one row order
+        unlab = normalized(pre.train_rows[~lab])
+        labeled = LabeledBatch(normalized(pre.train_rows[lab]), -np.ones(np.count_nonzero(lab)))
     model, losses = train_main(pre.pretrained, pre.sphere, unlab, labeled, cfg, mode, rng)
     del unlab, labeled  # freed first: the train split's embedding below sets the peak
 

@@ -1,4 +1,6 @@
 import collections
+import csv
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +20,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
     for line in DESK_RUN:
         terminalreporter.write_line(f"desk experiment: {line}")
+
+
+def read_rows(path) -> list[list[str]]:
+    """Every row of a CSV file, its header first; the file is closed."""
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
+def read_json(path):
+    """The JSON document in a file; the file is closed."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def finite_difference_grad(loss_fn, model, h=1e-5):

@@ -5,7 +5,6 @@ and the embedding part of 7) share one real experiment run and take several
 minutes; everything else is fast.
 """
 
-import csv
 import json
 import resource
 import time
@@ -17,7 +16,8 @@ from lobsad import cli, data, evalx, harness, nnet, objectives
 from lobsad.objectives import Hypersphere, LabeledBatch, SadHyper
 
 import conftest
-from conftest import finite_difference_grad, relative_error, sample_safe_model_batch
+from conftest import (finite_difference_grad, read_rows, relative_error,
+                      sample_safe_model_batch)
 from test_evalx import brute_force_ranks, power_iteration_eigs
 
 
@@ -221,7 +221,7 @@ class TestCriterion7Pca:
         r0 = results[0]
         proj, is_labeled = r0.projections[("sad", "train")]
         evalx.write_scatter(tmp_path / "trial1_scatter_sad_train", proj, is_labeled)
-        rows = list(csv.reader(open(tmp_path / "trial1_scatter_sad_train.csv")))[1:]
+        rows = read_rows(tmp_path / "trial1_scatter_sad_train.csv")[1:]
         scatter_ok &= (len(rows) == r0.train_rows.size
                        and sum(int(r[2]) for r in rows) == int(is_labeled.sum()))
         for r in results:

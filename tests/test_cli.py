@@ -1,5 +1,4 @@
 import builtins
-import csv
 import errno
 import json
 import os
@@ -14,6 +13,8 @@ import pytest
 
 from lobsad import cli, data, evalx, harness, nnet, objectives
 from lobsad.errors import DataError, DivergenceError
+
+from conftest import read_json, read_rows
 
 
 def write_config(path, train=None, synth=None):
@@ -52,11 +53,11 @@ def generated(tmp_path, tiny_config):
 
 class TestGenerate:
     def test_writes_three_files_with_matching_counts(self, generated):
-        rows = list(csv.reader(open(generated / "lob.csv")))
+        rows = read_rows(generated / "lob.csv")
         assert len(rows) == 401
-        labels = [l for l in open(generated / "labels.txt").read().split() if l]
+        labels = [l for l in (generated / "labels.txt").read_text().split() if l]
         assert len(labels) == 6
-        gt = list(csv.reader(open(generated / "ground_truth.csv")))
+        gt = read_rows(generated / "ground_truth.csv")
         assert gt[0] == ["row_index", "archetype", "labeled"]
         assert sum(int(r[2]) for r in gt[1:]) == 6
 
@@ -112,6 +113,8 @@ class TestGenerate:
         ("mid_vol_ticks", 1e30, "mid_vol_ticks 1e+30 walks past 2**52 ticks"),
         # data that `run` could not train on at this config's layer_dims
         ("schema", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
+        # spoof and layering rows that no feature column could see
+        ("spoof_side", "ask", "spoof_side ask has no size column in the schema"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -149,21 +152,21 @@ class TestRun:
     def test_full_run_six_trials(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
         assert code == 0
-        rows = list(csv.reader(open(out / "results.csv")))[1:]
+        rows = read_rows(out / "results.csv")[1:]
         assert {int(r[0]) for r in rows} == {1, 2, 3, 4, 5, 6}
         assert len(rows) == 6 * 8
         assert (out / "run_manifest.json").exists()
         assert (out / "trial1_fold0_svdd.ckpt").exists()
         assert (out / "trial1_fold0_sad.ckpt").exists()
         assert (out / "trial1_scatter_sad_train.csv").exists()
-        docs = json.load(open(out / "results.json"))
+        docs = read_json(out / "results.json")
         assert len(docs) == 6
 
     def test_svdd_only_mode(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--mode", "svdd-only"))
         assert code == 0
-        rows = list(csv.reader(open(out / "results.csv")))[1:]
+        rows = read_rows(out / "results.csv")[1:]
         assert {r[2] for r in rows} == {"svdd"}
 
     def test_sad_only_mode(self, tmp_path, tiny_config, generated, capsys):
@@ -176,9 +179,9 @@ class TestRun:
             assert f"trial{t}_fold{(t - 1) % 3}_sad.ckpt" in names
             assert {f"trial{t}_scatter_sad_{split}.csv"
                     for split in ("train", "test")} <= names
-        assert [set(d["metrics"]) for d in json.load(open(out / "results.json"))] \
+        assert [set(d["metrics"]) for d in read_json(out / "results.json")] \
             == [{"sad"}] * 6
-        assert {r[2] for r in list(csv.reader(open(out / "results.csv")))[1:]} == {"sad"}
+        assert {r[2] for r in read_rows(out / "results.csv")[1:]} == {"sad"}
         capsys.readouterr()
         assert cli.main(["report", "--results", str(out / "results.json"),
                          "--out", str(tmp_path / "rep")]) == 0
@@ -248,7 +251,7 @@ class TestRun:
         assert started["svdd2"] == started["pretrain2"] != str(os.getpid())
         # trial 2's SVDD was running when trial 3 failed: it finishes and the
         # trial is kept
-        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1, 2]
+        assert [d["trial"] for d in read_json(out / "results.json")] == [1, 2]
         assert (out / "trial1_fold0_sad.ckpt").exists()
         assert (out / "trial2_fold1_svdd.ckpt").exists()
         assert not list(out.glob("trial3_*"))
@@ -283,8 +286,8 @@ class TestRun:
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
         assert code == 2
         assert "error: trial 2 failed" in capsys.readouterr().err
-        assert [d["trial"] for d in json.load(open(out / "results.json"))] == [1]
-        rows = list(csv.reader(open(out / "results.csv")))[1:]
+        assert [d["trial"] for d in read_json(out / "results.json")] == [1]
+        rows = read_rows(out / "results.csv")[1:]
         assert len(rows) == 8 and {r[0] for r in rows} == {"1"}
         assert (out / "trial1_fold0_sad.ckpt").exists()
 
@@ -300,8 +303,8 @@ class TestRun:
         def run_pretrain(dataset, cfg, repeat, fold, *rest):
             if repeat * cfg.k_folds + fold + 1 == 2:
                 seen["files"] = sorted(p.name for p in out.glob("trial1_*"))
-                seen["json"] = [d["trial"] for d in json.load(open(out / "results.json"))]
-                seen["csv"] = {r[0] for r in list(csv.reader(open(out / "results.csv")))[1:]}
+                seen["json"] = [d["trial"] for d in read_json(out / "results.json")]
+                seen["csv"] = {r[0] for r in read_rows(out / "results.csv")[1:]}
             return real_run_pretrain(dataset, cfg, repeat, fold, *rest)
         monkeypatch.setattr(harness, "run_pretrain", run_pretrain)
         code, _ = run_experiment_cli(tmp_path, tiny_config, generated,
@@ -339,24 +342,24 @@ class TestRun:
                                        ("--paper-scale",))
         assert code == 0
         assert [(c.pretrain_epochs, c.main_epochs) for c in configs] == [(1000, 10_000)]
-        train = json.load(open(out / "run_manifest.json"))["config"]["train"]
+        train = read_json(out / "run_manifest.json")["config"]["train"]
         assert (train["pretrain_epochs"], train["main_epochs"]) == (1000, 10_000)
         assert not (out / "results.json").exists()  # no trial ended: no tables
 
     def test_manifest_records_environment(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
         assert code == 0
-        manifest = json.load(open(out / "run_manifest.json"))
+        manifest = read_json(out / "run_manifest.json")
         assert manifest["usable_cpus"] == harness.usable_cpus()
         # at most this process and both mode tasks of the five other trials
         assert manifest["jobs"] == min(harness.usable_cpus(), 11)
         assert manifest["blas_threads"] == (None if nnet.blas_threads() is None else 1)
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", "64"))
-        assert json.load(open(out / "run_manifest.json"))["jobs"] == 11
+        assert read_json(out / "run_manifest.json")["jobs"] == 11
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", "64", "--mode", "svdd-only"))
-        assert json.load(open(out / "run_manifest.json"))["jobs"] == 6
+        assert read_json(out / "run_manifest.json")["jobs"] == 6
 
     def test_manifest_blas_threads_null_when_unset(self, tmp_path, tiny_config,
                                                    generated, monkeypatch):
@@ -366,9 +369,9 @@ class TestRun:
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--jobs", "2"))
         assert code == 0
-        manifest = json.load(open(out / "run_manifest.json"))
+        manifest = read_json(out / "run_manifest.json")
         assert manifest["blas_threads"] is None and manifest["jobs"] == 2
-        assert len(json.load(open(out / "results.json"))) == 6
+        assert len(read_json(out / "results.json")) == 6
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, tiny_config,
@@ -386,12 +389,12 @@ class TestRun:
         code, out = run_experiment_cli(tmp_path, tiny_config, generated,
                                        ("--ground-truth", str(sidecar)))
         assert code == 0
-        gt = list(csv.reader(open(sidecar)))[1:]
+        gt = read_rows(sidecar)[1:]
         checked, absent = 0, 0
-        for doc in json.load(open(out / "results.json")):
+        for doc in read_json(out / "results.json"):
             for mode in ("svdd", "sad"):
                 path = out / f"trial{doc['trial']}_scores_{mode}_test.csv"
-                scores = {int(r[0]): float(r[1]) for r in list(csv.reader(open(path)))[1:]}
+                scores = {int(r[0]): float(r[1]) for r in read_rows(path)[1:]}
                 for name in data.ARCHETYPES:
                     rank = doc["metrics"][mode][f"gt_{name}_rank_test"]
                     ratio = doc["metrics"][mode][f"gt_{name}_ratio_test"]
@@ -420,6 +423,9 @@ class TestRun:
         ("", "empty ground-truth file"),
         ("row_index,archetype,labeled\n7,spoof,1\n400,flash,0\n",
          "row 2: row index 400 >= 400 data rows"),
+        # the first bad row is named, whichever rule it breaks
+        ("row_index,archetype,labeled\n400,flash,0\nx,spoof,1\n",
+         "row 1: row index 400 >= 400 data rows"),
     ])
     def test_bad_ground_truth_exit_2(self, tmp_path, tiny_config, generated,
                                      capsys, sidecar, message):
@@ -543,9 +549,9 @@ class TestScore:
                          "--out", str(score_path)])
         assert code == 0
         scored = {int(r[0]): float(r[1])
-                  for r in list(csv.reader(open(score_path)))[1:]}
+                  for r in read_rows(score_path)[1:]}
         stored = {int(r[0]): float(r[1]) for r in
-                  list(csv.reader(open(out / "trial1_scores_sad_train.csv")))[1:]}
+                  read_rows(out / "trial1_scores_sad_train.csv")[1:]}
         assert stored
         for row, s in stored.items():
             assert scored[row] == pytest.approx(s, abs=1e-12)
@@ -591,11 +597,11 @@ class TestScore:
         assert cli.main(["score", "--checkpoint", str(out / "trial1_fold0_sad.ckpt"),
                          "--data", str(gen / "lob.csv"),
                          "--out", str(score_path)]) == 0
-        scored = dict(list(csv.reader(open(score_path)))[1:])
+        scored = dict(read_rows(score_path)[1:])
         stored = {}
         for split in ("train", "test"):
             path = out / f"trial1_scores_sad_{split}.csv"
-            stored.update(list(csv.reader(open(path)))[1:])
+            stored.update(read_rows(path)[1:])
         assert len(stored) == len(scored) == 400
         assert scored == stored
 
@@ -641,7 +647,7 @@ class TestScore:
         scores = objectives.anomaly_score(model, feats,
                                           objectives.Hypersphere(meta["center"]))
         want = tmp_path / "want.csv"
-        data.write_csv(want, ("row", "score"), cli._score_line, np.arange(n_rows), scores)
+        data.write_csv(want, ("row", "score"), cli._score_line, [(np.arange(n_rows), scores)])
         seen, anomaly_score = [], objectives.anomaly_score
 
         def spy(model, points, sphere):
@@ -724,7 +730,7 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines()
         test = [(d["metrics"]["svdd"]["ratio_test"], d["metrics"]["svdd"]["rank_test"],
                  d["metrics"]["sad"]["ratio_test"], d["metrics"]["sad"]["rank_test"])
-                for d in json.load(open(out / "results.json"))]
+                for d in read_json(out / "results.json")]
         # a fold without labeled test rows has no metrics; it is no SAD win
         assert any(None in t for t in test) and any(None not in t for t in test)
         wins = sum(None not in t and t[2] >= t[0] and t[3] <= t[1] for t in test)
@@ -746,7 +752,7 @@ class TestReport:
             printed[name] = capsys.readouterr().out.splitlines()
         assert printed["plain"] == printed["gt"][:8]
         assert printed["plain"][-1].startswith("sad wins")
-        docs = json.load(open(tmp_path / "gt" / "run" / "results.json"))
+        docs = read_json(tmp_path / "gt" / "run" / "results.json")
         archetype_lines = printed["gt"][8:]
         assert len(archetype_lines) == len(data.ARCHETYPES)
         for name, line in zip(data.ARCHETYPES, archetype_lines):
@@ -807,20 +813,25 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, message", [
         ("generate", "[Errno 17] File exists"), ("run", "[Errno 21] Is a directory"),
-        ("score", "[Errno 21] Is a directory"), ("report", "[Errno 21] Is a directory")])
+        ("score", "[Errno 21] Is a directory"), ("report", "[Errno 21] Is a directory"),
+        ("generate", "[Errno 2] No such file or directory")])
     def test_os_error_exit_2(self, tmp_path, tiny_config, capsys, command, message):
-        # a directory where a file is read, a file where a directory is made
+        # a directory where a file is read, a file where a directory is made,
+        # a config that does not exist; the error names the path once
         a_dir, a_file = tmp_path / "dir", tmp_path / "file"
         a_dir.mkdir()
         a_file.write_text("")
-        argv = {"generate": ["--config", tiny_config, "--out", str(a_file)],
+        config = str(tmp_path / "none.json") if "Errno 2]" in message else tiny_config
+        argv = {"generate": ["--config", config, "--out", str(a_file)],
                 "run": ["--config", tiny_config, "--data", str(a_dir),
                         "--labels", str(a_file), "--out", str(tmp_path / "run")],
                 "score": ["--checkpoint", str(a_dir), "--data", str(a_file),
                           "--out", str(tmp_path / "s.csv")],
                 "report": ["--results", str(a_dir), "--out", str(tmp_path / "rep")]}
         assert cli.main([command, *argv[command]]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count(str(tmp_path)) == 1
 
     @pytest.mark.parametrize("command, flag", [
         ("report", "--results"), ("run", "--config"), ("run", "--data"),
@@ -890,7 +901,7 @@ def _run_until_manifest(path, generated):
 # writer -> (the file it fails to write, a call that writes it)
 WRITERS = {
     "write_csv": ("t.csv", lambda path, _: data.write_csv(
-        path, ("n",), str, np.arange(100))),
+        path, ("n",), str, [(np.arange(100),)])),
     "write_labels": ("labels.txt", lambda path, _: data.write_labels(
         path, np.arange(100))),
     "write_ground_truth": ("gt.csv", lambda path, _: data.write_ground_truth(

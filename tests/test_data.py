@@ -265,7 +265,7 @@ class TestGroundTruthSidecar:
         result = data.generate_synthetic(cfg)
         path = tmp_path / "gt.csv"
         data.write_ground_truth(path, result.ground_truth)
-        loaded = data.load_ground_truth(path)
+        loaded = data.load_ground_truth(path, cfg.n_rows)
         assert np.array_equal(loaded.rows, result.ground_truth.rows)
         assert loaded.archetypes == result.ground_truth.archetypes
         assert np.array_equal(loaded.labeled, result.ground_truth.labeled)

@@ -1,6 +1,3 @@
-import csv
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +6,8 @@ from hypothesis import strategies as st
 from lobsad import evalx
 from lobsad.errors import DataError
 from lobsad.evalx import PcaBasis, ScoreSet, TrialReport
+
+from conftest import read_json, read_rows
 
 
 def brute_force_ranks(scores):
@@ -216,20 +215,20 @@ def _make_report(trial=1):
 class TestExport:
     def test_empty_reports(self, tmp_path):
         evalx.export_report([], tmp_path)
-        rows = list(csv.reader(open(tmp_path / "results.csv")))
+        rows = read_rows(tmp_path / "results.csv")
         assert rows == [["trial", "fold", "model", "split", "metric", "value"]]
-        assert json.load(open(tmp_path / "results.json")) == []
+        assert read_json(tmp_path / "results.json") == []
 
     def test_one_trial_eight_metric_rows(self, tmp_path):
         evalx.export_report([_make_report()], tmp_path)
-        rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
+        rows = read_rows(tmp_path / "results.csv")[1:]
         assert len(rows) == 8  # 2 models x 2 splits x 2 tests
 
     def test_json_csv_cross_check(self, tmp_path):
         reports = [_make_report(1), _make_report(2)]
         evalx.export_report(reports, tmp_path)
-        docs = json.load(open(tmp_path / "results.json"))
-        csv_rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
+        docs = read_json(tmp_path / "results.json")
+        csv_rows = read_rows(tmp_path / "results.csv")[1:]
         for trial, fold, model, split, metric, value in csv_rows:
             doc = next(d for d in docs if d["trial"] == int(trial))
             assert float(value) == doc["metrics"][model][f"{metric}_{split}"]
@@ -238,7 +237,7 @@ class TestExport:
         rep = _make_report()
         rep.metrics["svdd"]["ratio_test"] = None
         evalx.export_report([rep], tmp_path)
-        rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
+        rows = read_rows(tmp_path / "results.csv")[1:]
         na = [r for r in rows if r[2] == "svdd" and r[3] == "test" and r[4] == "ratio"]
         assert na[0][5] == "NA"
 
@@ -248,8 +247,8 @@ class TestExport:
         bad.config["unencodable"] = object()
         with pytest.raises(TypeError):
             evalx.export_report([_make_report(1), bad], tmp_path)
-        assert [d["trial"] for d in json.load(open(tmp_path / "results.json"))] == [1]
-        rows = list(csv.reader(open(tmp_path / "results.csv")))[1:]
+        assert [d["trial"] for d in read_json(tmp_path / "results.json")] == [1]
+        rows = read_rows(tmp_path / "results.csv")[1:]
         assert {r[0] for r in rows} == {"1"}
         assert sorted(tmp_path.glob("*.tmp")) == []
 
@@ -273,7 +272,7 @@ class TestExport:
         is_labeled[[3, 7]] = True
         evalx.write_scatter(tmp_path / "trial1_scatter_sad_train", proj, is_labeled,
                             svg=True)
-        rows = list(csv.reader(open(tmp_path / "trial1_scatter_sad_train.csv")))
+        rows = read_rows(tmp_path / "trial1_scatter_sad_train.csv")
         assert rows[0] == ["pc1", "pc2", "is_labeled"]
         assert len(rows) == 31
         assert sum(int(r[2]) for r in rows[1:]) == 2
