@@ -10,7 +10,8 @@ Subcommands:
         scatters, and as each trial ends, results.csv/results.json
         rewritten for every trial ended so far.
     lobsad score --checkpoint ckpt --data lob.csv --out scores.csv
-        Anomaly score for every row of a CSV using a trial checkpoint.
+        Anomaly score for every row of a CSV using a trial checkpoint, the
+        CSV cut into one part per usable CPU.
     lobsad report --results results.json --out DIR
         Regenerate results.csv; for a run of both models, print SVDD vs SAD on
         the test split, per trial and, after a --ground-truth run, per archetype.
@@ -28,21 +29,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import logging
+import multiprocessing
 import os
+import shutil
 import sys
+import time
 import typing
 
 import numpy as np
 
 from . import data as data_mod
 from . import evalx, harness, nnet, objectives
-from .errors import ConfigError, DivergenceError, LobSadError
+from .errors import ConfigError, DivergenceError, LobSadError, WorkerError
 
 log = logging.getLogger("lobsad.cli")
 
 CONFIG_VERSION = 1
+_PART_ENDED = "part %d of %d: %d rows ended in process %d after %.2fs"  # one INFO line per part
 
 # field type -> the JSON types of a value for it (never a bool), and their name
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
@@ -183,9 +189,59 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _score_part(data_path, schema, model, norm, sphere, parts, i, path) -> None:
+    """Score part `i` of `parts` of the CSV `data_path` block by block, so
+    memory does not grow with its length, and write its lines to `path`, the
+    first part's after the header."""
+    t0, part = time.perf_counter(), parts[i]
+    first = part.first
+
+    def scored():  # (row numbers, scores) of each block
+        nonlocal first
+        for _, features in data_mod.iter_lob_csv(data_path, schema, part):
+            scores = objectives.anomaly_score(
+                model, data_mod.apply_normalizer(norm, features), sphere)
+            yield range(first, first + scores.size), scores
+            first += scores.size
+            del features, scores  # freed before the next block is parsed
+    data_mod.write_csv(path, None if i else ("row", "score"), _score_line, scored())
+    log.info(_PART_ENDED, i + 1, len(parts), first - part.first, os.getpid(),
+             time.perf_counter() - t0)
+
+
+def _part_error(task) -> Exception | None:
+    """Score a part; the error it raised, or None."""
+    try:
+        _score_part(*task)
+    except Exception as exc:
+        return exc
+    return None
+
+
+def _part_worker(send, cpu, task) -> None:
+    """A forked worker: its part, scored off the caller's CPU `cpu` (see
+    `harness.leave_cpu`), and then the part's error or None sent back."""
+    harness.leave_cpu(cpu)
+    send.send(_part_error(task))
+
+
+def _worker_ended(worker, recv) -> Exception | None:
+    """The error a worker sent back, None, or a WorkerError if it died first."""
+    try:
+        return recv.recv()
+    except EOFError:
+        worker.join()
+        return WorkerError(f"a scoring process exited with code {worker.exitcode}")
+
+
 def cmd_score(args) -> int:
-    """Score the CSV block by block, so memory does not grow with its length.
-    --out is written whole or not at all: a bad row leaves it as it was."""
+    """Score the CSV in parts, one per usable CPU: `data.csv_parts` cuts it on
+    block boundaries, so every part reads the blocks a whole-file read would,
+    and the scores do not depend on the number of parts. A forked worker
+    scores each part but the last, which this process scores; each part's
+    lines go to a file of its own, and then all of them, in order, to --out.
+    --out is written whole or not at all: a bad row or a failed part leaves
+    it as it was, and the error is that of the first part that failed."""
     model, meta = nnet.load_checkpoint(args.checkpoint)
     try:
         schema = data_mod.SchemaConfig(meta["feature_columns"])
@@ -193,19 +249,37 @@ def cmd_score(args) -> int:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
     norm = data_mod.Normalizer(mean=meta["norm_mean"], std=meta["norm_std"])
     sphere = objectives.Hypersphere(center=meta["center"])
-
-    def scored():  # (row numbers, scores) of each block
-        first = 0
-        for _, features in data_mod.iter_lob_csv(args.data, schema):
-            scores = objectives.anomaly_score(
-                model, data_mod.apply_normalizer(norm, features), sphere)
-            yield range(first, first + scores.size), scores
-            first += scores.size
-            del features, scores  # freed before the next block is parsed
-    # at the one BLAS thread a run trains and scores at, so the scores
-    # equal the run's stored ones at any thread count set outside
-    with nnet.one_blas_thread():
-        data_mod.write_csv(args.out, ("row", "score"), _score_line, scored())
+    parts = data_mod.csv_parts(args.data, harness.usable_cpus())
+    stem = f"{args.out}.{os.getpid()}.part"
+    work = [(args.data, schema, model, norm, sphere, parts, i, f"{stem}{i}.tmp")
+            for i in range(len(parts))]
+    fork, cpu, workers = multiprocessing.get_context("fork"), harness.this_cpu(), []
+    # at the one BLAS thread a run trains and scores at, so the scores equal
+    # the run's stored ones at any thread count set outside; the workers are
+    # forked inside it and inherit it. --out is opened first, so that a path
+    # it cannot take is named before any row is read
+    with nnet.one_blas_thread(), data_mod.replacing(args.out) as out:
+        try:
+            for task in work[:-1]:
+                recv, send = fork.Pipe(duplex=False)
+                worker = fork.Process(target=_part_worker, args=(send, cpu, task))
+                with send:  # the worker's end of the pipe
+                    worker.start()
+                workers.append((worker, recv))
+            mine = _part_error(work[-1])  # the last part, here
+            for error in [_worker_ended(*worker) for worker in workers] + [mine]:
+                if error is not None:
+                    raise error  # the first part's, in file order
+            for task in work:
+                with data_mod.reading(task[-1], newline="") as fh:
+                    shutil.copyfileobj(fh, out)
+        finally:
+            for worker, recv in workers:
+                worker.join()
+                recv.close()
+            # the parts, and what a worker killed mid-write left of one
+            for leftover in glob.glob(glob.escape(stem) + "*"):
+                os.remove(leftover)
     return 0
 
 
@@ -326,7 +400,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LobSadError, OSError) as exc:

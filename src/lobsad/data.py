@@ -25,8 +25,10 @@ import json
 import logging
 import math
 import os
+import stat
 from itertools import islice
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,7 @@ _CSV_BLOCK_ROWS = 2048  # rows per write in write_csv
 # page faults cost `lobsad score` about 0.1 s. A block's text and records
 # take ~5 MB.
 _BLOCK_ROWS = 8192
+_SCAN_BYTES = 1 << 18  # bytes per read when `csv_parts` counts lines
 _BLANK_LINES = ("\n", "\r\n", "\r")  # the lines csv.reader reads as no cells
 
 # one parsed data line: nanosecond stamps near 1.7e18 are not exact in float64,
@@ -196,12 +199,14 @@ def _read_block(path, lines: list[str], col_of: dict, first: int,
     return ts, book
 
 
-def _blocks(path, fh, col_of: dict, feat_cols: list[int]):
+def _blocks(path, fh, col_of: dict, feat_cols: list[int], first: int, prev_ts):
     """Yield the (timestamps, features) of each block of _BLOCK_ROWS lines
-    from the handle's position. Blank lines that end a block are not rows:
-    the first of them is carried to the front of the next block, where
-    `_parse_rows` fails it if a data line follows, and the rest are dropped."""
-    first, held, prev_ts = 0, [], None  # lines before the block, its carried blank line
+    from the line iterator `fh`, whose first line is data row `first + 1`;
+    `prev_ts` is the stamp of the row before it, None when there is none.
+    Blank lines that end a block are not rows: the first of them is carried
+    to the front of the next block, where `_parse_rows` fails it if a data
+    line follows, and the rest are dropped."""
+    held = []  # the carried blank line
     while lines := list(islice(fh, _BLOCK_ROWS)):
         lines[:0], held = held, []
         while lines and lines[-1] in _BLANK_LINES:
@@ -214,9 +219,70 @@ def _blocks(path, fh, col_of: dict, feat_cols: list[int]):
             yield block
 
 
-def iter_lob_csv(path, schema: SchemaConfig | None = None):
+class CsvPart(NamedTuple):
+    """The data lines [first, first + lines) of a LOB CSV, or from `first` to
+    its end when `lines` is None. The line before them, whose stamp the first
+    row's is checked against, starts at byte `before`."""
+    first: int = 0
+    before: int = 0
+    lines: int | None = None
+
+
+def csv_parts(path, n: int) -> list[CsvPart]:
+    """At most `n` parts of a LOB CSV's data lines, in order, that together
+    hold them all. Each part but the first starts on a block boundary (a
+    multiple of _BLOCK_ROWS lines) that no blank line ends, near an equal
+    share of the file's bytes, and the last holds at least one full block, so
+    `iter_lob_csv` reads in each part the blocks it reads in the whole file.
+
+    One part, the whole file, when n < 2, `path` is not a regular file or a
+    line ends in a lone '\r': the lines counted here are the '\n'-ended ones,
+    and text mode ends a line at a lone '\r' too."""
+    whole = [CsvPart()]
+    try:
+        if n < 2 or not stat.S_ISREG(os.stat(path).st_mode):
+            return whole
+        fh = open(path, "rb")
+    except OSError:  # the reader names it
+        return whole
+    cuts = []  # (j, the byte where data line j*_BLOCK_ROWS - 1 starts), that line not blank
+    with fh:
+        # the file's lines (the header is line 0) and bytes before the chunk,
+        # and its data lines up to the last one that is not blank
+        lines = offset = data_lines = 0
+        while chunk := fh.read(_SCAN_BYTES) + fh.readline():  # whole lines
+            byte = np.frombuffer(chunk, np.uint8)
+            ends = np.flatnonzero(byte == ord("\n"))
+            # each '\r' must end a line as "\r\n" (a chunk starts a line, so none ends at 0)
+            if np.count_nonzero(byte == ord("\r")) != np.count_nonzero(
+                    byte[ends[ends > 0] - 1] == ord("\r")):
+                return whole
+            # data line j*_BLOCK_ROWS - 1 is the file's line j*_BLOCK_ROWS
+            for j in range(max(1, -(-lines // _BLOCK_ROWS)),
+                           (lines + ends.size - 1) // _BLOCK_ROWS + 1):
+                k = j * _BLOCK_ROWS - lines  # its index in the chunk
+                lo = int(ends[k - 1]) + 1 if k else 0
+                if chunk[lo:ends[k] + 1] not in (b"\n", b"\r\n"):
+                    cuts.append((j, offset + lo))
+            if text := chunk.rstrip(b"\r\n"):
+                data_lines = lines + ends.size - chunk.count(b"\n", len(text))
+            lines, offset = lines + ends.size, offset + len(chunk)
+    full = data_lines // _BLOCK_ROWS
+    cuts = [cut for cut in cuts if cut[0] < full]  # the last part keeps a full block
+    n = min(n, full)
+    if n < 2 or not cuts:
+        return whole
+    targets = (offset * i / n for i in range(1, n))
+    picks = sorted({min(cuts, key=lambda cut: abs(cut[1] - at)) for at in targets})
+    parts = [CsvPart(j * _BLOCK_ROWS, before) for j, before in [(0, 0)] + picks]
+    return [part._replace(lines=after.first - part.first)
+            for part, after in zip(parts, parts[1:])] + parts[-1:]
+
+
+def iter_lob_csv(path, schema: SchemaConfig | None = None, part: CsvPart = CsvPart()):
     """Yield the (timestamps, features) of a LOB CSV block by block, in row
-    order. Bad input raises as in `load_lob_csv`, when its block is read.
+    order: of its data lines in `part`, by default all of them. Bad input
+    raises as in `load_lob_csv`, when its block is read.
 
     A block holds _BLOCK_ROWS rows, except that a short last block is merged
     into the one before it: `objectives.embed` then forwards no chunk of a few
@@ -230,9 +296,16 @@ def iter_lob_csv(path, schema: SchemaConfig | None = None):
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
+        col_of = {c: header.index(c) for c in CSV_COLUMNS}
+        prev_ts = None
+        if part.first:  # the row before the part; if it does not convert, its own part fails
+            fh.seek(part.before)
+            ts = _parse_rows([fh.readline()], col_of, part.first - 1)[0]
+            prev_ts = ts[0] if ts.size else None
         held = None
-        for block in _blocks(path, fh, {c: header.index(c) for c in CSV_COLUMNS},
-                             [BOOK_COLUMNS.index(c) for c in schema.feature_columns]):
+        for block in _blocks(path, islice(fh, part.lines), col_of,
+                             [BOOK_COLUMNS.index(c) for c in schema.feature_columns],
+                             part.first, prev_ts):
             if held is None:
                 held = block
             elif block[0].size < _BLOCK_ROWS:
@@ -277,12 +350,27 @@ def replacing(path):
 @contextlib.contextmanager
 def reading(path, newline=None):
     """`path` open as UTF-8 text; a byte that is not UTF-8 raises a DataError
-    naming `path`."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+    naming `path` and the byte's position in the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {_decode_error(fh, exc)}") from None
+
+
+def _decode_error(fh, exc: UnicodeDecodeError) -> str:
+    """`exc`'s message, with the bad bytes' position in the file rather than
+    in the bytes the decoder failed on: the chunk last read, which ends where
+    the file now stands, after any bytes held back from the chunk before. A
+    file that has no position (a pipe) keeps the decoder's."""
+    try:
+        at = fh.buffer.tell() - len(exc.object) + exc.start
+    except OSError:
+        return str(exc)
+    n = exc.end - exc.start
+    what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if n == 1
+            else f"bytes in position {at}-{at + n - 1}")
+    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 def read_json(path):
@@ -296,17 +384,19 @@ def read_json(path):
 
 
 def write_csv(path, header, line, blocks) -> None:
-    """Write `header`, then `line(*cells)` for each row of each block in
-    `blocks`, an iterable of tuples of row-aligned columns whose cells arrive
-    as Python scalars (a row of a 2-D column as a list). A generator that
-    raises leaves the file as it was. Lines end in `\r\n`, as RFC 4180 ends
-    them; callers format floats with `repr`, which reads back bit for bit.
+    """Write `header` (no header line when it is None), then `line(*cells)`
+    for each row of each block in `blocks`, an iterable of tuples of
+    row-aligned columns whose cells arrive as Python scalars (a row of a 2-D
+    column as a list). A generator that raises leaves the file as it was.
+    Lines end in `\r\n`, as RFC 4180 ends them; callers format floats with
+    `repr`, which reads back bit for bit.
 
     Rows are converted and written _CSV_BLOCK_ROWS at a time: converting whole
     columns at once spreads their Python objects over the allocator's arenas
     and raises the peak RSS of `lobsad run` at 60k rows by about 7%."""
     with replacing(path) as fh:
-        fh.write(",".join(header) + "\r\n")
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
         for columns in blocks:
             for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
                 cells = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS]).tolist() for c in columns]
@@ -314,11 +404,23 @@ def write_csv(path, header, line, blocks) -> None:
 
 
 def write_lob_csv(path, timestamps: np.ndarray, book: np.ndarray) -> None:
-    """Write a full (N, 40) book table plus timestamps in the canonical layout."""
+    """Write a full (N, 40) book table plus timestamps in the canonical layout.
+
+    A block of rows holds a few hundred distinct book values, so each block's
+    values are keyed by their bits (which keeps -0.0 apart from 0.0), each
+    distinct one goes through `repr` once, and the rows join its strings."""
     if book.shape[1] != len(BOOK_COLUMNS):
         raise DataError(f"book must have {len(BOOK_COLUMNS)} columns, got {book.shape[1]}")
-    write_csv(path, CSV_COLUMNS, lambda t, row: f"{t},{','.join(map(repr, row))}",
-              [(np.asarray(timestamps, dtype=np.int64), np.asarray(book, dtype=np.float64))])
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    book = np.ascontiguousarray(book, dtype=np.float64)
+
+    def blocks():  # (timestamps, the book's cells as strings) of each block
+        for lo in range(0, book.shape[0], _CSV_BLOCK_ROWS):
+            cells = book[lo:lo + _CSV_BLOCK_ROWS]
+            bits, where = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            yield timestamps[lo:lo + _CSV_BLOCK_ROWS], text[where].reshape(cells.shape)
+    write_csv(path, CSV_COLUMNS, lambda t, row: f"{t},{','.join(row)}", blocks())
 
 
 def load_labels(path, dataset: Dataset) -> Dataset:

@@ -23,3 +23,7 @@ class SchemaError(LobSadError):
 
 class DivergenceError(LobSadError):
     """Training produced non-finite or exploding losses."""
+
+
+class WorkerError(LobSadError):
+    """A worker process ended before it reported its result."""

@@ -293,11 +293,36 @@ def run_trial(dataset: Dataset, cfg: TrainConfig, repeat: int, fold: int,
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on: the processes `lobsad run` trains on
+    and the parts `lobsad score` cuts its CSV into, at most."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def this_cpu() -> int | None:
+    """The CPU this thread runs on, or None where no loaded library exports
+    `sched_getcpu`."""
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
+    cpu = sched_getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def leave_cpu(cpu: int | None) -> None:
+    """Keep this process off `cpu` when it may run on another CPU; a no-op
+    where affinity cannot be set. A forked worker of a parent that goes on
+    computing calls it with the parent's CPU: on a 2-vCPU machine the kernel
+    often left both on one CPU through all of `lobsad score`'s ~0.2 s parts,
+    which then took as long as one process scoring the whole file."""
+    with contextlib.suppress(AttributeError, OSError):
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
 
 
 def resolve_jobs(jobs: int | None, cfg: TrainConfig, modes=MODES) -> int:

@@ -1,10 +1,12 @@
 import builtins
 import errno
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -584,7 +586,7 @@ class TestScore:
         assert "10" in err and "20" in err
 
 
-    def test_stored_schema_rescores_bit_for_bit(self, tmp_path):
+    def test_stored_schema_rescores_bit_for_bit(self, tmp_path, monkeypatch):
         ask_side = ([f"ask_px_{i}" for i in range(1, 11)]
                     + [f"ask_sz_{i}" for i in range(1, 11)])
         cfg = write_config(tmp_path / "ask.json", TINY_TRAIN,
@@ -604,6 +606,13 @@ class TestScore:
             stored.update(read_rows(path)[1:])
         assert len(stored) == len(scored) == 400
         assert scored == stored
+        # and at 2 processes, in parts of whole blocks of 128 rows
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 128)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        assert len(data.csv_parts(gen / "lob.csv", 2)) == 2
+        assert cli.main(score_argv(out / "trial1_fold0_sad.ckpt", gen / "lob.csv",
+                                   tmp_path / "parts.csv")) == 0
+        assert dict(read_rows(tmp_path / "parts.csv")[1:]) == stored
 
     @pytest.mark.parametrize("fields, edit", BAD_CHECKPOINTS)
     def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, monkeypatch,
@@ -638,7 +647,9 @@ class TestScore:
         (500, [500])])
     def test_streams_blocks_same_bytes(self, tmp_path, monkeypatch, n_rows, blocks):
         # the scores CSV equals anomaly_score over the whole file's features;
-        # the short last block is merged into the one before it
+        # the short last block is merged into the one before it. One process,
+        # so that the spy sees every block
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         lob, ckpt = score_inputs(tmp_path, n_rows)
         model, meta = nnet.load_checkpoint(ckpt)
         feats = data.apply_normalizer(
@@ -697,6 +708,9 @@ class TestScore:
 
     def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_ROWS", 256)
+        # one process: tracemalloc sees this one, and `csv_parts` reads up to
+        # _SCAN_BYTES at a time, more than a 256-row block
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         peaks = {}
         for n_blocks in (2, 8, 2, 8):  # the first run warms caches up
             lob, ckpt = score_inputs(tmp_path, n_blocks * 256)
@@ -708,6 +722,145 @@ class TestScore:
                 tracemalloc.stop()
         # scoring every row at once would peak about 4x higher at 8 blocks
         assert peaks[8] < 1.1 * peaks[2]
+
+
+# lines per block in the tests of parts: a few hundred rows make several blocks
+PART_BLOCK = 64
+
+
+def fault_at(lob, row, fault):
+    """Rewrite data row `row` (1-based) of `lob` with a fault."""
+    lines = lob.read_bytes().splitlines(keepends=True)
+    cells = lines[row].split(b",")
+    if fault == "crossed":
+        cells[1] = cells[21]  # best bid = best ask
+    elif fault == "size":
+        cells[11] = b"0.0"
+    elif fault == "ts_order":  # one below the row before's
+        cells[0] = b"%d" % (int(lines[row - 1].split(b",")[0]) - 1)
+    elif fault == "blank":
+        cells = [b"\r\n"]
+    elif fault == "utf8":
+        cells[5] = b"\xff" + cells[5]
+    lines[row] = b",".join(cells)
+    lob.write_bytes(b"".join(lines))
+
+
+def score_at_each_count(monkeypatch, capsys, argv, counts=(1, 2, 3)):
+    """{usable CPUs: (exit code, stderr)} of `lobsad score` at each count,
+    each leaving no worker process behind."""
+    outcomes = {}
+    for cpus in counts:
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        outcomes[cpus] = cli.main(argv), capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+    return outcomes
+
+
+class TestScoreParts:
+    @pytest.mark.parametrize("n_rows", [PART_BLOCK, 2 * PART_BLOCK, 3 * PART_BLOCK + 7,
+                                        4 * PART_BLOCK])
+    def test_same_bytes_at_every_process_count(self, tmp_path, monkeypatch, capsys,
+                                               n_rows):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", PART_BLOCK)
+        lob, ckpt = score_inputs(tmp_path, n_rows)
+        assert len(data.csv_parts(lob, 3)) == min(3, n_rows // PART_BLOCK)
+        outs = []
+        for cpus in (1, 2, 3):
+            outs.append(tmp_path / f"s{cpus}.csv")
+            assert score_at_each_count(monkeypatch, capsys, score_argv(ckpt, lob, outs[-1]),
+                                       (cpus,)) == {cpus: (0, "")}
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert sorted(os.listdir(tmp_path)) == sorted(["lob.csv", "score.ckpt", "s1.csv",
+                                                       "s2.csv", "s3.csv"])
+
+    @pytest.mark.parametrize("faults, want", [
+        ([(128, "crossed")], "row 128: crossed book"),
+        ([(129, "ts_order")], "row 129: timestamp"),
+        ([(128, "blank")], "row 128: blank line before the last data row"),
+        ([(100, "crossed"), (150, "size")], "row 100: crossed book"),
+        ([(150, "utf8")], "'utf-8' codec can't decode byte 0xff in position"),
+    ], ids=["crossed-end-of-part-1", "stamp-start-of-part-2", "blank-end-of-part-1",
+            "both-parts", "utf8-in-part-2"])
+    def test_fault_by_a_part_boundary_same_error(self, tmp_path, monkeypatch, capsys,
+                                                 faults, want):
+        # rows 128 and 129 sit on each side of a part boundary at 2 and at 3
+        # processes: every count exits 2 with the first fault's error
+        monkeypatch.setattr(data, "_BLOCK_ROWS", PART_BLOCK)
+        lob, ckpt = score_inputs(tmp_path, 3 * PART_BLOCK + 7)
+        for n in (2, 3):
+            assert 2 * PART_BLOCK in [part.first for part in data.csv_parts(lob, n)]
+        for row, fault in faults:
+            fault_at(lob, row, fault)
+        before = sorted(os.listdir(tmp_path))
+        outcomes = score_at_each_count(monkeypatch, capsys,
+                                       score_argv(ckpt, lob, tmp_path / "s.csv"))
+        assert outcomes[1][0] == 2 and outcomes[1][1].startswith(f"error: {lob}: ")
+        assert want in outcomes[1][1] and outcomes[1][1].count("\n") == 1
+        assert outcomes[1] == outcomes[2] == outcomes[3]
+        assert sorted(os.listdir(tmp_path)) == before  # no --out, no part file
+
+    def test_dead_worker_fails_fast(self, tmp_path, monkeypatch, capsys):
+        # a worker killed in the middle of its part: one error line, exit 1,
+        # no --out, no part file and no process left
+        monkeypatch.setattr(data, "_BLOCK_ROWS", PART_BLOCK)
+        lob, ckpt = score_inputs(tmp_path, 4 * PART_BLOCK)
+        caller, anomaly_score = os.getpid(), objectives.anomaly_score
+
+        def dies_in_worker(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return anomaly_score(*args)
+        monkeypatch.setattr(objectives, "anomaly_score", dies_in_worker)
+        before = sorted(os.listdir(tmp_path))
+        t0 = time.monotonic()
+        (code, err), = score_at_each_count(monkeypatch, capsys,
+                                           score_argv(ckpt, lob, tmp_path / "s.csv"),
+                                           (2,)).values()
+        assert time.monotonic() - t0 < 60
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_fifo_scored_in_one_process(self, tmp_path, monkeypatch, capsys):
+        # a --data that is not a regular file is read once, start to end
+        monkeypatch.setattr(data, "_BLOCK_ROWS", PART_BLOCK)
+        lob, ckpt = score_inputs(tmp_path, 4 * PART_BLOCK)
+        assert score_at_each_count(monkeypatch, capsys,
+                                   score_argv(ckpt, lob, tmp_path / "want.csv"),
+                                   (1,)) == {1: (0, "")}
+        fifo = tmp_path / "lob.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(lob.read_bytes())
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert score_at_each_count(monkeypatch, capsys,
+                                       score_argv(ckpt, fifo, tmp_path / "s.csv"),
+                                       (3,)) == {3: (0, "")}
+        finally:
+            writer.join()
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_each_process_logs_its_part(self, tmp_path):
+        lob, ckpt = score_inputs(tmp_path, 4 * PART_BLOCK + 5)
+        script = ("import sys; from lobsad import cli, data, harness; "
+                  f"data._BLOCK_ROWS = {PART_BLOCK}; harness.usable_cpus = lambda: 3; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *score_argv(ckpt, lob, tmp_path / "s.csv")],
+            capture_output=True, text=True, timeout=120,
+            env=os.environ | {"SAD_LOG": "INFO", "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        ended = re.findall(r"INFO lobsad\.cli: part (\d) of 3: (\d+) rows ended in "
+                           r"process (\d+) after \d+\.\d\ds", proc.stderr)
+        assert sorted(part for part, _, _ in ended) == ["1", "2", "3"]
+        assert sum(int(rows) for _, rows, _ in ended) == 4 * PART_BLOCK + 5
+        assert len({pid for _, _, pid in ended}) == 3
 
 
 class TestReport:

@@ -595,3 +595,140 @@ class TestLoaderOracle:
         for t, row in zip(result.dataset.timestamps, result.book):
             writer.writerow([int(t)] + [repr(float(v)) for v in row])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_string_table_writer_matches_per_cell_repr(self, tmp_path):
+        # +-0.0 kept apart, repeated and all-distinct values, and a block of
+        # rows that ends on the 2,048-row write boundary and one that passes it
+        rng = np.random.default_rng(3)
+        for n in (5, data._CSV_BLOCK_ROWS, data._CSV_BLOCK_ROWS + 3):
+            book = rng.choice([0.0, -0.0, 1.5, -1.5, 1e-300, 135.25], size=(n, 40))
+            book[n // 2] = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)
+            ts = np.arange(n, dtype=np.int64) * 7 - 3
+            path, want = tmp_path / "lob.csv", tmp_path / "want.csv"
+            data.write_lob_csv(path, ts, book)
+            data.write_csv(want, data.CSV_COLUMNS,
+                           lambda t, row: f"{t},{','.join(map(repr, row))}", [(ts, book)])
+            assert path.read_bytes() == want.read_bytes()
+            assert b",-0.0," in path.read_bytes() and b",0.0," in path.read_bytes()
+
+
+# --- parts: a CSV cut on block boundaries, each part read on its own ---------
+
+
+def read_blocks(path, schema, parts):
+    """Every block `iter_lob_csv` yields over `parts`, in order, or the
+    DataError message of the first part that fails."""
+    try:
+        return [block for part in parts for block in data.iter_lob_csv(path, schema, part)]
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_blocks(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert [ts.size for ts, _ in a] == [ts.size for ts, _ in b]
+    for (ts_a, feats_a), (ts_b, feats_b) in zip(a, b):
+        assert np.array_equal(ts_a, ts_b)
+        assert np.array_equal(feats_a.view(np.int64), feats_b.view(np.int64))
+
+
+def write_book_lines(path, n_rows, newline="\r\n", edit=lambda lines: lines):
+    """A well-formed CSV of `n_rows` rows at `path`, its lines (header first)
+    passed through `edit` on the way; returns the lines written."""
+    ts, book = random_table(np.random.default_rng(n_rows), n_rows)
+    lines = edit(lob_lines(ts, book, data.CSV_COLUMNS, repr))
+    write_lines(path, lines, newline)
+    return lines
+
+
+class TestCsvParts:
+    @given(case=lob_files((None, *VALIDATION_DEFECTS, *PARSE_DEFECTS)),
+           n_blank=st.integers(0, 2), block_rows=st.integers(1, 3), n=st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_parts_read_the_whole_files_blocks(self, case, n_blank, block_rows, n):
+        # the same blocks, or the same first error, whatever the part count
+        lines, newline, schema, _, _ = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines + [""] * n_blank, newline)
+            parts = data.csv_parts(path, n)
+            assert_same_blocks(read_blocks(path, schema, parts),
+                               read_blocks(path, schema, [data.CsvPart()]))
+
+    @given(lines=multi_defect_files(), block_rows=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_several_defects_first_part_named(self, lines, block_rows):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+            path = os.path.join(tmp, "lob.csv")
+            write_lines(path, lines, "\n")
+            want = reference_error(path, lines)
+            for n in (2, 3):
+                assert read_blocks(path, data.SchemaConfig(), data.csv_parts(path, n)) == want
+
+    @pytest.mark.parametrize("n_rows", [64, 128, 3 * 64 + 7, 10 * 64])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_parts_on_block_boundaries_near_equal_bytes(self, tmp_path, monkeypatch,
+                                                        n_rows, n):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+        path = tmp_path / "lob.csv"
+        write_book_lines(path, n_rows)
+        parts = data.csv_parts(path, n)
+        full = n_rows // 64
+        assert len(parts) == min(n, full)  # never more parts than full blocks
+        raw = path.read_bytes()
+        starts = np.r_[0, np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n")) + 1]
+        assert parts[0].first == 0
+        for part, after in zip(parts, parts[1:] + [None]):
+            assert part.first % 64 == 0
+            assert part.first == 0 or part.before == starts[part.first]  # data line first - 1
+            assert part.lines == (None if after is None else after.first - part.first)
+        assert n_rows - parts[-1].first >= 64  # the last part holds a full block
+        if (n_rows, n) == (10 * 64, 2):  # the middle of the bytes, five blocks each
+            assert [p.first for p in parts] == [0, 5 * 64]
+
+    def test_never_cut_after_a_blank_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+        path = tmp_path / "lob.csv"
+        for blank in range(1, 17):  # the blank line is data line `blank - 1`
+            write_book_lines(path, 16, edit=lambda lines: lines[:blank] + [""] + lines[blank + 1:])
+            firsts = [part.first for part in data.csv_parts(path, 4)]
+            assert blank not in firsts and firsts[0] == 0
+
+    def test_one_part_unless_lines_end_in_newline_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+        path = tmp_path / "lob.csv"
+        write_book_lines(path, 16)
+        assert len(data.csv_parts(path, 2)) == 2
+        assert data.csv_parts(path, 1) == [data.CsvPart()]
+        assert data.csv_parts(tmp_path / "missing.csv", 2) == [data.CsvPart()]
+        assert data.csv_parts(tmp_path, 2) == [data.CsvPart()]  # not a regular file
+        for lone in ("\r", "\n\r"):  # text mode ends a line at a lone '\r'
+            write_book_lines(path, 16, edit=lambda lines: lines[:9] + [lines[9] + lone] + lines[10:])
+            assert data.csv_parts(path, 2) == [data.CsvPart()]
+        write_book_lines(path, 16, newline="\r")
+        assert data.csv_parts(path, 2) == [data.CsvPart()]
+
+
+class TestDecodeErrorPosition:
+    @given(at=st.integers(0, 30_000), bad=st.sampled_from([b"\xff", b"\xe2\x28\xa1", b"\xc3"]),
+           newline=st.sampled_from([None, ""]), end=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_names_the_files_byte(self, at, bad, newline, end):
+        # past the text wrapper's 8 KiB chunks, and a sequence cut off by the
+        # end of the file: the position is the file's, as a decode of it all names it
+        text = b"".join(b"%05d,abcdefghij\r\n" % i for i in range(2000))
+        raw = text + bad if end else text[:at] + bad + text[at:]
+        with pytest.raises(UnicodeDecodeError) as want:
+            raw.decode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.txt")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            with pytest.raises(DataError) as got:
+                with data.reading(path, newline) as fh:
+                    fh.read() if at % 2 else list(fh)
+        assert str(got.value) == f"{path}: {want.value}"

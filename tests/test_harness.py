@@ -543,6 +543,21 @@ class TestRunExperiment:
         monkeypatch.undo()
         assert harness.usable_cpus() >= 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+    def test_leave_cpu(self):
+        # off the given CPU when another is usable, and on it when it is the only one
+        before = os.sched_getaffinity(0)
+        cpu = harness.this_cpu()
+        assert cpu is None or cpu in before
+        try:
+            harness.leave_cpu(min(before))
+            assert os.sched_getaffinity(0) == (before - {min(before)} or before)
+            os.sched_setaffinity(0, {min(before)})
+            harness.leave_cpu(min(before))
+            assert os.sched_getaffinity(0) == {min(before)}
+        finally:
+            os.sched_setaffinity(0, before)
+
     def test_own_trial_failure_drains_workers(self, tiny_synth, monkeypatch,
                                               tmp_path):
         # two processes, four trials: this process runs trial 1 while the
