@@ -38,6 +38,7 @@ import shutil
 import sys
 import time
 import typing
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -52,8 +53,7 @@ _PART_ENDED = "part %d of %d: %d rows ended in process %d after %.2fs"  # one IN
 
 # field type -> the JSON types of a value for it (never a bool), and their name
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"), tuple: ((list,), "a list"),
-               dict: ((dict,), "an object"), data_mod.SchemaConfig: ((list,), "a list")}
+               str: ((str,), "a string"), tuple: ((list,), "a list"), dict: ((dict,), "an object")}
 
 
 def _dataclass_from_dict(cls, section: dict, name: str):
@@ -69,13 +69,11 @@ def _dataclass_from_dict(cls, section: dict, name: str):
         types, noun = _JSON_TYPES[typing.get_origin(hints[key]) or hints[key]]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"'{name}' section: {key} must be {noun}, got {value!r}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
-    if "schema" in kwargs:
-        kwargs["schema"] = data_mod.SchemaConfig(kwargs["schema"])
-    return cls(**kwargs)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
 
 
-def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
+def load_run_config(path):
+    """(train, synth, schema): `features` is the view of any data, synthetic or real."""
     doc = data_mod.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -83,15 +81,21 @@ def load_run_config(path) -> tuple[harness.TrainConfig, data_mod.SynthConfig]:
     if type(version) is not int or version != CONFIG_VERSION:  # not True, not 1.0
         raise ConfigError(f"{path}: expected version {CONFIG_VERSION}, "
                           f"got {version!r}")
-    unknown = set(doc) - {"version", "train", "synth"}
+    unknown = set(doc) - {"version", "train", "synth", "features"}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
+    if isinstance(doc.get("synth"), dict) and "schema" in doc["synth"]:
+        raise ConfigError(f"{path}: synth.schema is now the top-level 'features' list")
     train = _dataclass_from_dict(harness.TrainConfig, doc.get("train", {}), "train")
     synth = _dataclass_from_dict(data_mod.SynthConfig, doc.get("synth", {}), "synth")
-    if len(synth.schema.feature_columns) != train.layer_dims[0]:  # the network's input
-        raise ConfigError(f"{path}: {len(synth.schema.feature_columns)} feature columns "
+    features = doc.get("features", [*data_mod.DEFAULT_FEATURES])
+    if not isinstance(features, list):
+        raise ConfigError(f"{path}: features must be a list, got {features!r}")
+    schema = data_mod.SchemaConfig(tuple(features))
+    if len(features) != train.layer_dims[0]:  # the network's input
+        raise ConfigError(f"{path}: {len(features)} feature columns "
                           f"do not fit layer_dims[0] = {train.layer_dims[0]}")
-    return train, synth
+    return train, synth, schema
 
 
 def _apply_overrides(args, train: harness.TrainConfig,
@@ -104,19 +108,18 @@ def _apply_overrides(args, train: harness.TrainConfig,
     return train, synth
 
 
-def _config_snapshot(train, synth) -> dict:
-    doc = {"version": CONFIG_VERSION,
-           "train": dataclasses.asdict(train),
-           "synth": dataclasses.asdict(synth)}
-    doc["synth"]["schema"] = list(synth.schema.feature_columns)
-    return doc
+def _config_snapshot(train, synth, schema) -> dict:
+    return {"version": CONFIG_VERSION,
+            "train": dataclasses.asdict(train),
+            "synth": dataclasses.asdict(synth),
+            "features": list(schema.feature_columns)}
 
 
 def cmd_generate(args) -> int:
-    train, synth = load_run_config(args.config)
+    train, synth, schema = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
     os.makedirs(args.out, exist_ok=True)
-    result = data_mod.generate_synthetic(synth)
+    result = data_mod.generate_synthetic(synth, schema)
     data_mod.write_lob_csv(os.path.join(args.out, "lob.csv"),
                            result.dataset.timestamps, result.book)
     data_mod.write_labels(os.path.join(args.out, "labels.txt"),
@@ -152,13 +155,13 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    train, synth = load_run_config(args.config)
+    train, synth, schema = load_run_config(args.config)
     train, synth = _apply_overrides(args, train, synth)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
              "sad-only": ("sad",)}[args.mode]
     jobs = harness.resolve_jobs(args.jobs, train, modes)
 
-    dataset = data_mod.load_lob_csv(args.data, synth.schema)
+    dataset = data_mod.load_lob_csv(args.data, schema)
     dataset = data_mod.load_labels(args.labels, dataset)
     harness.contiguous_kfold(dataset.n_rows, train.k_folds)  # refused before any file
     gt = (data_mod.load_ground_truth(args.ground_truth, dataset.n_rows)
@@ -175,7 +178,7 @@ def cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     with nnet.one_blas_thread() as blas_threads:  # as run_experiment trains
-        manifest = {"config": _config_snapshot(train, synth),
+        manifest = {"config": _config_snapshot(train, synth, schema),
                     "data": os.path.abspath(args.data),
                     "labels": os.path.abspath(args.labels),
                     "mode": args.mode, "jobs": jobs, "blas_threads": blas_threads,
@@ -185,7 +188,7 @@ def cmd_run(args) -> int:
             json.dump(manifest, fh, indent=2)
         harness.run_experiment(
             dataset, train, modes=modes, jobs=jobs, ground_truth=gt, on_trial=on_trial,
-            save=lambda res: _save_trial(res, args.out, synth.schema, args.svg))
+            save=lambda res: _save_trial(res, args.out, schema, args.svg))
     return 0
 
 
@@ -243,10 +246,7 @@ def cmd_score(args) -> int:
     --out is written whole or not at all: a bad row or a failed part leaves
     it as it was, and the error is that of the first part that failed."""
     model, meta = nnet.load_checkpoint(args.checkpoint)
-    try:
-        schema = data_mod.SchemaConfig(meta["feature_columns"])
-    except ConfigError as exc:
-        raise ConfigError(f"{args.checkpoint}: {exc}") from None
+    schema = data_mod.SchemaConfig(meta["feature_columns"])
     norm = data_mod.Normalizer(mean=meta["norm_mean"], std=meta["norm_std"])
     sphere = objectives.Hypersphere(center=meta["center"])
     parts = data_mod.csv_parts(args.data, harness.usable_cpus())
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DivergenceError, WorkerError) as exc:
+    except (DivergenceError, WorkerError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LobSadError, OSError) as exc:

@@ -27,7 +27,7 @@ import math
 import os
 import stat
 from itertools import islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -279,7 +279,7 @@ def csv_parts(path, n: int) -> list[CsvPart]:
             for part, after in zip(parts, parts[1:])] + parts[-1:]
 
 
-def iter_lob_csv(path, schema: SchemaConfig | None = None, part: CsvPart = CsvPart()):
+def iter_lob_csv(path, schema: SchemaConfig = SchemaConfig(), part: CsvPart = CsvPart()):
     """Yield the (timestamps, features) of a LOB CSV block by block, in row
     order: of its data lines in `part`, by default all of them. Bad input
     raises as in `load_lob_csv`, when its block is read.
@@ -287,7 +287,6 @@ def iter_lob_csv(path, schema: SchemaConfig | None = None, part: CsvPart = CsvPa
     A block holds _BLOCK_ROWS rows, except that a short last block is merged
     into the one before it: `objectives.embed` then forwards no chunk of a few
     rows, and each row scores as it does in the whole file."""
-    schema = schema or SchemaConfig()
     with reading(path, newline="") as fh:
         line = fh.readline()
         if not line:
@@ -317,10 +316,9 @@ def iter_lob_csv(path, schema: SchemaConfig | None = None, part: CsvPart = CsvPa
             yield held
 
 
-def load_lob_csv(path, schema: SchemaConfig | None = None) -> Dataset:
+def load_lob_csv(path, schema: SchemaConfig = SchemaConfig()) -> Dataset:
     """Parse a LOB CSV into a Dataset; bad rows raise with their 1-based row
     number. The rows are those of `iter_lob_csv`'s blocks, concatenated."""
-    schema = schema or SchemaConfig()
     blocks = list(iter_lob_csv(path, schema)) or [
         (np.empty(0, np.int64), np.empty((0, len(schema.feature_columns))))]
     ts, features = (np.concatenate(parts) for parts in zip(*blocks))
@@ -341,7 +339,10 @@ def replacing(path):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as above: `path`, not `tmp -> path`
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:  # the temporary file is gone once it has replaced `path`
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -486,7 +487,6 @@ class SynthConfig:
     size_log_sigma: float = 0.6
     archetype_mix: tuple[float, float, float] = (0.4, 0.3, 0.3)  # spoof, layering, flash
     spoof_side: str = "bid"  # side carrying size anomalies; must be in the feature view
-    schema: SchemaConfig = field(default_factory=SchemaConfig)
 
     def __post_init__(self):
         if not (0 <= self.anomaly_rate < 1):
@@ -560,11 +560,10 @@ def _episode_plan(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[int,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN are refused below
-def generate_synthetic(cfg: SynthConfig) -> SynthResult:
+def generate_synthetic(cfg: SynthConfig, schema: SchemaConfig = SchemaConfig()) -> SynthResult:
     """Tick-rounded mid-price random walk with 10 levels per side and injected
-    spoof / layering / flash-move episodes; deterministic for a fixed seed."""
-    # here, not in SynthConfig: `run` reads a schema of real data, where no side is spoofed
-    if not any(c.startswith(f"{cfg.spoof_side}_sz_") for c in cfg.schema.feature_columns):
+    spoof / layering / flash-move episodes in `schema`'s view; deterministic per seed."""
+    if not any(c.startswith(f"{cfg.spoof_side}_sz_") for c in schema.feature_columns):
         raise ConfigError(f"spoof_side {cfg.spoof_side} has no size column in the schema")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_rows
@@ -630,7 +629,7 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     jitter = rng.integers(0, cadence_ns // 2, size=n)
     ts = np.int64(1_700_000_000_000_000_000) + np.arange(n, dtype=np.int64) * cadence_ns + jitter
 
-    feat_cols = [BOOK_COLUMNS.index(c) for c in cfg.schema.feature_columns]
+    feat_cols = [BOOK_COLUMNS.index(c) for c in schema.feature_columns]
     ds = Dataset(features=book[:, feat_cols], timestamps=ts,
                  labeled_idx=labeled_rows.astype(np.int64))
     gt = GroundTruth(rows=gt_rows, archetypes=gt_arch, labeled=labeled_mask)

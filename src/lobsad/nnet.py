@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import read_json, replacing
+from .data import SchemaConfig, read_json, replacing
 from .errors import ConfigError, DataError, DivergenceError, LobSadError, ShapeError
 
 DEFAULT_DIMS = (20, 100, 100, 100, 20)
@@ -335,13 +335,13 @@ def _read_checkpoint(doc) -> tuple[MlpModel, dict]:
             raise ValueError(f"{key} has non-finite values")
     if not (meta["norm_std"] > 0).all():
         raise ValueError("norm_std has values <= 0")
-    cols = doc["feature_columns"]
-    if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+    if not isinstance(doc["feature_columns"], list):
         raise TypeError("feature_columns is not a list of column names")
+    cols = SchemaConfig(tuple(doc["feature_columns"])).feature_columns  # known names
     if len(cols) != model.input_dim:
         raise ValueError(f"feature_columns names {len(cols)} columns for "
                          f"{model.input_dim} model inputs")
-    return model, meta | {"feature_columns": tuple(cols)}
+    return model, meta | {"feature_columns": cols}
 
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
@@ -351,8 +351,8 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     `norm_std` as float64 arrays and `feature_columns` as a tuple of names.
     Every field is checked against the model first: a file that is not JSON,
     a missing or mistyped field, a shape that does not fit the model, a
-    non-finite value, `norm_std` <= 0, a column count other than the input
-    width, or a version other than 3 raises ConfigError naming `path`.
+    non-finite value, `norm_std` <= 0, columns other than one known name per
+    input, or a version other than 3 raises ConfigError naming `path`.
     """
     doc = read_json(path)  # its errors name `path` already
     try:

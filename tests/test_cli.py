@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import json
 import multiprocessing
@@ -19,10 +20,12 @@ from lobsad.errors import DataError, DivergenceError
 from conftest import read_json, read_rows
 
 
-def write_config(path, train=None, synth=None):
+def write_config(path, train=None, synth=None, features=None):
     doc = {"version": 1,
            "train": train or {},
            "synth": synth or {}}
+    if features is not None:
+        doc["features"] = features
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -31,6 +34,7 @@ TINY_TRAIN = {"pretrain_epochs": 2, "main_epochs": 3, "batch_size": 32,
               "layer_dims": [20, 12, 20], "seed": 0}
 TINY_SYNTH = {"n_rows": 400, "anomaly_rate": 0.03, "n_labeled": 6, "seed": 0}
 TEN_COLUMNS = [f"bid_{side}_{i}" for side in ("px", "sz") for i in range(1, 6)]
+ASK_SIDE = [f"ask_{side}_{i}" for side in ("px", "sz") for i in range(1, 11)]
 
 
 @pytest.fixture(autouse=True)
@@ -114,15 +118,18 @@ class TestGenerate:
         ("mid_vol_ticks", 1e17, "mid_vol_ticks 1e+17 walks past 2**52 ticks"),
         ("mid_vol_ticks", 1e30, "mid_vol_ticks 1e+30 walks past 2**52 ticks"),
         # data that `run` could not train on at this config's layer_dims
-        ("schema", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
+        ("features", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
         # spoof and layering rows that no feature column could see
         ("spoof_side", "ask", "spoof_side ask has no size column in the schema"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
         # each of these crashed the generator or wrote data `run` refuses
-        cfg = write_config(tmp_path / "c.json", TINY_TRAIN,
-                           dict(TINY_SYNTH, **{key: value}))
+        if key == "features":  # a top-level key, beside the synth section
+            cfg = write_config(tmp_path / "c.json", TINY_TRAIN, TINY_SYNTH, value)
+        else:
+            cfg = write_config(tmp_path / "c.json", TINY_TRAIN,
+                               dict(TINY_SYNTH, **{key: value}))
         out = tmp_path / "o"
         assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -348,6 +355,42 @@ class TestRun:
         assert (train["pretrain_epochs"], train["main_epochs"]) == (1000, 10_000)
         assert not (out / "results.json").exists()  # no trial ended: no tables
 
+    @pytest.mark.parametrize("features", [None, ASK_SIDE])
+    def test_manifest_config_reads_back(self, tmp_path, generated, monkeypatch, features):
+        # the manifest's config is itself a config: read back, it gives the
+        # train, synth and schema the run resolved, flags included
+        cfg = write_config(tmp_path / "c.json", TINY_TRAIN, TINY_SYNTH, features)
+        train, synth, schema = cli.load_run_config(cfg)
+        assert schema.feature_columns == tuple(features or data.DEFAULT_FEATURES)
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda dataset, cfg, **kwargs: runs.append(cfg))
+        code, out = run_experiment_cli(tmp_path, cfg, generated, ("--seed", "3", "--paper-scale"))
+        assert code == 0
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(json.dumps(read_json(out / "run_manifest.json")["config"]))
+        assert cli.load_run_config(snapshot) == (
+            runs[0], dataclasses.replace(synth, seed=3), schema)
+        assert runs[0] == harness.paper_scale(dataclasses.replace(train, seed=3))
+
+    def test_dead_worker_exit_1(self, tmp_path, tiny_config, generated, capsys,
+                                monkeypatch):
+        # the worker's second task, trial 2's SAD, kills it without a word:
+        # the run says so in one line, as `score` does, and leaves no process
+        caller, real_run_mode = os.getpid(), harness.run_mode
+
+        def run_mode(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real_run_mode(*args)
+        monkeypatch.setattr(harness, "run_mode", run_mode)
+        code, _ = run_experiment_cli(tmp_path, tiny_config, generated, ("--jobs", "2"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: A process in the process pool was terminated abruptly")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     def test_manifest_records_environment(self, tmp_path, tiny_config, generated):
         code, out = run_experiment_cli(tmp_path, tiny_config, generated)
         assert code == 0
@@ -468,15 +511,19 @@ class TestRun:
         ("layer_dims", [20, True, 20], "layer dims must be integers >= 1"),
         ("min_labeled_per_batch", 1, "unknown keys in 'train' section"),
         # configs that cannot train on the 400 rows of 20 feature columns
-        ("synth.schema", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
+        ("features", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
         ("layer_dims", [20, 16, 10], "autoencoder needs input dim == output dim, got 20 vs 10"),
         ("k_folds", 500, "n_rows=400 < k=500"),
+        # the feature view is the top-level `features`, for real data as for synthetic
+        ("synth.schema", TEN_COLUMNS, "synth.schema is now the top-level 'features' list"),
+        ("features", "bid_px_1", "features must be a list, got 'bid_px_1'"),
+        ("features", ["mid_px"] + ASK_SIDE[1:], "unknown feature columns: ['mid_px']"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
         doc = {"version": 1, "train": dict(TINY_TRAIN), "synth": dict(TINY_SYNTH)}
-        section, _, key = key.rpartition(".")  # "synth.<key>", a train key or a section
-        if key in doc:
+        section, _, key = key.rpartition(".")  # "synth.<key>", a train key or a top-level one
+        if key in {*doc, "features"}:
             doc[key] = value
         else:
             doc[section or "train"][key] = value
@@ -587,14 +634,20 @@ class TestScore:
 
 
     def test_stored_schema_rescores_bit_for_bit(self, tmp_path, monkeypatch):
-        ask_side = ([f"ask_px_{i}" for i in range(1, 11)]
-                    + [f"ask_sz_{i}" for i in range(1, 11)])
-        cfg = write_config(tmp_path / "ask.json", TINY_TRAIN,
-                           dict(TINY_SYNTH, schema=ask_side, spoof_side="ask"))
+        # data generated with the ask side spoofed, then run, as real data
+        # would be, with a config of only version, train and the features
         gen = tmp_path / "gen"
-        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
-        code, out = run_experiment_cli(tmp_path, cfg, gen)
+        assert cli.main(["generate", "--config", write_config(
+            tmp_path / "gen.json", TINY_TRAIN, dict(TINY_SYNTH, spoof_side="ask"), ASK_SIDE),
+            "--out", str(gen)]) == 0
+        cfg = tmp_path / "ask.json"
+        cfg.write_text(json.dumps({"version": 1, "train": TINY_TRAIN, "features": ASK_SIDE}))
+        code, out = run_experiment_cli(tmp_path, str(cfg), gen)
         assert code == 0
+        ckpts = sorted(out.glob("*.ckpt"))
+        assert len(ckpts) == 12
+        for ckpt in ckpts:
+            assert nnet.load_checkpoint(ckpt)[1]["feature_columns"] == tuple(ASK_SIDE)
         score_path = tmp_path / "scores.csv"
         assert cli.main(["score", "--checkpoint", str(out / "trial1_fold0_sad.ckpt"),
                          "--data", str(gen / "lob.csv"),
@@ -967,21 +1020,26 @@ class TestUsage:
     @pytest.mark.parametrize("command, message", [
         ("generate", "[Errno 17] File exists"), ("run", "[Errno 21] Is a directory"),
         ("score", "[Errno 21] Is a directory"), ("report", "[Errno 21] Is a directory"),
-        ("generate", "[Errno 2] No such file or directory")])
+        ("generate", "[Errno 2] No such file or directory"),
+        ("score --out", "[Errno 21] Is a directory")])
     def test_os_error_exit_2(self, tmp_path, tiny_config, capsys, command, message):
-        # a directory where a file is read, a file where a directory is made,
-        # a config that does not exist; the error names the path once
+        # a directory where a file is read or replaced, a file where a
+        # directory is made, a config that does not exist; the error names
+        # the path once
         a_dir, a_file = tmp_path / "dir", tmp_path / "file"
         a_dir.mkdir()
         a_file.write_text("")
         config = str(tmp_path / "none.json") if "Errno 2]" in message else tiny_config
+        lob, ckpt = score_inputs(tmp_path, 50)
         argv = {"generate": ["--config", config, "--out", str(a_file)],
                 "run": ["--config", tiny_config, "--data", str(a_dir),
                         "--labels", str(a_file), "--out", str(tmp_path / "run")],
                 "score": ["--checkpoint", str(a_dir), "--data", str(a_file),
                           "--out", str(tmp_path / "s.csv")],
+                "score --out": ["--checkpoint", str(ckpt), "--data", str(lob),
+                                "--out", str(a_dir)],
                 "report": ["--results", str(a_dir), "--out", str(tmp_path / "rep")]}
-        assert cli.main([command, *argv[command]]) == 2
+        assert cli.main([command.split()[0], *argv[command]]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count(str(tmp_path)) == 1

@@ -92,10 +92,12 @@ class TestCsv:
 
     def test_round_trip_preserves_features(self, tmp_path):
         cfg = data.SynthConfig(n_rows=500, anomaly_rate=0.01, n_labeled=2, seed=4)
-        result = data.generate_synthetic(cfg)
+        schema = data.SchemaConfig(("ask_sz_3", "bid_px_1", "ask_px_10", "bid_sz_2"))
+        result = data.generate_synthetic(cfg, schema)
+        assert result.dataset.features.shape == (500, 4)
         path = tmp_path / "lob.csv"
         data.write_lob_csv(path, result.dataset.timestamps, result.book)
-        loaded = data.load_lob_csv(path, cfg.schema)
+        loaded = data.load_lob_csv(path, schema)
         assert np.allclose(loaded.features, result.dataset.features,
                            rtol=0, atol=1e-12)
         assert np.array_equal(loaded.timestamps, result.dataset.timestamps)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     relative_error,
     sample_safe_model_batch,
 )
-from lobsad import nnet
+from lobsad import data, nnet
 from lobsad.errors import ConfigError, DataError, DivergenceError, ShapeError
 
 # Output of the seed-7 default net on cos(0..19), recomputed once with a
@@ -360,7 +361,7 @@ def save_trial_checkpoint(model, path, rng, **fields):
     fields = {"center": rng.normal(size=model.output_dim),
               "norm_mean": rng.normal(size=model.input_dim),
               "norm_std": rng.uniform(0.5, 2.0, size=model.input_dim),
-              "feature_columns": [f"col{i}" for i in range(model.input_dim)]} | fields
+              "feature_columns": list(data.BOOK_COLUMNS[:model.input_dim])} | fields
     nnet.save_checkpoint(model, path, **fields)
     return fields
 
@@ -380,6 +381,19 @@ class TestCheckpoint:
             assert meta[key].dtype == np.float64
             assert meta[key].tobytes() == fields[key].tobytes()
         assert meta["feature_columns"] == tuple(fields["feature_columns"])
+
+    @pytest.mark.parametrize("columns, message", [
+        (["bid_px_1", "mid_px"], "unknown feature columns: ['mid_px']"),
+        (["bid_px_1", 2], "unknown feature columns: [2]"),
+        ("bid_px_1", "feature_columns is not a list of column names"),
+        (["bid_px_1"], "feature_columns names 1 columns for 2 model inputs")])
+    def test_feature_columns_checked(self, tmp_path, rng, columns, message):
+        # the checkpoint's own reader refuses a view that no CSV column fits
+        path = tmp_path / "m.ckpt"
+        save_trial_checkpoint(nnet.mlp_init(0, (2, 2)), path, rng)
+        path.write_text(json.dumps(json.loads(path.read_text()) | {"feature_columns": columns}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            nnet.load_checkpoint(path)
 
     def test_file_bytes_pinned(self, tmp_path):
         # the version-3 file of a fixed model, byte for byte
