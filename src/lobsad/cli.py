@@ -20,8 +20,8 @@ Every file is written whole or not at all, through `data.replacing`: a
 command that fails or is killed leaves each output complete or as it was.
 Exit codes: 0 success, 1 runtime/divergence failure, 2 usage, config or data
 error, or a file that cannot be read (or is not UTF-8) or written.
-Config files are versioned JSON; unknown keys are rejected. Flags override
-config-file values; the resolved config is recorded in the run manifest.
+Config files are versioned JSON; unknown keys are rejected. The resolved
+config, the file with its defaults filled in, is recorded in the run manifest.
 Set SAD_LOG=DEBUG|INFO|... to control logging.
 """
 
@@ -73,39 +73,32 @@ def _dataclass_from_dict(cls, section: dict, name: str):
 
 
 def load_run_config(path):
-    """(train, synth, schema): `features` is the view of any data, synthetic or real."""
+    """(train, synth, schema): `features` is the view of any data, synthetic or
+    real. Every refusal of the config's content names `path` once."""
     doc = data_mod.read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = doc.get("version")
-    if type(version) is not int or version != CONFIG_VERSION:  # not True, not 1.0
-        raise ConfigError(f"{path}: expected version {CONFIG_VERSION}, "
-                          f"got {version!r}")
-    unknown = set(doc) - {"version", "train", "synth", "features"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    if isinstance(doc.get("synth"), dict) and "schema" in doc["synth"]:
-        raise ConfigError(f"{path}: synth.schema is now the top-level 'features' list")
-    train = _dataclass_from_dict(harness.TrainConfig, doc.get("train", {}), "train")
-    synth = _dataclass_from_dict(data_mod.SynthConfig, doc.get("synth", {}), "synth")
-    features = doc.get("features", [*data_mod.DEFAULT_FEATURES])
-    if not isinstance(features, list):
-        raise ConfigError(f"{path}: features must be a list, got {features!r}")
-    schema = data_mod.SchemaConfig(tuple(features))
-    if len(features) != train.layer_dims[0]:  # the network's input
-        raise ConfigError(f"{path}: {len(features)} feature columns "
-                          f"do not fit layer_dims[0] = {train.layer_dims[0]}")
+    try:
+        if not isinstance(doc, dict):
+            raise ConfigError("top level must be an object")
+        version = doc.get("version")
+        if type(version) is not int or version != CONFIG_VERSION:  # not True, not 1.0
+            raise ConfigError(f"expected version {CONFIG_VERSION}, got {version!r}")
+        unknown = set(doc) - {"version", "train", "synth", "features"}
+        if unknown:
+            raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
+        if isinstance(doc.get("synth"), dict) and "schema" in doc["synth"]:
+            raise ConfigError("synth.schema is now the top-level 'features' list")
+        train = _dataclass_from_dict(harness.TrainConfig, doc.get("train", {}), "train")
+        synth = _dataclass_from_dict(data_mod.SynthConfig, doc.get("synth", {}), "synth")
+        features = doc.get("features", [*data_mod.DEFAULT_FEATURES])
+        if not isinstance(features, list):
+            raise ConfigError(f"features must be a list, got {features!r}")
+        schema = data_mod.SchemaConfig(tuple(features))
+        if len(features) != train.layer_dims[0]:  # the network's input
+            raise ConfigError(f"{len(features)} feature columns "
+                              f"do not fit layer_dims[0] = {train.layer_dims[0]}")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return train, synth, schema
-
-
-def _apply_overrides(args, train: harness.TrainConfig,
-                     synth: data_mod.SynthConfig):
-    if getattr(args, "seed", None) is not None:
-        train = dataclasses.replace(train, seed=args.seed)
-        synth = dataclasses.replace(synth, seed=args.seed)
-    if getattr(args, "paper_scale", False):
-        train = harness.paper_scale(train)
-    return train, synth
 
 
 def _config_snapshot(train, synth, schema) -> dict:
@@ -117,7 +110,6 @@ def _config_snapshot(train, synth, schema) -> dict:
 
 def cmd_generate(args) -> int:
     train, synth, schema = load_run_config(args.config)
-    train, synth = _apply_overrides(args, train, synth)
     os.makedirs(args.out, exist_ok=True)
     result = data_mod.generate_synthetic(synth, schema)
     data_mod.write_lob_csv(os.path.join(args.out, "lob.csv"),
@@ -156,7 +148,6 @@ def _save_trial(res: harness.TrialResult, out_dir: str,
 
 def cmd_run(args) -> int:
     train, synth, schema = load_run_config(args.config)
-    train, synth = _apply_overrides(args, train, synth)
     modes = {"both": ("svdd", "sad"), "svdd-only": ("svdd",),
              "sad-only": ("sad",)}[args.mode]
     jobs = harness.resolve_jobs(args.jobs, train, modes)
@@ -354,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write synthetic LOB data")
     gen.add_argument("--config", required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=None)
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run the full cross-validated experiment")
@@ -364,15 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ground-truth", default=None,
                      help="optional sidecar; adds gt_* metrics to results.json")
     run.add_argument("--out", required=True)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--jobs", type=int, default=None,
                      help="processes that train, this one included, each at one "
                           "BLAS thread (default: the usable CPUs; never more than "
                           "can all have a task); results do not depend on it")
     run.add_argument("--mode", choices=("both", "svdd-only", "sad-only"),
                      default="both")
-    run.add_argument("--paper-scale", action="store_true",
-                     help="1,000 pretrain / 10,000 main epochs")
     run.add_argument("--svg", action="store_true", help="also write SVG scatters")
     run.set_defaults(func=cmd_run)
 

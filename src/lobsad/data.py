@@ -509,13 +509,13 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not math.isfinite(self.size_log_mean):
             raise ConfigError(f"size_log_mean must be finite, got {self.size_log_mean}")
-        jumps = self.flash_jump_ticks
-        if not (len(jumps) == 2 and all(isinstance(j, int) for j in jumps)
-                and 0 <= jumps[0] <= jumps[1]):
+        jumps = self.flash_jump_ticks  # a JSON true is not a number
+        if not (len(jumps) == 2 and all(isinstance(j, int) and not isinstance(j, bool)
+                                        for j in jumps) and 0 <= jumps[0] <= jumps[1]):
             raise ConfigError(f"flash_jump_ticks must be integers 0 <= low <= high, got {jumps}")
         mix = self.archetype_mix
-        if not (len(mix) == 3 and all(isinstance(w, (int, float)) and 0 <= w < math.inf
-                                      for w in mix) and sum(mix) > 0):
+        if not (len(mix) == 3 and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                                      and 0 <= w < math.inf for w in mix) and sum(mix) > 0):
             raise ConfigError(f"archetype_mix must be three finite weights >= 0 with a "
                               f"positive sum, got {mix}")
 

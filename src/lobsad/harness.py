@@ -94,11 +94,6 @@ class TrainConfig:
         return SadHyper(eta=self.eta, eps=self.dist_eps)
 
 
-def paper_scale(cfg: TrainConfig) -> TrainConfig:
-    """Epoch counts at full scale: 1,000 pretrain, 10,000 main."""
-    return replace(cfg, pretrain_epochs=1000, main_epochs=10_000)
-
-
 def _check_divergence(losses: list[float], phase: str) -> None:
     cur = losses[-1]
     if not math.isfinite(cur):

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import errno
 import json
 import multiprocessing
@@ -57,6 +56,13 @@ def generated(tmp_path, tiny_config):
     return out
 
 
+# refusals of `generate_synthetic`, made after the config is read
+GENERATOR_REFUSALS = {"the book's sizes overflow float64 at size_log_mean 800",
+                      "mid_vol_ticks 1e+17 walks past 2**52 ticks",
+                      "mid_vol_ticks 1e+30 walks past 2**52 ticks",
+                      "spoof_side ask has no size column in the schema"}
+
+
 class TestGenerate:
     def test_writes_three_files_with_matching_counts(self, generated):
         rows = read_rows(generated / "lob.csv")
@@ -67,14 +73,15 @@ class TestGenerate:
         assert gt[0] == ["row_index", "archetype", "labeled"]
         assert sum(int(r[2]) for r in gt[1:]) == 6
 
-    def test_seed_flag_deterministic(self, tmp_path, tiny_config):
+    def test_config_seed_deterministic(self, tmp_path, generated):
+        # the data is a function of the config's synth.seed alone
+        cfg = write_config(tmp_path / "c.json", TINY_TRAIN, dict(TINY_SYNTH, seed=1))
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert cli.main(["generate", "--config", tiny_config,
-                             "--out", str(out), "--seed", "1"]) == 0
+            assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 0
             outs.append((out / "lob.csv").read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] != (generated / "lob.csv").read_bytes()  # seed 0's
 
     @pytest.mark.parametrize("command, flag", [
         ("generate", "--config"), ("report", "--results"), ("score", "--checkpoint")])
@@ -121,6 +128,9 @@ class TestGenerate:
         ("features", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
         # spoof and layering rows that no feature column could see
         ("spoof_side", "ask", "spoof_side ask has no size column in the schema"),
+        # a JSON true is not a number
+        ("archetype_mix", [True, 0.3, 0.3], "archetype_mix must be three finite weights"),
+        ("flash_jump_ticks", [True, 400], "flash_jump_ticks must be integers 0 <= low"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
@@ -132,20 +142,11 @@ class TestGenerate:
                                dict(TINY_SYNTH, **{key: value}))
         out = tmp_path / "o"
         assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        if message not in GENERATOR_REFUSALS:  # refused as the config is read
+            assert err.startswith(f"error: {cfg}: ")
         assert not (out / "lob.csv").exists()
-
-    @pytest.mark.parametrize("command", ["generate", "run"])
-    def test_negative_seed_flag_exit_2_before_any_file(self, tmp_path, tiny_config,
-                                                       capsys, command):
-        out = tmp_path / "o"
-        argv = [command, "--config", tiny_config, "--out", str(out), "--seed", "-1"]
-        if command == "run":
-            argv += ["--data", str(tmp_path / "lob.csv"),
-                     "--labels", str(tmp_path / "labels.txt")]
-        assert cli.main(argv) == 2
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
 
 
 def run_experiment_cli(tmp_path, tiny_config, generated, extra=()):
@@ -341,37 +342,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: main[sad]: no rows to train on\n"
 
-    def test_paper_scale_epochs(self, tmp_path, tiny_config, generated, monkeypatch):
-        configs = []
-
-        def run_experiment(dataset, cfg, **kwargs):
-            configs.append(cfg)
-        monkeypatch.setattr(harness, "run_experiment", run_experiment)
-        code, out = run_experiment_cli(tmp_path, tiny_config, generated,
-                                       ("--paper-scale",))
-        assert code == 0
-        assert [(c.pretrain_epochs, c.main_epochs) for c in configs] == [(1000, 10_000)]
-        train = read_json(out / "run_manifest.json")["config"]["train"]
-        assert (train["pretrain_epochs"], train["main_epochs"]) == (1000, 10_000)
-        assert not (out / "results.json").exists()  # no trial ended: no tables
-
     @pytest.mark.parametrize("features", [None, ASK_SIDE])
     def test_manifest_config_reads_back(self, tmp_path, generated, monkeypatch, features):
         # the manifest's config is itself a config: read back, it gives the
-        # train, synth and schema the run resolved, flags included
-        cfg = write_config(tmp_path / "c.json", TINY_TRAIN, TINY_SYNTH, features)
+        # train, synth and schema of the --config file, which the run trains with
+        paper = dict(TINY_TRAIN, seed=3, pretrain_epochs=1000, main_epochs=10_000)
+        cfg = write_config(tmp_path / "c.json", paper, TINY_SYNTH, features)
         train, synth, schema = cli.load_run_config(cfg)
+        assert (train.seed, train.pretrain_epochs, train.main_epochs) == (3, 1000, 10_000)
         assert schema.feature_columns == tuple(features or data.DEFAULT_FEATURES)
         runs = []
         monkeypatch.setattr(harness, "run_experiment",
                             lambda dataset, cfg, **kwargs: runs.append(cfg))
-        code, out = run_experiment_cli(tmp_path, cfg, generated, ("--seed", "3", "--paper-scale"))
+        code, out = run_experiment_cli(tmp_path, cfg, generated)
         assert code == 0
+        assert runs == [train]
+        assert not (out / "results.json").exists()  # no trial ended: no tables
         snapshot = tmp_path / "snapshot.json"
         snapshot.write_text(json.dumps(read_json(out / "run_manifest.json")["config"]))
-        assert cli.load_run_config(snapshot) == (
-            runs[0], dataclasses.replace(synth, seed=3), schema)
-        assert runs[0] == harness.paper_scale(dataclasses.replace(train, seed=3))
+        assert cli.load_run_config(snapshot) == (train, synth, schema)
 
     def test_dead_worker_exit_1(self, tmp_path, tiny_config, generated, capsys,
                                 monkeypatch):
@@ -531,7 +520,10 @@ class TestRun:
         cfg.write_text(json.dumps(doc))
         code, out = run_experiment_cli(tmp_path, str(cfg), generated)
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        if (key, value) != ("k_folds", 500):  # refused as the config is read, not the data
+            assert err.startswith(f"error: {cfg}: ")
         assert not out.exists()
 
 
@@ -1071,9 +1063,20 @@ class TestUsage:
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert ".tmp" not in err
 
-    def test_unknown_flag_exit_2(self, capsys):
-        assert cli.main(["generate", "--config", "x", "--out", "y",
-                         "--frobnicate"]) == 2
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", "--frobnicate"),
+        # a run's settings come from its config file alone
+        ("generate", "--seed 1"), ("run", "--seed 1"), ("run", "--paper-scale")])
+    def test_unknown_flag_exit_2(self, tmp_path, tiny_config, generated, capsys,
+                                 command, flags):
+        out = tmp_path / "o"
+        argv = [command, "--config", tiny_config, "--out", str(out), *flags.split()]
+        if command == "run":
+            argv += ["--data", str(generated / "lob.csv"),
+                     "--labels", str(generated / "labels.txt")]
+        assert cli.main(argv) == 2
+        assert f"error: unrecognized arguments: {flags}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class _FullDisk:
