@@ -53,7 +53,7 @@ _PART_ENDED = "part %d of %d: %d rows ended in process %d after %.2fs"  # one IN
 
 # field type -> the JSON types of a value for it (never a bool), and their name
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"), tuple: ((list,), "a list"), dict: ((dict,), "an object")}
+               tuple: ((list,), "a list"), dict: ((dict,), "an object")}
 
 
 def _dataclass_from_dict(cls, section: dict, name: str):
@@ -111,7 +111,10 @@ def _config_snapshot(train, synth, schema) -> dict:
 def cmd_generate(args) -> int:
     train, synth, schema = load_run_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    result = data_mod.generate_synthetic(synth, schema)
+    try:  # the generator's own refusals: no size column in view, too many labels
+        result = data_mod.generate_synthetic(synth, schema)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     data_mod.write_lob_csv(os.path.join(args.out, "lob.csv"),
                            result.dataset.timestamps, result.book)
     data_mod.write_labels(os.path.join(args.out, "labels.txt"),
@@ -154,7 +157,11 @@ def cmd_run(args) -> int:
 
     dataset = data_mod.load_lob_csv(args.data, schema)
     dataset = data_mod.load_labels(args.labels, dataset)
-    harness.contiguous_kfold(dataset.n_rows, train.k_folds)  # refused before any file
+    try:  # refused before any file
+        harness.contiguous_kfold(dataset.n_rows, train.k_folds)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: k_folds above the rows of {args.data}: "
+                          f"{exc}") from None
     gt = (data_mod.load_ground_truth(args.ground_truth, dataset.n_rows)
           if args.ground_truth else None)
 
@@ -378,8 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SAD_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("SAD_LOG", "").upper() or "WARNING"
+    if not isinstance(logging.getLevelName(level), int):  # a name logging knows
+        print(f"error: SAD_LOG must be a logging level such as INFO or DEBUG, "
+              f"got {os.environ['SAD_LOG']!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

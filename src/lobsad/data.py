@@ -23,7 +23,6 @@ import contextlib
 import csv
 import json
 import logging
-import math
 import os
 import stat
 from itertools import islice
@@ -78,6 +77,9 @@ class SchemaConfig:
         unknown = [c for c in self.feature_columns if c not in BOOK_COLUMNS]
         if unknown:
             raise ConfigError(f"unknown feature columns: {unknown}")
+        repeated = sorted({c for c in self.feature_columns if self.feature_columns.count(c) > 1})
+        if repeated:  # one input twice
+            raise ConfigError(f"repeated feature columns: {repeated}")
 
 
 @dataclass
@@ -472,21 +474,24 @@ def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
 # --- synthetic generator ------------------------------------------------------
 
 
+# the fixed market every synthetic book is drawn from; a config sets only
+# SynthConfig's fields, what an experiment varies
+TICK_SIZE = 0.25
+START_PRICE = 135.0
+MID_VOL_TICKS = 0.2  # std of per-step mid move, in ticks
+# flash jumps must clear the walk's own range to be anomalous row-wise
+FLASH_JUMP_TICKS = (150, 400)
+SIZE_LOG_MEAN = np.log(50.0)
+SIZE_LOG_SIGMA = 0.6
+ARCHETYPE_MIX = (0.4, 0.3, 0.3)  # spoof, layering, flash
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_rows: int = 60_000
     anomaly_rate: float = 0.002  # expected fraction of anomalous rows
     n_labeled: int = 30
     seed: int = 0
-    tick_size: float = 0.25
-    start_price: float = 135.0
-    mid_vol_ticks: float = 0.2  # std of per-step mid move, in ticks
-    # flash jumps must clear the walk's own range to be anomalous row-wise
-    flash_jump_ticks: tuple[int, int] = (150, 400)
-    size_log_mean: float = np.log(50.0)
-    size_log_sigma: float = 0.6
-    archetype_mix: tuple[float, float, float] = (0.4, 0.3, 0.3)  # spoof, layering, flash
-    spoof_side: str = "bid"  # side carrying size anomalies; must be in the feature view
 
     def __post_init__(self):
         if not (0 <= self.anomaly_rate < 1):
@@ -497,27 +502,6 @@ class SynthConfig:
             raise ConfigError("n_labeled must be >= 0")
         if self.seed < 0:  # np.random.default_rng refuses it
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.spoof_side not in ("bid", "ask"):
-            raise ConfigError(f"spoof_side must be bid or ask, got {self.spoof_side}")
-        if not 0 < self.tick_size < math.inf:
-            raise ConfigError(f"tick_size must be finite and > 0, got {self.tick_size}")
-        if not 0 < self.start_price / self.tick_size < 2.0 ** 53:  # NaN fails too
-            raise ConfigError(f"start_price must be finite and > 0, and start_price / "
-                              f"tick_size below 2**53, got {self.start_price}")
-        for name in ("mid_vol_ticks", "size_log_sigma"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not math.isfinite(self.size_log_mean):
-            raise ConfigError(f"size_log_mean must be finite, got {self.size_log_mean}")
-        jumps = self.flash_jump_ticks  # a JSON true is not a number
-        if not (len(jumps) == 2 and all(isinstance(j, int) and not isinstance(j, bool)
-                                        for j in jumps) and 0 <= jumps[0] <= jumps[1]):
-            raise ConfigError(f"flash_jump_ticks must be integers 0 <= low <= high, got {jumps}")
-        mix = self.archetype_mix
-        if not (len(mix) == 3 and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                                      and 0 <= w < math.inf for w in mix) and sum(mix) > 0):
-            raise ConfigError(f"archetype_mix must be three finite weights >= 0 with a "
-                              f"positive sum, got {mix}")
 
 
 @dataclass
@@ -552,38 +536,36 @@ def _episode_plan(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[int,
         start = int(rng.integers(0, cfg.n_rows - length + 1))
         if occupied[start:start + length].any():
             continue
-        arch = ARCHETYPES[rng.choice(3, p=np.asarray(cfg.archetype_mix) / sum(cfg.archetype_mix))]
+        arch = ARCHETYPES[rng.choice(3, p=np.asarray(ARCHETYPE_MIX) / sum(ARCHETYPE_MIX))]
         occupied[start:start + length] = True
         episodes.append((start, length, arch))
         assigned += length
     return episodes
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and NaN are refused below
 def generate_synthetic(cfg: SynthConfig, schema: SchemaConfig = SchemaConfig()) -> SynthResult:
     """Tick-rounded mid-price random walk with 10 levels per side and injected
-    spoof / layering / flash-move episodes in `schema`'s view; deterministic per seed."""
-    if not any(c.startswith(f"{cfg.spoof_side}_sz_") for c in schema.feature_columns):
-        raise ConfigError(f"spoof_side {cfg.spoof_side} has no size column in the schema")
+    spoof / layering / flash-move episodes; deterministic per seed. Spoof and
+    layering episodes go to the bid sizes when `schema` views any of them,
+    else to the ask sizes, so that its features see them."""
+    sides = {c[:3] for c in schema.feature_columns if "_sz_" in c}  # "bid", "ask"
+    if not sides:
+        raise ConfigError("features has no size column to carry spoof and layering rows")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_rows
 
-    # a float64 walk, checked before the int64 cast: prices stay distinct below 2**52 ticks
-    steps = np.rint(rng.normal(0.0, cfg.mid_vol_ticks, size=n))
-    mid = round(cfg.start_price / cfg.tick_size) + np.concatenate(([0.0], np.cumsum(steps[1:])))
-    top = float(np.abs(mid).max()) + cfg.flash_jump_ticks[1] + N_LEVELS  # largest price index
-    if not (top < 2.0 ** 52 and math.isfinite(top * cfg.tick_size)):
-        raise ConfigError(f"mid_vol_ticks {cfg.mid_vol_ticks} walks past 2**52 ticks, to {top:.4g}")
+    steps = np.rint(rng.normal(0.0, MID_VOL_TICKS, size=n))
+    mid = round(START_PRICE / TICK_SIZE) + np.concatenate(([0.0], np.cumsum(steps[1:])))
     mid = np.maximum(mid.astype(np.int64), N_LEVELS + 2)  # keep all bid levels positive
 
     bid_sz = np.maximum(
-        np.rint(rng.lognormal(cfg.size_log_mean, cfg.size_log_sigma, size=(n, N_LEVELS))), 1.0)
+        np.rint(rng.lognormal(SIZE_LOG_MEAN, SIZE_LOG_SIGMA, size=(n, N_LEVELS))), 1.0)
     ask_sz = np.maximum(
-        np.rint(rng.lognormal(cfg.size_log_mean, cfg.size_log_sigma, size=(n, N_LEVELS))), 1.0)
+        np.rint(rng.lognormal(SIZE_LOG_MEAN, SIZE_LOG_SIGMA, size=(n, N_LEVELS))), 1.0)
 
     episodes = _episode_plan(rng, cfg)
     gt_rows, gt_arch = [], []
-    spoof_sz = bid_sz if cfg.spoof_side == "bid" else ask_sz
+    spoof_sz = bid_sz if "bid" in sides else ask_sz
     for start, length, arch in episodes:
         sl = slice(start, start + length)
         if arch == "spoof":
@@ -593,13 +575,13 @@ def generate_synthetic(cfg: SynthConfig, schema: SchemaConfig = SchemaConfig()) 
         elif arch == "layering":
             # monotone ladder, modestly above the expected total depth: per-level
             # sizes stay near the normal marginal range, the joint shape is off
-            mean_size = float(np.exp(cfg.size_log_mean + 0.5 * cfg.size_log_sigma ** 2))
+            mean_size = float(np.exp(SIZE_LOG_MEAN + 0.5 * SIZE_LOG_SIGMA ** 2))
             base = mean_size * N_LEVELS / np.arange(1, N_LEVELS + 1).sum()
             ladder = np.rint(base * rng.uniform(1.6, 2.4)
                              * np.arange(1, N_LEVELS + 1))
             spoof_sz[sl, :] = np.maximum(ladder, 1.0)
         else:  # flash move: > 8 tick jump in one step, reverted after the episode
-            jlo, jhi = cfg.flash_jump_ticks
+            jlo, jhi = FLASH_JUMP_TICKS
             jump = int(rng.integers(jlo, jhi + 1)) * int(rng.choice((-1, 1)))
             mid[sl] = np.maximum(mid[sl] + jump, N_LEVELS + 2)
         gt_rows.extend(range(start, start + length))
@@ -618,12 +600,9 @@ def generate_synthetic(cfg: SynthConfig, schema: SchemaConfig = SchemaConfig()) 
     labeled_mask = np.isin(gt_rows, labeled_rows)
 
     levels = np.arange(1, N_LEVELS + 1)
-    bid_px = (mid[:, None] - levels[None, :]) * cfg.tick_size
-    ask_px = (mid[:, None] + levels[None, :]) * cfg.tick_size
+    bid_px = (mid[:, None] - levels[None, :]) * TICK_SIZE
+    ask_px = (mid[:, None] + levels[None, :]) * TICK_SIZE
     book = np.hstack([bid_px, bid_sz, ask_px, ask_sz])
-    if not np.isfinite(book).all():  # sizes past float64: `run` would refuse the file
-        raise ConfigError(f"the book's sizes overflow float64 at size_log_mean "
-                          f"{cfg.size_log_mean} and size_log_sigma {cfg.size_log_sigma}")
 
     cadence_ns = 10_000_000  # 10 ms
     jitter = rng.integers(0, cadence_ns // 2, size=n)

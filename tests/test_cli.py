@@ -56,13 +56,6 @@ def generated(tmp_path, tiny_config):
     return out
 
 
-# refusals of `generate_synthetic`, made after the config is read
-GENERATOR_REFUSALS = {"the book's sizes overflow float64 at size_log_mean 800",
-                      "mid_vol_ticks 1e+17 walks past 2**52 ticks",
-                      "mid_vol_ticks 1e+30 walks past 2**52 ticks",
-                      "spoof_side ask has no size column in the schema"}
-
-
 class TestGenerate:
     def test_writes_three_files_with_matching_counts(self, generated):
         rows = read_rows(generated / "lob.csv")
@@ -101,40 +94,17 @@ class TestGenerate:
                          "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("key, value, message", [
-        ("tick_size", 0, "tick_size must be finite and > 0, got 0"),
-        ("tick_size", -0.25, "tick_size must be finite and > 0, got -0.25"),
-        ("mid_vol_ticks", -1, "mid_vol_ticks must be finite and >= 0, got -1"),
-        ("size_log_sigma", -0.6, "size_log_sigma must be finite and >= 0, got -0.6"),
-        ("flash_jump_ticks", [400, 150], "flash_jump_ticks must be integers 0 <= low"),
-        ("flash_jump_ticks", [150], "flash_jump_ticks must be integers 0 <= low"),
-        ("archetype_mix", [0, 0, 0], "archetype_mix must be three finite weights >= 0"),
-        ("archetype_mix", [1, -1, 1], "archetype_mix must be three finite weights >= 0"),
-        ("archetype_mix", ["a", 1, 1], "archetype_mix must be three finite weights >= 0"),
-        ("start_price", float("nan"), "start_price must be finite and > 0"),
-        ("start_price", 1e30, "start_price must be finite and > 0"),
-        ("start_price", -1e30, "start_price must be finite and > 0"),
-        ("start_price", -5.0, "start_price must be finite and > 0"),
-        ("start_price", 0, "start_price must be finite and > 0"),
-        ("start_price", 2.0 ** 51, "start_price / tick_size below 2**53, got 2251799813685248"),
         ("seed", -1, "seed must be >= 0, got -1"),
-        ("size_log_mean", float("nan"), "size_log_mean must be finite, got nan"),
-        ("size_log_mean", float("inf"), "size_log_mean must be finite, got inf"),
-        ("size_log_mean", 800, "the book's sizes overflow float64 at size_log_mean 800"),
-        # past 2**52 ticks adjacent prices may round together; past 2**63 the
-        # int64 cast is invalid and the walk was pinned at its floor
-        ("mid_vol_ticks", 1e17, "mid_vol_ticks 1e+17 walks past 2**52 ticks"),
-        ("mid_vol_ticks", 1e30, "mid_vol_ticks 1e+30 walks past 2**52 ticks"),
         # data that `run` could not train on at this config's layer_dims
         ("features", TEN_COLUMNS, "10 feature columns do not fit layer_dims[0] = 20"),
         # spoof and layering rows that no feature column could see
-        ("spoof_side", "ask", "spoof_side ask has no size column in the schema"),
-        # a JSON true is not a number
-        ("archetype_mix", [True, 0.3, 0.3], "archetype_mix must be three finite weights"),
-        ("flash_jump_ticks", [True, 400], "flash_jump_ticks must be integers 0 <= low"),
+        ("features", [c for c in data.BOOK_COLUMNS if "_px_" in c],
+         "features has no size column to carry spoof and layering rows"),
+        ("n_labeled", 400, "n_labeled=400 exceeds injected anomaly rows"),
     ])
     def test_bad_synth_setting_exit_2_before_any_file(self, tmp_path, capsys,
                                                       key, value, message):
-        # each of these crashed the generator or wrote data `run` refuses
+        # refused as the config is read or by the generator, each naming the config
         if key == "features":  # a top-level key, beside the synth section
             cfg = write_config(tmp_path / "c.json", TINY_TRAIN, TINY_SYNTH, value)
         else:
@@ -144,9 +114,28 @@ class TestGenerate:
         assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err
-        if message not in GENERATOR_REFUSALS:  # refused as the config is read
-            assert err.startswith(f"error: {cfg}: ")
+        assert err.startswith(f"error: {cfg}: ")
         assert not (out / "lob.csv").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    @pytest.mark.parametrize("key, value", [
+        ("tick_size", 0.25), ("start_price", 135.0), ("mid_vol_ticks", 0.2),
+        ("flash_jump_ticks", [150, 400]), ("size_log_mean", 3.9), ("size_log_sigma", 0.6),
+        ("archetype_mix", [0.4, 0.3, 0.3]), ("spoof_side", "bid")])
+    def test_fixed_market_key_exit_2_before_any_file(self, tmp_path, generated, capsys,
+                                                     key, value, command):
+        # the market is fixed in the generator, and the spoofed side follows
+        # `features`: `synth` sets only what an experiment varies
+        cfg = write_config(tmp_path / "c.json", TINY_TRAIN, dict(TINY_SYNTH, **{key: value}))
+        if command == "generate":
+            out = tmp_path / "o"
+            code = cli.main(["generate", "--config", cfg, "--out", str(out)])
+        else:
+            code, out = run_experiment_cli(tmp_path, cfg, generated)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: unknown keys in 'synth' section: ['{key}']\n")
+        assert not out.exists()
 
 
 def run_experiment_cli(tmp_path, tiny_config, generated, extra=()):
@@ -507,6 +496,9 @@ class TestRun:
         ("synth.schema", TEN_COLUMNS, "synth.schema is now the top-level 'features' list"),
         ("features", "bid_px_1", "features must be a list, got 'bid_px_1'"),
         ("features", ["mid_px"] + ASK_SIDE[1:], "unknown feature columns: ['mid_px']"),
+        # one input twice: bid_px_1 in place of bid_px_2
+        ("features", ["bid_px_1", *data.DEFAULT_FEATURES[:1], *data.DEFAULT_FEATURES[2:]],
+         "repeated feature columns: ['bid_px_1']"),
     ])
     def test_bad_sad_setting_exit_2_before_any_work(self, tmp_path, generated,
                                                     capsys, key, value, message):
@@ -522,8 +514,7 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err
-        if (key, value) != ("k_folds", 500):  # refused as the config is read, not the data
-            assert err.startswith(f"error: {cfg}: ")
+        assert err.startswith(f"error: {cfg}: ")
         assert not out.exists()
 
 
@@ -630,7 +621,7 @@ class TestScore:
         # would be, with a config of only version, train and the features
         gen = tmp_path / "gen"
         assert cli.main(["generate", "--config", write_config(
-            tmp_path / "gen.json", TINY_TRAIN, dict(TINY_SYNTH, spoof_side="ask"), ASK_SIDE),
+            tmp_path / "gen.json", TINY_TRAIN, TINY_SYNTH, ASK_SIDE),
             "--out", str(gen)]) == 0
         cfg = tmp_path / "ask.json"
         cfg.write_text(json.dumps({"version": 1, "train": TINY_TRAIN, "features": ASK_SIDE}))
@@ -1077,6 +1068,26 @@ class TestUsage:
         assert cli.main(argv) == 2
         assert f"error: unrecognized arguments: {flags}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("level, code", [("bogus", 2), ("", 0), ("info", 0)])
+    def test_sad_log_level_checked_before_any_file(self, tmp_path, tiny_config,
+                                                   level, code):
+        # an empty SAD_LOG means WARNING; a name logging does not know is a
+        # usage error, refused before the command starts
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lobsad.cli", "generate", "--config", tiny_config,
+             "--out", str(out)], capture_output=True, text=True, timeout=120,
+            env=os.environ | {"SAD_LOG": level, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr == ("error: SAD_LOG must be a logging level such as INFO "
+                                   f"or DEBUG, got '{level}'\n")
+            assert not out.exists()
+        else:
+            assert (out / "lob.csv").exists()
+            assert ("INFO lobsad.cli: wrote" in proc.stderr) == (level == "info")
 
 
 class _FullDisk:

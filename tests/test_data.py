@@ -231,7 +231,7 @@ class TestGenerator:
         starts = flash_rows[~np.isin(flash_rows - 1, flash_rows)]
         starts = starts[starts > 0]
         best_bid = result.book[:, 0]
-        jumps = np.abs(best_bid[starts] - best_bid[starts - 1]) / cfg.tick_size
+        jumps = np.abs(best_bid[starts] - best_bid[starts - 1]) / data.TICK_SIZE
         assert np.all(jumps > 8)
 
     @given(seed=st.integers(0, 1000))
@@ -245,20 +245,27 @@ class TestGenerator:
         assert np.all(np.diff(ds.timestamps) >= 0)
         assert ds.labeled_idx.min() >= 0 and ds.labeled_idx.max() < ds.n_rows
 
-    @given(seed=st.integers(0, 1000), log_vol=st.floats(10.0, 20.0),
-           tick=st.sampled_from([0.25, 0.1, 0.3, 7.0]))
-    @settings(max_examples=40, deadline=None)
-    def test_wide_walk_refused_or_readable(self, seed, log_vol, tick):
-        # a walk near 2**52 ticks: `generate` refuses it, or `run` accepts its book
-        cfg = data.SynthConfig(n_rows=300, anomaly_rate=0.05, n_labeled=0, seed=seed,
-                               tick_size=tick, start_price=100 * tick,
-                               mid_vol_ticks=10.0 ** log_vol)
-        try:
-            result = data.generate_synthetic(cfg)
-        except ConfigError as exc:
-            assert "walks past 2**52 ticks" in str(exc)
-            return
-        assert data._book_error(result.book, result.dataset.timestamps, None, 0) is None
+    def test_ask_view_moves_only_spoofed_sizes(self):
+        # the side that carries spoof and layering rows follows the view, and
+        # no draw moves: prices and flash rows stay, and of the spoof and
+        # layering rows only the sizes differ, on both sides
+        cfg = data.SynthConfig(n_rows=20_000, anomaly_rate=0.01, n_labeled=10, seed=5)
+        ask_view = data.SchemaConfig(tuple(c for c in data.BOOK_COLUMNS if c[:3] == "ask"))
+        bid, ask = data.generate_synthetic(cfg), data.generate_synthetic(cfg, ask_view)
+        gt = bid.ground_truth
+        for field in ("rows", "archetypes", "labeled"):
+            assert np.array_equal(getattr(gt, field), getattr(ask.ground_truth, field))
+        assert np.array_equal(bid.dataset.labeled_idx, ask.dataset.labeled_idx)
+        assert np.array_equal(bid.dataset.timestamps, ask.dataset.timestamps)
+        sizes = [i for i, c in enumerate(data.BOOK_COLUMNS) if "_sz_" in c]
+        prices = [i for i, c in enumerate(data.BOOK_COLUMNS) if "_px_" in c]
+        assert np.array_equal(bid.book[:, prices], ask.book[:, prices])
+        spoofed = gt.rows[[a != "flash" for a in gt.archetypes]]
+        differs = bid.book != ask.book
+        assert np.array_equal(np.flatnonzero(differs.any(axis=1)), spoofed)
+        for side in (sizes[:data.N_LEVELS], sizes[data.N_LEVELS:]):
+            assert differs[np.ix_(spoofed, side)].any(axis=1).all()
+        assert np.array_equal(ask.dataset.features, ask.book[:, 2 * data.N_LEVELS:])
 
 
 class TestGroundTruthSidecar:

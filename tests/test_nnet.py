@@ -386,7 +386,8 @@ class TestCheckpoint:
         (["bid_px_1", "mid_px"], "unknown feature columns: ['mid_px']"),
         (["bid_px_1", 2], "unknown feature columns: [2]"),
         ("bid_px_1", "feature_columns is not a list of column names"),
-        (["bid_px_1"], "feature_columns names 1 columns for 2 model inputs")])
+        (["bid_px_1"], "feature_columns names 1 columns for 2 model inputs"),
+        (["bid_px_1", "bid_px_1"], "repeated feature columns: ['bid_px_1']")])
     def test_feature_columns_checked(self, tmp_path, rng, columns, message):
         # the checkpoint's own reader refuses a view that no CSV column fits
         path = tmp_path / "m.ckpt"
